@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build, run the tier-1 test suite, then exercise one bench
-# in --export mode and sanity-check the emitted vsg-metrics-v1 snapshot.
+# in --export mode and sanity-check the emitted vsg-metrics-v1 snapshot,
+# smoke the host-cost benchmark, and run the gates below.
 #
 #   $ scripts/check.sh
 set -euo pipefail
@@ -20,6 +21,12 @@ grep -q '"schema": "vsg-metrics-v1"' build/BENCH_throughput.json
 grep -q '"net.packets_sent"' build/BENCH_throughput.json
 grep -q '"ring.formation_rounds"' build/BENCH_throughput.json
 grep -q '"to.brcv_latency.all"' build/BENCH_throughput.json
+
+# Host-cost benchmark smoke (benchmark/README.md): every workload runs twice
+# untraced and twice traced with one seed. The "det" lines must repeat, the
+# result must name exactly BENCHMARK.json's metrics, and every --export
+# snapshot must validate as vsg-metrics-v1 (under 60 s once built).
+bash benchmark/smoke.sh --quick
 
 # Wire-compat gate (docs/WIRE.md, "Wire-compat gate"): the golden frame
 # fixture committed under tests/wire/ freezes the v3 layout; every build

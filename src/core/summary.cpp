@@ -49,11 +49,15 @@ std::vector<Label> shortorder(const SummaryMap& y) {
 std::vector<Label> fullorder(const SummaryMap& y) {
   std::vector<Label> order = shortorder(y);
   const std::set<Label> in_short(order.begin(), order.end());
-  // Append every known label not already in the short order, in label order
-  // (map iteration is already sorted by label). The prefix keeps the
-  // representative's ordering, exactly as Figure 8 specifies.
-  for (const auto& [l, a] : knowncontent(y))
-    if (in_short.count(l) == 0) order.push_back(l);
+  // Append every known label not already in the short order, in label order.
+  // Only dom(knowncontent(Y)) matters, so collect labels straight from each
+  // con instead of copying the values. The prefix keeps the representative's
+  // ordering, exactly as Figure 8 specifies.
+  std::set<Label> rest;
+  for (const auto& [q, x] : y)
+    for (const auto& [l, a] : x.con)
+      if (in_short.count(l) == 0) rest.insert(l);
+  order.insert(order.end(), rest.begin(), rest.end());
   return order;
 }
 

@@ -24,11 +24,16 @@ bool established(const GlobalState& s, ProcId p, const core::ViewId& g) {
   return s.st(p).established.count(g) != 0;
 }
 
+// buildorder[p, g]: `order` itself while g is p's current view and the
+// history variable exists (ProcessState::builds_current); otherwise the
+// snapshot taken when p left g, if any.
 const std::vector<core::Label>* buildorder(const GlobalState& s, ProcId p,
                                            const core::ViewId& g) {
-  const auto& bo = s.st(p).buildorder;
-  auto it = bo.find(g);
-  return it == bo.end() ? nullptr : &it->second;
+  const auto& st = s.st(p);
+  if (st.builds_current && st.current.has_value() && st.current->id == g)
+    return &st.order;
+  auto it = st.buildorder.find(g);
+  return it == st.buildorder.end() ? nullptr : &it->second;
 }
 
 }  // namespace
@@ -510,15 +515,16 @@ std::vector<std::string> check_history_wellformed(const GlobalState& s) {
     const auto& st = s.st(p);
     if (!st.current.has_value()) continue;
     const auto& g = st.current->id;
-    if (established(s, p, g)) {
-      const auto* bo = buildorder(s, p, g);
-      if (bo == nullptr || *bo != st.order)
-        bad.push_back("history: buildorder[" + pname(p) +
-                      ", current] does not track order");
-    }
-    for (const auto& [bg, ord] : st.buildorder)
+    if (established(s, p, g) && !st.builds_current)
+      bad.push_back("history: buildorder[" + pname(p) +
+                    ", current] missing for an established view");
+    for (const auto& [bg, ord] : st.buildorder) {
+      if (bg == g)
+        bad.push_back("history: buildorder at " + pname(p) +
+                      " stores the current view (it must alias order)");
       if (bg > g)
         bad.push_back("history: buildorder at " + pname(p) + " names a future view");
+    }
   }
   return bad;
 }

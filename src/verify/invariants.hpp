@@ -44,8 +44,9 @@ std::vector<std::string> check_corollary_6_23(const GlobalState& s);
 std::vector<std::string> check_corollary_6_24(const GlobalState& s);
 
 /// Audit of the proof's history variables themselves: buildorder[p, g]
-/// tracks order_p while p is in view g (so for an established current view
-/// they must be equal), and established ids never exceed the current view.
+/// tracks order_p while p is in view g, represented by order_p itself (so an
+/// established current view must have builds_current set and no stored
+/// copy), and the stored snapshots never name a view beyond the current one.
 std::vector<std::string> check_history_wellformed(const GlobalState& s);
 
 /// Run every invariant checker.

@@ -33,7 +33,7 @@ Process::Process(ProcId p, int n0, std::shared_ptr<const core::QuorumSystem> quo
     // The initial view is established by fiat: every member starts in it
     // with status normal (Figure 9 initializes status to normal).
     st_.established.insert(core::ViewId::initial());
-    st_.buildorder[core::ViewId::initial()] = {};
+    st_.builds_current = true;  // buildorder[p, g0] = {} = order
   }
 }
 
@@ -75,7 +75,7 @@ void Process::assign_order(std::vector<core::Label> order) {
       if (order_members_.count(l) == 0) tracer_->msg_tentative(p_, l, recorder_->now());
   st_.order = std::move(order);
   order_members_ = std::set<core::Label>(st_.order.begin(), st_.order.end());
-  if (st_.current.has_value()) st_.buildorder[st_.current->id] = st_.order;
+  if (st_.current.has_value()) st_.builds_current = true;
 }
 
 void Process::append_order(const core::Label& l) {
@@ -83,7 +83,7 @@ void Process::append_order(const core::Label& l) {
   if (tracer_ != nullptr) tracer_->msg_tentative(p_, l, recorder_->now());
   st_.order.push_back(l);
   order_members_.insert(l);
-  if (st_.current.has_value()) st_.buildorder[st_.current->id] = st_.order;
+  if (st_.current.has_value()) st_.builds_current = true;
 }
 
 // --- Input bcast(a)_p --------------------------------------------------------
@@ -190,6 +190,10 @@ void Process::run_to_quiescence() {
 
 void Process::on_newview(const core::View& v) {
   assert(v.contains(p_));
+  // Leaving the current view freezes buildorder[p, old] at the order p
+  // leaves it with.
+  if (st_.builds_current) st_.buildorder[st_.current->id] = st_.order;
+  st_.builds_current = false;
   st_.current = v;
   st_.nextseqno = 1;
   if (!st_.buffer.empty() && obs_.pending_labels != nullptr)

@@ -21,7 +21,8 @@
 // the automaton safe under every scheduler.
 //
 // History variables established[p,g] and buildorder[p,g] (Section 6) are
-// maintained so the verification layer can check the paper's invariants.
+// maintained so the verification layer can check the paper's invariants;
+// buildorder[p, current] is represented by `order` itself (ProcessState).
 
 #include <deque>
 #include <functional>
@@ -106,8 +107,13 @@ struct ProcessState {
   bool delta_sent = false;
 
   // History variables (not part of the algorithm; used by verify/).
+  // buildorder[p, current] is not stored: while builds_current is set it
+  // *is* `order`, and on_newview snapshots it into the map on view exit.
+  // The map therefore holds only views this process has left, and the
+  // per-label cost stays independent of the history length.
   std::set<core::ViewId> established;
   std::map<core::ViewId, std::vector<core::Label>> buildorder;
+  bool builds_current = false;
 };
 
 class Process final : public vs::Client {

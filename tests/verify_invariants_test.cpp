@@ -169,15 +169,16 @@ TEST(Invariants, MoreCheckersDetectSeededCorruption) {
     st0.established = saved;
   }
   {
-    // 6.16: an order that no established member's buildorder matches.
-    const auto saved_order = st0.order;
-    st0.order.push_back(core::Label{st0.current->id, 77, 0});
-    // (keep buildorder stale so the witness search fails)
-    const auto saved_bo = st0.buildorder;
-    EXPECT_FALSE(verify::check_lemma_6_16(gs).empty() &&
-                 verify::check_history_wellformed(gs).empty());
-    st0.order = saved_order;
-    st0.buildorder = saved_bo;
+    // 6.16: a summary in a member's gotstate whose ord no established
+    // member's buildorder matches. buildorder[q, current] is order_q itself,
+    // so the bogus ord has to live in a summary, not in anyone's order.
+    core::Summary x = gs.procs[0]->local_summary();
+    x.ord.push_back(core::Label{st0.current->id, 77, 0});
+    const auto saved = st0.gotstate;
+    st0.gotstate.insert_or_assign(1, x);
+    EXPECT_FALSE(verify::check_lemma_6_16(gs).empty());
+    EXPECT_TRUE(verify::check_history_wellformed(gs).empty());
+    st0.gotstate = saved;
   }
   {
     // 6.17: someone established a view whose member lags behind it.
@@ -191,18 +192,47 @@ TEST(Invariants, MoreCheckersDetectSeededCorruption) {
   }
   {
     // 6.21: ord containing a later same-origin label without the earlier one.
+    // (buildorder[p0, current] aliases order, so it follows the edit.)
     const auto saved_order = st0.order;
-    const auto saved_bo = st0.buildorder;
     ASSERT_GE(st0.order.size(), 2u);
     // Remove the first of two same-origin labels from ord.
     st0.order.erase(st0.order.begin());
-    st0.buildorder[st0.current->id] = st0.order;
     EXPECT_FALSE(verify::check_lemma_6_21(gs).empty() &&
                  verify::check_corollary_6_23(gs).empty());
     st0.order = saved_order;
-    st0.buildorder = saved_bo;
   }
   // Everything restored: clean again.
+  EXPECT_TRUE(verify::check_all_invariants(gs).empty());
+}
+
+TEST(Invariants, HistoryAuditDetectsSeededCorruption) {
+  World world(spec_cfg(3, 8));
+  harness::steady_traffic({0, 1}, 3, sim::msec(10), sim::msec(10)).apply(world);
+  world.run_until(sim::sec(1));
+  const auto gs = world.global_state();
+  ASSERT_TRUE(verify::check_history_wellformed(gs).empty());
+
+  auto& st0 = const_cast<vstoto::ProcessState&>(gs.procs[0]->state());
+  ASSERT_TRUE(st0.established.count(st0.current->id));
+  {
+    // An established current view without buildorder[p, current].
+    st0.builds_current = false;
+    EXPECT_FALSE(verify::check_history_wellformed(gs).empty());
+    st0.builds_current = true;
+  }
+  {
+    // A stored copy for the current view next to the alias.
+    st0.buildorder[st0.current->id] = st0.order;
+    EXPECT_FALSE(verify::check_history_wellformed(gs).empty());
+    st0.buildorder.erase(st0.current->id);
+  }
+  {
+    // A snapshot for a view the process has not reached yet.
+    const core::ViewId future{st0.current->id.epoch + 1, 0};
+    st0.buildorder[future] = {};
+    EXPECT_FALSE(verify::check_history_wellformed(gs).empty());
+    st0.buildorder.erase(future);
+  }
   EXPECT_TRUE(verify::check_all_invariants(gs).empty());
 }
 

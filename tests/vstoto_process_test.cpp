@@ -5,9 +5,11 @@
 
 #include <memory>
 
+#include "harness/world.hpp"
 #include "sim/simulator.hpp"
 #include "to/stack.hpp"
 #include "trace/recorder.hpp"
+#include "verify/invariants.hpp"
 #include "vstoto/process.hpp"
 
 namespace vsg::vstoto {
@@ -338,6 +340,119 @@ TEST(Process, StaleTentativeOrderLosesToFresherPrimary) {
     EXPECT_EQ(f.at(p).delivered()[0].second, "fresh") << "confirmed history first";
     EXPECT_EQ(f.at(p).delivered()[1].second, "stale");
   }
+}
+
+// buildorder[p, current] is order itself while builds_current is set; the
+// map only gains an entry when p leaves a view, frozen at that moment.
+TEST(Process, BuildorderSnapshotsOrderOnViewExit) {
+  Fixture f(/*n0=*/2);
+  EXPECT_TRUE(f.at(0).state().builds_current) << "buildorder[p, g0] = {} exists";
+  EXPECT_TRUE(f.at(0).state().buildorder.empty());
+  EXPECT_FALSE(f.at(2).state().builds_current) << "no view, no buildorder";
+
+  f.at(0).bcast("a");
+  f.fake.deliver_all(0, f.fake.sent[0][0], {0, 1});
+  const auto order_at_exit = f.at(0).state().order;
+  ASSERT_EQ(order_at_exit.size(), 1u);
+
+  const core::View v1{core::ViewId{1, 0}, {0, 1, 2}};
+  f.fake.newview(v1);
+  for (ProcId p = 0; p < 3; ++p) {
+    const auto& st = f.at(p).state();
+    EXPECT_FALSE(st.builds_current) << "at " << p;
+    EXPECT_EQ(st.buildorder.count(v1.id), 0u) << "at " << p;
+  }
+  EXPECT_EQ(f.at(0).state().buildorder.at(core::ViewId::initial()), order_at_exit);
+  EXPECT_EQ(f.at(2).state().buildorder.count(core::ViewId::initial()), 0u)
+      << "2 never was in g0";
+
+  // Establishment turns the alias back on without storing a copy.
+  for (ProcId p = 0; p < 3; ++p) {
+    const auto summary = f.fake.sent[static_cast<std::size_t>(p)].back();
+    for (ProcId q = 0; q < 3; ++q) f.fake.deliver(p, q, summary);
+  }
+  for (ProcId p = 0; p < 3; ++p) {
+    const auto& st = f.at(p).state();
+    EXPECT_TRUE(st.builds_current) << "at " << p;
+    EXPECT_EQ(st.buildorder.count(v1.id), 0u) << "at " << p;
+  }
+  // The g0 snapshot is frozen: growing order in v1 leaves it alone.
+  f.at(1).bcast("b");
+  f.fake.deliver_all(1, f.fake.sent[1].back(), {0, 1, 2});
+  EXPECT_EQ(f.at(0).state().order.size(), 2u);
+  EXPECT_EQ(f.at(0).state().buildorder.at(core::ViewId::initial()), order_at_exit);
+}
+
+TEST(Process, ViewLeftBeforeEstablishmentHasNoBuildorder) {
+  Fixture f;
+  const core::View v1{core::ViewId{1, 0}, {0, 1, 2}};
+  const core::View v2{core::ViewId{2, 0}, {0, 1, 2}};
+  f.fake.newview(v1);
+  f.fake.newview(v2);  // v1 never established and never appended to
+  for (ProcId p = 0; p < 3; ++p) {
+    const auto& st = f.at(p).state();
+    EXPECT_EQ(st.buildorder.count(core::ViewId::initial()), 1u) << "at " << p;
+    EXPECT_EQ(st.buildorder.count(v1.id), 0u) << "at " << p;
+    EXPECT_FALSE(st.builds_current) << "at " << p;
+  }
+}
+
+TEST(Process, CheckpointRestoreRoundTripsBuildsCurrent) {
+  Fixture f;
+  f.at(0).bcast("a");
+  f.fake.deliver_all(0, f.fake.sent[0][0], {0, 1, 2});
+  const auto cp = f.at(0).checkpoint();
+  ASSERT_TRUE(cp.st.builds_current);
+
+  f.fake.newview(core::View{core::ViewId{1, 0}, {0, 1, 2}});
+  ASSERT_FALSE(f.at(0).state().builds_current);
+  ASSERT_EQ(f.at(0).state().buildorder.size(), 1u);
+
+  f.at(0).restore(cp);
+  EXPECT_TRUE(f.at(0).state().builds_current);
+  EXPECT_TRUE(f.at(0).state().buildorder.empty());
+  EXPECT_EQ(f.at(0).state().order, cp.st.order);
+}
+
+// The partition-and-heal scenario on the VS-machine back end, stepped one
+// event at a time: every invariant holds after every step, each view exit
+// snapshots the order the process held just before it, and a snapshot never
+// changes afterwards.
+TEST(Process, BuildorderSnapshotsHoldThroughPartitionAndHeal) {
+  harness::WorldConfig cfg;
+  cfg.n = 5;
+  cfg.backend = harness::Backend::kSpec;
+  cfg.seed = 3;
+  harness::World world(cfg);
+  world.partition_at(sim::msec(50), {{0, 1, 2}, {3, 4}});
+  world.bcast_at(sim::msec(200), 0, "maj");
+  world.bcast_at(sim::msec(200), 3, "min");
+  world.heal_at(sim::msec(400));
+  world.bcast_at(sim::msec(600), 4, "post");
+
+  const auto gs = world.global_state();
+  std::vector<ProcessState> before(gs.procs.size());
+  for (std::size_t p = 0; p < gs.procs.size(); ++p) before[p] = gs.procs[p]->state();
+  int exits = 0;
+  while (world.simulator().now() < sim::sec(2) && world.simulator().step()) {
+    const auto bad = verify::check_all_invariants(gs);
+    ASSERT_TRUE(bad.empty()) << "at t=" << world.simulator().now() << ": " << bad.front();
+    for (std::size_t p = 0; p < gs.procs.size(); ++p) {
+      const auto& now = gs.procs[p]->state();
+      for (const auto& [g, ord] : before[p].buildorder)
+        EXPECT_EQ(now.buildorder.at(g), ord) << "snapshot moved at p" << p;
+      if (before[p].current.has_value() && now.current != before[p].current) {
+        ++exits;
+        const auto old = before[p].current->id;
+        if (before[p].builds_current)
+          EXPECT_EQ(now.buildorder.at(old), before[p].order) << "at p" << p;
+        else
+          EXPECT_EQ(now.buildorder.count(old), 0u) << "at p" << p;
+      }
+      before[p] = now;
+    }
+  }
+  EXPECT_GE(exits, 10) << "the scenario changes views at every process";
 }
 
 TEST(Process, DeliveryCallbackFires) {
