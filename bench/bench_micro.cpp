@@ -1,12 +1,15 @@
 // E7 — microbenchmarks of the core machinery (google-benchmark): label and
 // viewid comparison, summary-algebra operations at various sizes, wire
-// round trips, event-queue operations, and a full invariant-checker sweep.
+// round trips, event-queue operations, one state exchange at growing
+// history, and a full invariant-checker sweep.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/summary.hpp"
 #include "harness/scenario.hpp"
@@ -16,8 +19,10 @@
 #include "sim/event_queue.hpp"
 #include "spec/to_trace_checker.hpp"
 #include "spec/vs_trace_checker.hpp"
+#include "trace/recorder.hpp"
 #include "util/rng.hpp"
 #include "verify/invariants.hpp"
+#include "vstoto/process.hpp"
 #include "vstoto/wire.hpp"
 
 using namespace vsg;
@@ -122,6 +127,74 @@ void BM_LabeledValueWire(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LabeledValueWire);
+
+// --- One digest/delta state exchange at history H --------------------------
+
+// A VS service driven by hand: it only collects what each processor sends.
+class CollectingVS final : public vs::Service {
+ public:
+  explicit CollectingVS(int n) : sent(static_cast<std::size_t>(n)) {}
+  int size() const override { return static_cast<int>(sent.size()); }
+  void attach(ProcId p, vs::Client& c) override { clients[p] = &c; }
+  void gpsnd(ProcId p, vs::Payload m) override {
+    sent[static_cast<std::size_t>(p)].push_back(std::move(m));
+  }
+  std::map<ProcId, vs::Client*> clients;
+  std::vector<std::vector<vs::Payload>> sent;
+};
+
+// n = 8 processes share a confirmed history of H labelled values; each
+// iteration installs one new view and runs the whole exchange by hand:
+// every digest to every member, then every delta, ending in establishment.
+// Restoring the pre-view checkpoints between iterations is not timed.
+void BM_StateExchange(benchmark::State& state) {
+  constexpr int n = 8;
+  const auto history = static_cast<std::size_t>(state.range(0));
+  sim::Simulator simulator;
+  trace::Recorder recorder(simulator);
+  CollectingVS vs(n);
+  std::vector<std::unique_ptr<vstoto::Process>> procs;
+  for (ProcId p = 0; p < n; ++p) {
+    procs.push_back(
+        std::make_unique<vstoto::Process>(p, n, core::majorities(n), vs, recorder));
+    procs.back()->set_exchange_mode(vstoto::ExchangeMode::kDigestDelta);
+    vs.attach(p, *procs.back());
+  }
+  const auto deliver_all = [&](ProcId src, const vs::Payload& m, bool safe) {
+    for (auto& [q, c] : vs.clients) safe ? c->on_safe(src, m) : c->on_gprcv(src, m);
+  };
+  for (std::size_t i = 0; i < history; ++i) {
+    const auto p = static_cast<ProcId>(i % n);
+    procs[static_cast<std::size_t>(p)]->bcast("value-" + std::to_string(i) +
+                                              std::string(24, 'x'));
+    const auto m = vs.sent[static_cast<std::size_t>(p)].back();
+    deliver_all(p, m, false);
+    deliver_all(p, m, true);
+  }
+  recorder.clear();
+  std::vector<vstoto::Process::Checkpoint> before;
+  for (const auto& proc : procs) before.push_back(proc->checkpoint());
+
+  core::View v{core::ViewId{1, 0}, {}};
+  for (ProcId p = 0; p < n; ++p) v.members.insert(p);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::size_t p = 0; p < procs.size(); ++p) {
+      procs[p]->restore(before[p]);
+      vs.sent[p].clear();
+    }
+    recorder.clear();
+    state.ResumeTiming();
+    for (auto& proc : procs) proc->on_newview(v);
+    for (ProcId p = 0; p < n; ++p) deliver_all(p, vs.sent[static_cast<std::size_t>(p)][0], false);
+    for (ProcId p = 0; p < n; ++p) deliver_all(p, vs.sent[static_cast<std::size_t>(p)][1], false);
+    benchmark::DoNotOptimize(procs[0]->state().order.data());
+  }
+  if (procs[0]->state().status != vstoto::PStatus::kNormal)
+    state.SkipWithError("the exchange did not establish the view");
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_StateExchange)->RangeMultiplier(4)->Range(64, 4096)->Complexity();
 
 // --- Verification machinery at working scale -------------------------------
 

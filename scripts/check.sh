@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 scripts/check_links.sh
 
 # Tier-1 verify line (ROADMAP.md).
-cmake -B build -S . && cmake --build build -j && (cd build && ctest --output-on-failure -j)
+cmake -B build -S . && cmake --build build -j"$(nproc)" && (cd build && ctest --output-on-failure -j"$(nproc)")
 
 # Observability smoke: the throughput bench must emit a parseable snapshot.
 ./build/bench/bench_throughput --export build/BENCH_throughput.json
@@ -210,8 +210,8 @@ grep -q 'SHED at the admission gate' build/fc_report.out
 # whole suite plus a chaos smoke runs again under ASan + UBSan. Halt on the
 # first report (-fno-sanitize-recover=all makes any finding fatal).
 cmake -B build-asan -S . -DVSG_SANITIZE=ON
-cmake --build build-asan -j
-(cd build-asan && ctest --output-on-failure -j)
+cmake --build build-asan -j"$(nproc)"
+(cd build-asan && ctest --output-on-failure -j"$(nproc)")
 # The varint fuzz suite (random byte soup, truncations, overlong forms) is
 # where an out-of-bounds read in the LEB128 decoder would surface; run it
 # by name so a filter rename cannot silently drop it from the ASan pass
@@ -228,8 +228,8 @@ cmake --build build-asan -j
 # run the suite plus a multi-job smoke under it.
 if [ "${VSG_CHECK_TSAN:-0}" = "1" ]; then
   cmake -B build-tsan -S . -DVSG_TSAN=ON
-  cmake --build build-tsan -j
-  (cd build-tsan && ctest --output-on-failure -j)
+  cmake --build build-tsan -j"$(nproc)"
+  (cd build-tsan && ctest --output-on-failure -j"$(nproc)")
   ./build-tsan/tools/chaos_runner --seeds 200 --smoke --jobs 4
 fi
 

@@ -7,6 +7,16 @@
 #include "util/sequence.hpp"
 
 namespace vsg::core {
+namespace {
+
+// True iff `own` covers l: l's seqno lies under own's watermark for l's
+// label stream.
+bool covers(const SummaryDigest& own, const Label& l) {
+  const auto it = own.marks.find(LabelStream{l.id, l.origin});
+  return it != own.marks.end() && l.seqno <= it->second;
+}
+
+}  // namespace
 
 std::vector<Label> confirmed_prefix(const Summary& x) {
   const std::size_t len =
@@ -47,16 +57,27 @@ std::vector<Label> shortorder(const SummaryMap& y) {
 }
 
 std::vector<Label> fullorder(const SummaryMap& y) {
+  return fullorder(y, Summary{}, SummaryDigest{});
+}
+
+std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
+                             const SummaryDigest& own) {
   std::vector<Label> order = shortorder(y);
   const std::set<Label> in_short(order.begin(), order.end());
   // Append every known label not already in the short order, in label order.
   // Only dom(knowncontent(Y)) matters, so collect labels straight from each
-  // con instead of copying the values. The prefix keeps the representative's
-  // ordering, exactly as Figure 8 specifies.
+  // con instead of copying the values. The covered part of base.con belongs
+  // to every entry, so one pass over it stands for all of them. The prefix
+  // keeps the representative's ordering, exactly as Figure 8 specifies.
   std::set<Label> rest;
+  const auto add = [&](const Label& l) {
+    if (in_short.count(l) == 0) rest.insert(l);
+  };
+  if (!own.marks.empty())
+    for (const auto& [l, a] : base.con)
+      if (covers(own, l)) add(l);
   for (const auto& [q, x] : y)
-    for (const auto& [l, a] : x.con)
-      if (in_short.count(l) == 0) rest.insert(l);
+    for (const auto& [l, a] : x.con) add(l);
   order.insert(order.end(), rest.begin(), rest.end());
   return order;
 }
@@ -135,6 +156,25 @@ std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base) 
     const auto it = own.marks.find(LabelStream{l.id, l.origin});
     if (it != own.marks.end() && l.seqno <= it->second) x.con.emplace(l, v);
   }
+  return x;
+}
+
+std::optional<Summary> delta_entry(const SummaryDelta& dl, const Summary& base) {
+  if (dl.ord_prefix > base.ord.size()) return std::nullopt;
+  Summary x;
+  x.next = dl.next;
+  x.high = dl.high;
+  x.ord.reserve(dl.ord_prefix + dl.ord_suffix.size());
+  x.ord.assign(base.ord.begin(), base.ord.begin() + dl.ord_prefix);
+  x.ord.insert(x.ord.end(), dl.ord_suffix.begin(), dl.ord_suffix.end());
+  x.con = dl.con;
+  return x;
+}
+
+Summary with_base(Summary x, const Summary& base, const SummaryDigest& own) {
+  if (own.marks.empty()) return x;
+  for (const auto& [l, v] : base.con)
+    if (covers(own, l)) x.con.emplace(l, v);
   return x;
 }
 

@@ -72,11 +72,10 @@ std::uint32_t maxnextconfirm(const SummaryMap& y);
 // The digest/delta algebra below implements the two-phase exchange: instead
 // of shipping a whole Summary, a process first advertises what it already
 // holds (SummaryDigest) and then ships only what the weakest peer provably
-// lacks (SummaryDelta). knowncontent/fullorder above are untouched — a
-// reconstructed summary is fed into the same SummaryMap algebra, and
-// apply_delta guarantees semantic equivalence (exact ord/next/high; con
-// equal up to entries the receiver already holds, which union-style
-// consumers cannot distinguish).
+// lacks (SummaryDelta). apply_delta defines what a delta means: the
+// sender's summary with exact ord/next/high and a con equal up to entries
+// the receiver already holds, which union-style consumers such as
+// knowncontent/fullorder cannot distinguish.
 
 /// A label stream: all labels minted by one processor in one view. Within a
 /// stream, seqnos are dense from 1, so "I hold the full prefix up to w" is
@@ -129,7 +128,33 @@ SummaryDelta delta(const Summary& a, const SummaryDigest& d);
 /// only for corrupted input; a correct sender never overshoots a digest it
 /// was given). The result's con is dl.con plus base's watermark-covered
 /// entries — a superset of the sender's con whose extras the receiver
-/// already holds (union-equivalent; see the header comment).
+/// already holds (union-equivalent; see the header comment). VStoTO keeps
+/// deltas in the shared-base form below; this is the reference that form
+/// is tested against.
 std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base);
+
+// --- Shared-base gotstate ----------------------------------------------------
+//
+// apply_delta fills every reconstructed summary with the same thing: the
+// receiver's base entries under its own digest's watermarks. A receiver
+// therefore stores per sender only what the delta carried (delta_entry:
+// exact ord/next/high plus dl.con) and keeps the covered part once, in the
+// frozen base. with_base() materializes one entry; fullorder(y, base, own)
+// orders the materialized map without building it.
+
+/// The stored form of `dl`: apply_delta(dl, base) without base's covered
+/// con entries. nullopt exactly when apply_delta is.
+std::optional<Summary> delta_entry(const SummaryDelta& dl, const Summary& base);
+
+/// x plus the entries of base.con that `own` covers (x's own entries win).
+/// With own = digest(base):
+/// with_base(*delta_entry(dl, base), base, own) == *apply_delta(dl, base).
+/// An `own` without marks covers nothing and returns x unchanged.
+Summary with_base(Summary x, const Summary& base, const SummaryDigest& own);
+
+/// fullorder of y with every entry read through with_base(., base, own),
+/// from one pass over base.con plus each entry's stored con.
+std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
+                             const SummaryDigest& own);
 
 }  // namespace vsg::core

@@ -42,21 +42,12 @@ void Encoder::u64(std::uint64_t v) {
   note_capacity();
 }
 
-void Encoder::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
 void Encoder::boolean(bool v) { u8(v ? 1 : 0); }
 
 void Encoder::str(const std::string& v) {
   u32(static_cast<std::uint32_t>(v.size()));
   buf_.insert(buf_.end(), v.begin(), v.end());
   note_capacity();
-}
-
-void Encoder::raw(const Bytes& v) { raw(BufferView(v)); }
-
-void Encoder::raw(BufferView v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  append(v);
 }
 
 void Encoder::uvarint(std::uint64_t v) {
@@ -123,8 +114,6 @@ std::uint64_t Decoder::u64() {
   return v;
 }
 
-std::int64_t Decoder::i64() { return static_cast<std::int64_t>(u64()); }
-
 bool Decoder::boolean() { return u8() != 0; }
 
 std::string Decoder::str() {
@@ -132,20 +121,6 @@ std::string Decoder::str() {
   const std::uint8_t* p = nullptr;
   if (!take(n, &p)) return {};
   return std::string(reinterpret_cast<const char*>(p), n);
-}
-
-Bytes Decoder::raw() {
-  const std::uint32_t n = u32();
-  const std::uint8_t* p = nullptr;
-  if (!take(n, &p)) return {};
-  return Bytes(p, p + n);
-}
-
-BufferView Decoder::raw_view() {
-  const std::uint32_t n = u32();
-  const std::uint8_t* p = nullptr;
-  if (!take(n, &p)) return {};
-  return BufferView(p, n);
 }
 
 std::uint64_t Decoder::uvarint() {
@@ -192,11 +167,12 @@ Buffer Decoder::vraw_buffer() {
 }
 
 Buffer Decoder::raw_buffer() {
-  const std::size_t start = pos_ + 4;  // past the length prefix (if in range)
-  const BufferView v = raw_view();
-  if (!ok_ || v.empty()) return {};
-  if (!origin_.empty()) return origin_.slice(start, v.size());
-  return Buffer::copy(v);
+  const std::uint32_t n = u32();
+  const std::size_t start = pos_;
+  const std::uint8_t* p = nullptr;
+  if (!take(n, &p) || n == 0) return {};
+  if (!origin_.empty()) return origin_.slice(start, n);
+  return Buffer::copy(BufferView(p, n));
 }
 
 Buffer Decoder::input_slice(std::size_t from, std::size_t to) const {

@@ -35,11 +35,8 @@ class Encoder {
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void i64(std::int64_t v);
   void boolean(bool v);
   void str(const std::string& v);
-  void raw(const Bytes& v);       // length-prefixed blob
-  void raw(BufferView v);         // length-prefixed blob
   void append(BufferView v);      // splice bytes verbatim (no length prefix)
 
   // Variable-width integers (docs/WIRE.md, "Varint rules"): LEB128 with the
@@ -91,10 +88,8 @@ class Decoder {
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
-  std::int64_t i64();
   bool boolean();
   std::string str();
-  Bytes raw();
 
   /// LEB128 uvarint/svarint (v3 frame bodies). Defensive like every other
   /// read: a missing terminator or an encoding longer than 10 bytes sets
@@ -104,10 +99,7 @@ class Decoder {
   std::string vstr();      // uvarint-length-prefixed string
   BufferView vraw_view();  // uvarint-length-prefixed blob (borrowed)
   Buffer vraw_buffer();    // uvarint-length-prefixed blob (slice when possible)
-  /// Length-prefixed blob as a view into the decoder's input (no copy; same
-  /// lifetime as the input).
-  BufferView raw_view();
-  /// Length-prefixed blob as a Buffer. Zero-copy (a slice sharing the
+  /// u32-length-prefixed blob as a Buffer. Zero-copy (a slice sharing the
   /// input's storage) when the decoder was constructed from a Buffer; a
   /// copying fallback otherwise.
   Buffer raw_buffer();
@@ -187,23 +179,5 @@ class UncheckedDecodeGuard {
  private:
   bool prev_;
 };
-
-// --- Generic helpers for containers -------------------------------------
-
-template <typename T, typename F>
-void encode_vector(Encoder& e, const std::vector<T>& v, F&& encode_elem) {
-  e.u32(static_cast<std::uint32_t>(v.size()));
-  for (const auto& x : v) encode_elem(e, x);
-}
-
-template <typename T, typename F>
-std::vector<T> decode_vector(Decoder& d, F&& decode_elem) {
-  const std::uint32_t n = d.u32();
-  std::vector<T> v;
-  // Guard against hostile lengths: cap reserve, rely on ok() to stop loops.
-  v.reserve(std::min<std::uint32_t>(n, 4096));
-  for (std::uint32_t i = 0; i < n && d.ok(); ++i) v.push_back(decode_elem(d));
-  return v;
-}
 
 }  // namespace vsg::util

@@ -38,12 +38,12 @@ std::vector<core::Summary> allstate_pg(const GlobalState& s, ProcId p, const cor
     if (entry.p == p)
       if (auto x = payload_summary(entry.m)) out.push_back(std::move(*x));
 
-  // (4) gotstate(p) at any q currently in view g.
+  // (4) gotstate(p) at any q currently in view g, read through the one
+  // accessor that adds the shared exchange base back (vstoto::got_summary).
   for (ProcId q = 0; q < s.size(); ++q) {
     const auto& stq = s.st(q);
     if (!stq.current.has_value() || !(stq.current->id == g)) continue;
-    const auto it = stq.gotstate.find(p);
-    if (it != stq.gotstate.end()) out.push_back(it->second);
+    if (auto x = vstoto::got_summary(stq, p)) out.push_back(std::move(*x));
   }
   return out;
 }

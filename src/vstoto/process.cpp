@@ -23,6 +23,12 @@ const char* to_string(ExchangeMode m) noexcept {
   return m == ExchangeMode::kFullSummary ? "full-summary" : "digest-delta";
 }
 
+std::optional<core::Summary> got_summary(const ProcessState& st, ProcId q) {
+  const auto it = st.gotstate.find(q);
+  if (it == st.gotstate.end()) return std::nullopt;
+  return core::with_base(it->second, st.exch_base, st.exch_digest);
+}
+
 Process::Process(ProcId p, int n0, std::shared_ptr<const core::QuorumSystem> quorums,
                  vs::Service& service, trace::Recorder& recorder)
     : p_(p), quorums_(std::move(quorums)), service_(&service), recorder_(&recorder) {
@@ -213,10 +219,13 @@ void Process::on_newview(const core::View& v) {
   // digest instead of shipping the whole summary (phase 1 of the
   // anti-entropy exchange — the delta follows in maybe_send_delta).
   st_.exch_base = local_summary();
+  st_.exch_placed = 0;
   if (exchange_mode_ == ExchangeMode::kDigestDelta) {
-    service_->gpsnd(p_, encode_message(Message{core::digest(st_.exch_base)}));
+    st_.exch_digest = core::digest(st_.exch_base);
+    service_->gpsnd(p_, encode_message(Message{st_.exch_digest}));
     obs::bump(obs_.digests_sent);
   } else {
+    st_.exch_digest = {};
     service_->gpsnd(p_, encode_message(Message{st_.exch_base}));
     obs::bump(obs_.summaries_sent);
   }
@@ -271,10 +280,10 @@ void Process::handle_labeled(ProcId src, const LabeledValue& lv) {
   if (primary() && order_members_.count(lv.label) == 0) append_order(lv.label);
 }
 
-void Process::handle_summary(ProcId src, const core::Summary& x) {
+void Process::handle_summary(ProcId src, core::Summary x) {
   obs::bump(obs_.summaries_received);
   st_.content.insert(x.con.begin(), x.con.end());
-  st_.gotstate.insert_or_assign(src, x);
+  st_.gotstate.insert_or_assign(src, std::move(x));
 
   if (!st_.current.has_value()) return;
   // Establishment: all members' summaries collected.
@@ -288,12 +297,13 @@ void Process::handle_summary(ProcId src, const core::Summary& x) {
     obs_.confirmed_depth->add(static_cast<std::int64_t>(st_.nextconfirm) -
                               static_cast<std::int64_t>(prevconfirm));
   if (primary()) {
-    assign_order(core::fullorder(st_.gotstate));
+    assign_order(core::fullorder(st_.gotstate, st_.exch_base, st_.exch_digest));
     st_.highprimary = st_.current->id;
   } else {
     assign_order(core::shortorder(st_.gotstate));
     st_.highprimary = core::maxprimary(st_.gotstate);
   }
+  st_.exch_placed = st_.order.size();
   st_.status = PStatus::kNormal;
   st_.established.insert(st_.current->id);  // history variable
   obs::bump(obs_.views_established);
@@ -334,16 +344,18 @@ void Process::maybe_send_delta() {
 
 void Process::handle_delta(ProcId src, const core::SummaryDelta& dl) {
   obs::bump(obs_.deltas_received);
-  // Reconstruct the sender's frozen summary against our own frozen base and
-  // feed it into the untouched establishment path. apply_delta only fails on
-  // input no correct sender produces (an ord prefix beyond our digest).
-  auto x = core::apply_delta(dl, st_.exch_base);
+  // Store only what the delta carried: the rest of the sender's summary is
+  // the covered part of our frozen base, shared by every entry (see
+  // got_summary). content already holds that part, so merging dl.con is
+  // enough. delta_entry only fails on input no correct sender produces (an
+  // ord prefix beyond our digest).
+  auto x = core::delta_entry(dl, st_.exch_base);
   if (!x.has_value()) {
     VSG_WARN << "process " << p_ << ": delta from " << src
              << " overruns the local exchange base; dropped";
     return;
   }
-  handle_summary(src, *x);
+  handle_summary(src, std::move(*x));
 }
 
 // --- Inputs safe(m)_{q,p} ----------------------------------------------------
@@ -376,8 +388,16 @@ void Process::handle_safe_exchange(ProcId src) {
     // All state-exchange messages are safe: every label placed by the
     // exchange is now safe (second phase of recovery, Section 5). In delta
     // mode the qualifying message per member is its delta — same cardinality
-    // as the full-summary exchange, so the condition is unchanged.
-    for (const auto& l : core::fullorder(st_.gotstate)) st_.safe_labels.insert(l);
+    // as the full-summary exchange, so the condition is unchanged. Once the
+    // view is established those labels are the order prefix fullorder put
+    // there; labels appended since wait for their own safe.
+    if (st_.status == PStatus::kNormal) {
+      st_.safe_labels.insert(st_.order.begin(),
+                             st_.order.begin() + static_cast<std::ptrdiff_t>(st_.exch_placed));
+    } else {
+      for (const auto& l : core::fullorder(st_.gotstate, st_.exch_base, st_.exch_digest))
+        st_.safe_labels.insert(l);
+    }
   }
 }
 

@@ -75,10 +75,11 @@ const char* to_string(PStatus s) noexcept;
 /// literal gpsnd(x): the whole summary in one message. kDigestDelta is the
 /// two-phase anti-entropy exchange (docs/WIRE.md, "State exchange"): a
 /// compact digest first, then — once every member's digest is in — one
-/// delta against the pointwise-weakest digest, reconstructed by receivers
-/// via core::apply_delta against their own frozen exchange base. The
-/// reconstructed summaries feed the same establishment algebra, so the two
-/// modes deliver identically; only exchange bytes and message counts move.
+/// delta against the pointwise-weakest digest. Receivers keep each delta
+/// as it came and read it against their own frozen exchange base
+/// (got_summary), so the establishment algebra sees what core::apply_delta
+/// would have rebuilt and the two modes deliver identically; only exchange
+/// bytes and message counts move.
 enum class ExchangeMode : std::uint8_t { kFullSummary, kDigestDelta };
 
 const char* to_string(ExchangeMode m) noexcept;
@@ -99,12 +100,22 @@ struct ProcessState {
   std::set<ProcId> safe_exch;
   std::set<core::Label> safe_labels;
 
-  // Delta-mode exchange state (unused under kFullSummary). exch_base is the
-  // local summary frozen at newview: the digest we advertised, the state our
-  // delta describes, and the base every incoming delta is applied against.
+  // Exchange state. exch_base is the local summary frozen at newview (both
+  // modes). In delta mode it is also the state our digest and delta
+  // describe, and exch_digest = digest(exch_base), computed once at
+  // newview, is what we advertised. gotstate then stores per sender only
+  // what its delta carried; the rest of that sender's summary is the part
+  // of exch_base.con that exch_digest covers, shared by every entry and
+  // read through got_summary(). Under kFullSummary exch_digest has no marks
+  // and gotstate entries are whole summaries.
   core::Summary exch_base;
+  core::SummaryDigest exch_digest;
   std::map<ProcId, core::SummaryDigest> gotdigest;
   bool delta_sent = false;
+  // Length of the order prefix establishment placed (fullorder or
+  // shortorder of gotstate). Once every exchange message is safe, exactly
+  // these labels become safe.
+  std::size_t exch_placed = 0;
 
   // History variables (not part of the algorithm; used by verify/).
   // buildorder[p, current] is not stored: while builds_current is set it
@@ -115,6 +126,14 @@ struct ProcessState {
   std::map<core::ViewId, std::vector<core::Label>> buildorder;
   bool builds_current = false;
 };
+
+/// gotstate(q) as Figure 9 defines it: the summary q sent in the current
+/// view's state exchange, or nullopt if it has not arrived. The stored
+/// entry read through core::with_base against exch_base and exch_digest,
+/// so under delta exchange it equals core::apply_delta(delta_q, exch_base).
+/// Only `con` can differ from the stored entry; verify/ reads whole
+/// gotstate summaries only through this accessor.
+std::optional<core::Summary> got_summary(const ProcessState& st, ProcId q);
 
 class Process final : public vs::Client {
  public:
@@ -199,7 +218,9 @@ class Process final : public vs::Client {
   std::shared_ptr<const Message> decode_shared(const vs::Payload& payload);
 
   void handle_labeled(ProcId src, const LabeledValue& lv);
-  void handle_summary(ProcId src, const core::Summary& x);
+  /// Merge x.con into content and store x as gotstate[src]; establish the
+  /// view once every member's entry is in.
+  void handle_summary(ProcId src, core::Summary x);
   void handle_digest(ProcId src, const core::SummaryDigest& g);
   void handle_delta(ProcId src, const core::SummaryDelta& dl);
   /// Delta mode: once every member's digest is in, broadcast the one delta

@@ -198,5 +198,85 @@ TEST(SummaryDelta, MeetOfDigestsIsSoundForEveryPeer) {
   }
 }
 
+// The shared-base representation of gotstate: delta_entry keeps only what
+// the delta carried, with_base adds the receiver's covered base entries
+// back, and fullorder over the stored map with the base equals fullorder
+// over the apply_delta-reconstructed map (the reference representation).
+TEST(SharedBase, StoredEntriesMaterializeToApplyDeltaAndOrderAlike) {
+  util::Rng rng(41);
+  for (int round = 0; round < 1000; ++round) {
+    std::vector<Label> pool;
+    for (std::uint64_t epoch : {1u, 2u})
+      for (ProcId origin = 0; origin < 3; ++origin)
+        for (std::uint32_t s = 1; s <= 4; ++s) pool.push_back(lab(epoch, s, origin));
+    const std::size_t common_len = rng.below(6);
+    std::vector<Label> common;
+    for (std::size_t i = 0; i < common_len; ++i)
+      common.push_back(pool[rng.below(pool.size())]);
+    auto make = [&]() {
+      Summary x;
+      x.ord = common;
+      for (std::uint64_t i = rng.below(3); i > 0; --i)
+        x.ord.push_back(pool[rng.below(pool.size())]);
+      x.next = 1 + static_cast<std::uint32_t>(rng.below(common_len + 1));
+      if (rng.chance(0.5)) x.high = ViewId{1 + rng.below(3), 0};
+      for (std::uint64_t i = rng.below(12); i > 0; --i) {
+        const Label l = pool[rng.below(pool.size())];
+        x.con.emplace(l, value_of(l));
+      }
+      return x;
+    };
+    // Member 0 is the receiver; its own summary is the frozen base.
+    std::vector<Summary> members;
+    for (int i = 0; i < 4; ++i) members.push_back(make());
+    const Summary& base = members[0];
+    const SummaryDigest own = digest(base);
+    SummaryDigest weakest = own;
+    for (const auto& x : members) weakest = meet(weakest, digest(x));
+
+    SummaryMap stored, rebuilt;
+    std::size_t delta_con = 0;
+    for (ProcId q = 0; q < static_cast<ProcId>(members.size()); ++q) {
+      const SummaryDelta dl = delta(members[static_cast<std::size_t>(q)], weakest);
+      const auto entry = delta_entry(dl, base);
+      const auto reference = apply_delta(dl, base);
+      ASSERT_TRUE(entry.has_value() && reference.has_value()) << "round " << round;
+      EXPECT_EQ(entry->con, dl.con) << "round " << round;
+      EXPECT_EQ(with_base(*entry, base, own), *reference) << "round " << round;
+      delta_con += dl.con.size();
+      stored.emplace(q, *entry);
+      rebuilt.emplace(q, *reference);
+    }
+    std::size_t stored_con = 0;
+    for (const auto& [q, x] : stored) stored_con += x.con.size();
+    EXPECT_EQ(stored_con, delta_con) << "round " << round;
+    EXPECT_EQ(fullorder(stored, base, own), fullorder(rebuilt)) << "round " << round;
+  }
+}
+
+TEST(SharedBase, DigestWithoutMarksCoversNothing) {
+  Summary base;
+  base.con.emplace(lab(1, 1, 0), value_of(lab(1, 1, 0)));
+  Summary x;
+  x.ord = {lab(1, 2, 0)};
+  x.con.emplace(lab(1, 2, 0), value_of(lab(1, 2, 0)));
+  EXPECT_EQ(with_base(x, base, SummaryDigest{}), x);
+  EXPECT_EQ(with_base(x, base, digest(base)).con.size(), 2u);
+  const SummaryMap y{{0, x}};
+  EXPECT_EQ(fullorder(y, base, SummaryDigest{}), fullorder(y));
+  EXPECT_EQ(fullorder(y, base, digest(base)),
+            (std::vector<Label>{lab(1, 2, 0), lab(1, 1, 0)}));
+}
+
+TEST(SharedBase, DeltaEntryRejectsExactlyWhatApplyDeltaRejects) {
+  SummaryDelta dl;
+  dl.ord_prefix = 2;
+  EXPECT_FALSE(delta_entry(dl, Summary{}).has_value());
+  Summary base;
+  base.ord = {lab(1, 1, 0), lab(1, 2, 0)};
+  ASSERT_TRUE(delta_entry(dl, base).has_value());
+  EXPECT_EQ(delta_entry(dl, base)->ord, base.ord);
+}
+
 }  // namespace
 }  // namespace vsg::core

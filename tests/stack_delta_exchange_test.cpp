@@ -9,7 +9,9 @@
 
 #include <map>
 
+#include "core/summary.hpp"
 #include "harness/world.hpp"
+#include "vstoto/wire.hpp"
 
 namespace vsg {
 namespace {
@@ -125,6 +127,102 @@ TEST(DeltaExchange, ExchangeBytesDropByAnOrderOfMagnitude) {
   ASSERT_GT(after, 0u);
   EXPECT_GE(before / after, 5u)
       << "summaries grow with history, digests/deltas do not: " << before << " vs " << after;
+}
+
+// Receivers store each delta as it came and share their frozen base across
+// gotstate (vstoto::got_summary). At every establishment through partition/
+// merge and crash/rejoin churn, each member's materialized gotstate[q] must
+// equal the old representation, core::apply_delta(delta_q, exch_base); the
+// stored con entries must be exactly the deltas' con entries; and the order
+// establishment placed must be what fullorder/shortorder give over the old
+// representation. The Lemma 6.x suites run on the spec backend, which always
+// exchanges full summaries, so this is the check that covers the delta
+// representation.
+TEST(DeltaExchange, SharedBaseGotstateMatchesApplyDeltaAtEveryEstablishment) {
+  WorldConfig cfg = config(kDelta, 17);
+  cfg.n = 5;
+  World world(cfg);
+  const int n = world.n();
+
+  // Every delta handed to VS, keyed by (sender, the sender's view then).
+  std::map<ProcId, core::ViewId> view_of;
+  std::map<std::pair<ProcId, core::ViewId>, core::SummaryDelta> deltas;
+  world.recorder().subscribe([&](const trace::TimedEvent& te) {
+    if (const auto* nv = std::get_if<trace::NewViewEvent>(&te.event)) {
+      view_of[nv->p] = nv->v.id;
+    } else if (const auto* snd = std::get_if<trace::GpsndEvent>(&te.event)) {
+      auto msg = vstoto::decode_message_ex(snd->m.view());
+      if (!msg.ok()) return;
+      if (const auto* dl = std::get_if<core::SummaryDelta>(&*msg.value))
+        deltas.insert_or_assign({snd->p, view_of.at(snd->p)}, *dl);
+    }
+  });
+
+  for (sim::Time t = sim::msec(200); t < sim::sec(9); t += sim::msec(100))
+    for (ProcId p = 0; p < n; ++p) world.bcast_at(t, p, "m" + std::to_string(t / 1000));
+  // {0,1} labels values in a non-primary view and hands them to 2 in another
+  // non-primary view, so the primary {0,1,2} finds them in every member's
+  // content, in no member's order, and in no delta: only the shared base
+  // supplies them to fullorder.
+  world.partition_at(sim::sec(1), {{0, 1}, {2}, {3, 4}});
+  world.partition_at(sim::msec(2500), {{0}, {1, 2}, {3, 4}});
+  world.partition_at(sim::sec(4), {{0, 1, 2}, {3, 4}});
+  world.heal_at(sim::msec(5500));
+  world.proc_status_at(sim::sec(7), 2, sim::Status::kBad);
+  world.proc_status_at(sim::msec(7800), 2, sim::Status::kGood);
+
+  std::map<ProcId, core::ViewId> checked;  // last view checked per processor
+  int establishments = 0;
+  std::size_t carried_total = 0, from_base_only = 0;
+  sim::Simulator& sim = world.simulator();
+  while (sim.now() < sim::sec(12) && sim.step()) {
+    for (ProcId p = 0; p < n; ++p) {
+      const auto& proc = world.stack().process(p);
+      const auto& st = proc.state();
+      // The initial view is established by fiat, without an exchange.
+      if (!st.current.has_value() || st.status != vstoto::PStatus::kNormal ||
+          st.current->id == core::ViewId::initial())
+        continue;
+      const core::ViewId g = st.current->id;
+      const auto seen = checked.find(p);
+      if (seen != checked.end() && seen->second == g) continue;
+      checked.insert_or_assign(p, g);
+      ++establishments;
+
+      std::size_t stored = 0, carried = 0;
+      core::SummaryMap reference;
+      ASSERT_EQ(st.gotstate.size(), st.current->members.size());
+      for (const ProcId q : st.current->members) {
+        const auto dl = deltas.find({q, g});
+        ASSERT_NE(dl, deltas.end()) << "no delta from p" << q << " in " << core::to_string(g);
+        const auto x = core::apply_delta(dl->second, st.exch_base);
+        ASSERT_TRUE(x.has_value());
+        EXPECT_EQ(vstoto::got_summary(st, q), x)
+            << "p" << p << " gotstate[p" << q << "] in " << core::to_string(g);
+        stored += st.gotstate.at(q).con.size();
+        carried += dl->second.con.size();
+        reference.emplace(q, *x);
+      }
+      EXPECT_EQ(stored, carried) << "p" << p << " in " << core::to_string(g);
+      carried_total += carried;
+
+      const std::vector<core::Label> placed(
+          st.order.begin(), st.order.begin() + static_cast<std::ptrdiff_t>(st.exch_placed));
+      const auto expected =
+          proc.primary() ? core::fullorder(reference) : core::shortorder(reference);
+      EXPECT_EQ(placed, expected) << "p" << p << " in " << core::to_string(g);
+      const std::size_t short_len = core::shortorder(reference).size();
+      for (std::size_t i = short_len; i < placed.size(); ++i) {
+        bool in_delta = false;
+        for (const auto& [q, x] : st.gotstate) in_delta |= x.con.count(placed[i]) != 0;
+        if (!in_delta) ++from_base_only;
+      }
+    }
+  }
+  EXPECT_GE(establishments, 4 * n) << "the schedule must re-form views repeatedly";
+  EXPECT_GT(carried_total, 0u) << "some deltas must carry content";
+  EXPECT_GT(from_base_only, 0u) << "some placed labels must come from the shared base alone";
+  EXPECT_TRUE(world.check_to_safety().empty());
 }
 
 }  // namespace

@@ -414,6 +414,133 @@ TEST(Process, CheckpointRestoreRoundTripsBuildsCurrent) {
   EXPECT_EQ(f.at(0).state().order, cp.st.order);
 }
 
+// Runs a digest/delta (or full-summary) state exchange for view v by hand:
+// every member's first exchange message reaches every member, then (delta
+// mode) every delta does. Returns each member's exchange message that the
+// safe indications key on (its delta, or its summary).
+std::vector<vs::Payload> exchange_all(Fixture& f, const core::View& v) {
+  std::vector<vs::Payload> last(3);
+  f.fake.newview(v);
+  for (ProcId p : v.members) {
+    const auto first = f.fake.sent[static_cast<std::size_t>(p)].back();
+    f.fake.deliver_all(p, first, v.members);
+  }
+  for (ProcId p : v.members) {
+    const auto m = f.fake.sent[static_cast<std::size_t>(p)].back();
+    if (f.at(p).exchange_mode() == ExchangeMode::kDigestDelta)
+      f.fake.deliver_all(p, m, v.members);
+    last[static_cast<std::size_t>(p)] = m;
+  }
+  return last;
+}
+
+// Once every exchange message of a primary view is safe, safe_labels gains
+// exactly the order prefix establishment placed; a label appended after
+// establishment stays unsafe until its own safe.
+TEST(Process, SafeExchangeMarksExactlyThePrefixPlacedAtEstablishment) {
+  for (const auto mode : {ExchangeMode::kDigestDelta, ExchangeMode::kFullSummary}) {
+    SCOPED_TRACE(to_string(mode));
+    Fixture f;
+    for (ProcId p = 0; p < 3; ++p) f.at(p).set_exchange_mode(mode);
+    // "a" is confirmed everywhere in g0; "z" reached only p0.
+    f.at(0).bcast("a");
+    f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+    f.fake.make_safe(0, f.fake.sent[0].back(), {0, 1, 2});
+    f.at(0).bcast("z");
+    f.fake.deliver(0, 0, f.fake.sent[0].back());
+
+    const core::View v{core::ViewId{1, 0}, {0, 1, 2}};
+    const auto exch = exchange_all(f, v);
+    for (ProcId p = 0; p < 3; ++p) {
+      const auto& st = f.at(p).state();
+      ASSERT_EQ(st.status, PStatus::kNormal) << "at " << p;
+      ASSERT_EQ(st.order.size(), 2u) << "at " << p;
+      EXPECT_EQ(st.exch_placed, 2u) << "at " << p;
+    }
+    // A label appended after establishment.
+    f.at(1).bcast("c");
+    const auto c_msg = f.fake.sent[1].back();
+    f.fake.deliver_all(1, c_msg, {0, 1, 2});
+    for (ProcId p = 0; p < 3; ++p) ASSERT_EQ(f.at(p).state().order.size(), 3u);
+
+    for (ProcId p = 0; p < 3; ++p) f.fake.make_safe(p, exch[static_cast<std::size_t>(p)], {0, 1, 2});
+    for (ProcId p = 0; p < 3; ++p) {
+      const auto& st = f.at(p).state();
+      EXPECT_EQ(st.safe_labels, std::set<core::Label>(st.order.begin(), st.order.begin() + 2))
+          << "at " << p;
+      EXPECT_EQ(st.nextconfirm, 3u) << "a and z confirmed, c not yet";
+      ASSERT_EQ(f.at(p).delivered().size(), 2u) << "at " << p;
+      EXPECT_EQ(f.at(p).delivered()[1].second, "z");
+    }
+    f.fake.make_safe(1, c_msg, {0, 1, 2});
+    for (ProcId p = 0; p < 3; ++p) {
+      ASSERT_EQ(f.at(p).delivered().size(), 3u) << "at " << p;
+      EXPECT_EQ(f.at(p).delivered()[2].second, "c");
+    }
+  }
+}
+
+// If every exchange message is safe before the view is established (only
+// possible when a gprcv went missing), safe_labels still takes
+// fullorder(gotstate) over what has arrived.
+TEST(Process, SafeExchangeInUnestablishedViewTakesFullorderOfGotstate) {
+  Fixture f;
+  for (ProcId p = 0; p < 3; ++p) f.at(p).set_exchange_mode(ExchangeMode::kDigestDelta);
+  f.at(0).bcast("a");
+  f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+  f.at(2).bcast("b");
+  f.fake.deliver(2, 2, f.fake.sent[2].back());
+
+  const core::View v{core::ViewId{1, 0}, {0, 1, 2}};
+  f.fake.newview(v);
+  for (ProcId p = 0; p < 3; ++p) f.fake.deliver_all(p, f.fake.sent[static_cast<std::size_t>(p)].back(), v.members);
+  std::vector<vs::Payload> deltas;
+  for (ProcId p = 0; p < 3; ++p) deltas.push_back(f.fake.sent[static_cast<std::size_t>(p)].back());
+  // p0 receives the deltas of p1 and p2 but not its own.
+  f.fake.deliver(1, 0, deltas[1]);
+  f.fake.deliver(2, 0, deltas[2]);
+  const auto& st = f.at(0).state();
+  ASSERT_EQ(st.status, PStatus::kCollect);
+  ASSERT_EQ(st.gotstate.size(), 2u);
+
+  core::SummaryMap materialized;
+  for (const auto& [q, x] : st.gotstate) materialized.emplace(q, *got_summary(st, q));
+  const auto expected = core::fullorder(materialized);
+  ASSERT_EQ(expected.size(), 2u) << "a from the base, b from p2's delta";
+  for (ProcId p = 0; p < 3; ++p) f.at(0).on_safe(p, deltas[static_cast<std::size_t>(p)]);
+  EXPECT_EQ(st.safe_labels, std::set<core::Label>(expected.begin(), expected.end()));
+  EXPECT_EQ(st.exch_placed, 0u);
+}
+
+TEST(Process, CheckpointRestoreRoundTripsExchangeState) {
+  Fixture f;
+  for (ProcId p = 0; p < 3; ++p) f.at(p).set_exchange_mode(ExchangeMode::kDigestDelta);
+  f.at(0).bcast("a");
+  f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+  exchange_all(f, core::View{core::ViewId{1, 0}, {0, 1, 2}});
+  const auto cp = f.at(0).checkpoint();
+  ASSERT_FALSE(cp.st.exch_digest.marks.empty());
+  EXPECT_EQ(cp.st.exch_digest, core::digest(cp.st.exch_base));
+  ASSERT_EQ(cp.st.exch_placed, 1u);
+  const auto got = got_summary(cp.st, 1);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->con.size(), 1u) << "the covered base entry is read back in";
+  EXPECT_TRUE(cp.st.gotstate.at(1).con.empty()) << "but not stored per sender";
+
+  f.at(1).bcast("b");
+  f.fake.deliver_all(1, f.fake.sent[1].back(), {0, 1, 2});
+  exchange_all(f, core::View{core::ViewId{2, 0}, {0, 1, 2}});
+  ASSERT_NE(f.at(0).state().exch_digest, cp.st.exch_digest);
+  ASSERT_NE(f.at(0).state().exch_placed, cp.st.exch_placed);
+
+  f.at(0).restore(cp);
+  EXPECT_EQ(f.at(0).state().exch_digest, cp.st.exch_digest);
+  EXPECT_EQ(f.at(0).state().exch_placed, cp.st.exch_placed);
+  EXPECT_EQ(f.at(0).state().exch_base, cp.st.exch_base);
+  EXPECT_EQ(f.at(0).state().gotstate, cp.st.gotstate);
+  EXPECT_EQ(got_summary(f.at(0).state(), 1), got);
+}
+
 // The partition-and-heal scenario on the VS-machine back end, stepped one
 // event at a time: every invariant holds after every step, each view exit
 // snapshots the order the process held just before it, and a snapshot never
