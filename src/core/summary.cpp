@@ -1,20 +1,56 @@
 #include "core/summary.hpp"
 
 #include <algorithm>
-#include <set>
 #include <cassert>
+#include <iterator>
+#include <ranges>
 
 #include "util/sequence.hpp"
 
 namespace vsg::core {
 namespace {
 
-// True iff `own` covers l: l's seqno lies under own's watermark for l's
-// label stream.
-bool covers(const SummaryDigest& own, const Label& l) {
-  const auto it = own.marks.find(LabelStream{l.id, l.origin});
-  return it != own.marks.end() && l.seqno <= it->second;
-}
+// Watermark lookups for a walk over labels in label order, without a map
+// find per label. Labels order by (view, seqno, origin) and streams by
+// (view, origin), so the streams of the current label's view are one run
+// of the flat copy, and that run only moves forward; the origin is found
+// inside it by a binary search over at most one entry per member.
+class Watermarks {
+ public:
+  explicit Watermarks(const std::map<LabelStream, std::uint32_t>& marks)
+      : flat_(marks.begin(), marks.end()) {}
+
+  /// The watermark of l's stream (0 if absent). Successive calls (of
+  /// either lookup) must pass labels in nondecreasing order.
+  std::uint32_t at(const Label& l) {
+    const auto* e = find(l);
+    return e == nullptr ? 0 : e->second;
+  }
+
+  /// True iff l's stream is present and l's seqno lies under its watermark.
+  bool covers(const Label& l) {
+    const auto* e = find(l);
+    return e != nullptr && l.seqno <= e->second;
+  }
+
+ private:
+  using Entry = std::pair<LabelStream, std::uint32_t>;
+
+  const Entry* find(const Label& l) {
+    while (lo_ < flat_.size() && flat_[lo_].first.first < l.id) ++lo_;
+    hi_ = std::max(hi_, lo_);
+    while (hi_ < flat_.size() && flat_[hi_].first.first == l.id) ++hi_;
+    const auto end = flat_.begin() + static_cast<std::ptrdiff_t>(hi_);
+    const auto it = std::partition_point(
+        flat_.begin() + static_cast<std::ptrdiff_t>(lo_), end,
+        [&](const Entry& e) { return e.first.second < l.origin; });
+    return it != end && it->first.second == l.origin ? &*it : nullptr;
+  }
+
+  std::vector<Entry> flat_;
+  std::size_t lo_ = 0;  // first stream of the current label's view
+  std::size_t hi_ = 0;  // one past its last
+};
 
 }  // namespace
 
@@ -63,22 +99,37 @@ std::vector<Label> fullorder(const SummaryMap& y) {
 std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
                              const SummaryDigest& own) {
   std::vector<Label> order = shortorder(y);
-  const std::set<Label> in_short(order.begin(), order.end());
   // Append every known label not already in the short order, in label order.
   // Only dom(knowncontent(Y)) matters, so collect labels straight from each
-  // con instead of copying the values. The covered part of base.con belongs
-  // to every entry, so one pass over it stands for all of them. The prefix
-  // keeps the representative's ordering, exactly as Figure 8 specifies.
-  std::set<Label> rest;
-  const auto add = [&](const Label& l) {
-    if (in_short.count(l) == 0) rest.insert(l);
+  // con instead of copying the values. Each con is sorted, so the labels of
+  // the stored entries are a running sorted union.
+  std::vector<Label> stored, merged;
+  for (const auto& [q, x] : y) {
+    merged.clear();
+    std::ranges::set_union(stored, std::views::keys(x.con), std::back_inserter(merged));
+    stored.swap(merged);
+  }
+  std::vector<Label> in_short = order;
+  std::sort(in_short.begin(), in_short.end());
+  auto sh = in_short.begin();
+  const auto append_if_new = [&](const Label& l) {  // called in label order
+    while (sh != in_short.end() && *sh < l) ++sh;
+    if (sh == in_short.end() || *sh != l) order.push_back(l);
   };
-  if (!own.marks.empty())
-    for (const auto& [l, a] : base.con)
-      if (covers(own, l)) add(l);
-  for (const auto& [q, x] : y)
-    for (const auto& [l, a] : x.con) add(l);
-  order.insert(order.end(), rest.begin(), rest.end());
+  // The covered part of base.con belongs to every entry, so one pass over
+  // it, merged with the stored labels, stands for all of them. The prefix
+  // keeps the representative's ordering, exactly as Figure 8 specifies.
+  auto s = stored.begin();
+  if (!own.marks.empty()) {
+    Watermarks wm(own.marks);
+    for (const auto& [l, a] : base.con) {
+      if (!wm.covers(l)) continue;
+      for (; s != stored.end() && *s <= l; ++s)
+        if (*s != l) append_if_new(*s);
+      append_if_new(l);
+    }
+  }
+  for (; s != stored.end(); ++s) append_if_new(*s);
   return order;
 }
 
@@ -108,16 +159,37 @@ SummaryDigest digest(const Summary& x) {
   return g;
 }
 
-SummaryDigest meet(const SummaryDigest& a, const SummaryDigest& b) {
-  SummaryDigest m;
-  m.next = std::min(a.next, b.next);
-  m.ord_len = std::min(a.ord_len, b.ord_len);
-  if (a.high && b.high) m.high = std::min(*a.high, *b.high);
-  for (const auto& [s, w] : a.marks) {
-    const auto it = b.marks.find(s);
-    if (it != b.marks.end()) m.marks[s] = std::min(w, it->second);
+SummaryDigest meet(std::span<const SummaryDigest* const> ds) {
+  assert(!ds.empty());
+  SummaryDigest m{ds[0]->next, ds[0]->ord_len, ds[0]->high, {}};
+  using It = std::map<LabelStream, std::uint32_t>::const_iterator;
+  std::vector<It> at;
+  at.reserve(ds.size());
+  for (const SummaryDigest* d : ds) {
+    m.next = std::min(m.next, d->next);
+    m.ord_len = std::min(m.ord_len, d->ord_len);
+    if (!d->high || !m.high) m.high.reset();
+    else m.high = std::min(*m.high, *d->high);
+    at.push_back(d->marks.begin());
+  }
+  // One merge over the sorted marks: a stream of the first digest survives
+  // only if every other digest has it too, with the least watermark.
+  for (const auto& [s, w] : ds[0]->marks) {
+    std::uint32_t low = w;
+    bool everywhere = true;
+    for (std::size_t k = 1; k < ds.size() && everywhere; ++k) {
+      while (at[k] != ds[k]->marks.end() && at[k]->first < s) ++at[k];
+      everywhere = at[k] != ds[k]->marks.end() && at[k]->first == s;
+      if (everywhere) low = std::min(low, at[k]->second);
+    }
+    if (everywhere) m.marks.emplace_hint(m.marks.end(), s, low);
   }
   return m;
+}
+
+SummaryDigest meet(const SummaryDigest& a, const SummaryDigest& b) {
+  const SummaryDigest* both[] = {&a, &b};
+  return meet(both);
 }
 
 SummaryDelta delta(const Summary& a, const SummaryDigest& d) {
@@ -130,11 +202,9 @@ SummaryDelta delta(const Summary& a, const SummaryDigest& d) {
        static_cast<std::size_t>(d.ord_len), a.ord.size()});
   dl.ord_prefix = static_cast<std::uint32_t>(shared);
   dl.ord_suffix.assign(a.ord.begin() + static_cast<std::ptrdiff_t>(shared), a.ord.end());
-  for (const auto& [l, v] : a.con) {
-    const auto it = d.marks.find(LabelStream{l.id, l.origin});
-    const std::uint32_t wm = it == d.marks.end() ? 0 : it->second;
-    if (l.seqno > wm) dl.con.emplace(l, v);
-  }
+  Watermarks wm(d.marks);
+  for (const auto& [l, v] : a.con)
+    if (l.seqno > wm.at(l)) dl.con.emplace_hint(dl.con.end(), l, v);
   return dl;
 }
 
@@ -173,8 +243,15 @@ std::optional<Summary> delta_entry(const SummaryDelta& dl, const Summary& base) 
 
 Summary with_base(Summary x, const Summary& base, const SummaryDigest& own) {
   if (own.marks.empty()) return x;
-  for (const auto& [l, v] : base.con)
-    if (covers(own, l)) x.con.emplace(l, v);
+  // Merge walk: `pos` trails each base label's place in x.con, so every
+  // insertion is hinted and x's own entries win.
+  Watermarks wm(own.marks);
+  auto pos = x.con.begin();
+  for (const auto& [l, v] : base.con) {
+    if (!wm.covers(l)) continue;
+    while (pos != x.con.end() && pos->first < l) ++pos;
+    if (pos == x.con.end() || pos->first != l) x.con.emplace_hint(pos, l, v);
+  }
   return x;
 }
 

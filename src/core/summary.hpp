@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/label.hpp"
@@ -111,9 +112,11 @@ struct SummaryDelta {
 /// The digest of x: cursors plus per-stream prefix watermarks over x.con.
 SummaryDigest digest(const Summary& x);
 
-/// Pointwise weakest of two digests (min cursors, min/intersected marks):
+/// Pointwise weakest of the digests (min cursors, min/intersected marks):
 /// the digest of "what every peer certainly holds". A delta computed
-/// against meet(all peer digests) is sound for every one of those peers.
+/// against the meet of all peer digests is sound for every one of those
+/// peers. One linear merge over the sorted marks; `ds` must be nonempty.
+SummaryDigest meet(std::span<const SummaryDigest* const> ds);
 SummaryDigest meet(const SummaryDigest& a, const SummaryDigest& b);
 
 /// The delta that upgrades any holder of (at least) digest d to a. The ord

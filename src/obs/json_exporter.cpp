@@ -4,6 +4,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -182,8 +183,19 @@ std::string JsonExporter::parse_label(const std::string& json) {
 std::optional<std::string> export_path_from_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--export" && i + 1 < argc) return std::string(argv[i + 1]);
-    if (arg.rfind("--export=", 0) == 0) return arg.substr(std::strlen("--export="));
+    std::string path;
+    if (arg == "--export")
+      path = i + 1 < argc ? argv[i + 1] : "";
+    else if (arg.rfind("--export=", 0) == 0)
+      path = arg.substr(std::strlen("--export="));
+    else
+      continue;
+    if (path.empty() || path.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "%s: --export needs a path%s%s\n", argv[0],
+                   path.empty() ? "" : ", not the flag ", path.c_str());
+      std::exit(2);
+    }
+    return path;
   }
   return std::nullopt;
 }

@@ -66,7 +66,9 @@ class JsonExporter {
 };
 
 /// `--export PATH` / `--export=PATH` from a bench's argv; nullopt when the
-/// flag is absent. All converted benches share this flag.
+/// flag is absent. All converted benches share this flag. A bare
+/// `--export`, an empty `--export=` or a path starting with `--` (the next
+/// flag) is a usage error: a message on stderr and exit status 2.
 std::optional<std::string> export_path_from_args(int argc, char** argv);
 
 }  // namespace vsg::obs

@@ -406,13 +406,14 @@ std::vector<std::string> check_lemma_6_20(const GlobalState& s) {
   std::vector<std::string> bad;
   for (ProcId p = 0; p < s.size(); ++p) {
     const auto& st = s.st(p);
-    if (st.safe_labels.empty()) continue;
-    if (!s.procs[static_cast<std::size_t>(p)]->primary()) {
+    const auto& proc = *s.procs[static_cast<std::size_t>(p)];
+    if (st.safe_labels.empty() && st.safe_prefix == 0) continue;
+    if (!proc.primary()) {
       bad.push_back("6.20: nonempty safe-labels at non-primary " + pname(p));
       continue;
     }
     for (std::size_t i = 0; i < st.order.size(); ++i) {
-      if (st.safe_labels.count(st.order[i]) == 0) continue;
+      if (!proc.is_safe(st.order[i])) continue;
       const auto sigma = util::prefix_of(st.order, i + 1);
       for (ProcId q : st.current->members) {
         const auto* bo = buildorder(s, q, st.current->id);

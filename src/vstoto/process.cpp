@@ -7,6 +7,25 @@
 
 namespace vsg::vstoto {
 
+namespace {
+
+// Brings a frozen exchange base up to `content` in one merge walk. content
+// only grows and never rebinds a label (Lemma 6.5), so a base frozen from
+// an earlier content is a subset of it: the walk only inserts the missing
+// entries, each at a hinted position.
+void refreeze(std::map<core::Label, core::Value>& base,
+              const std::map<core::Label, core::Value>& content) {
+  auto at = base.begin();
+  for (const auto& [l, v] : content) {
+    if (at != base.end() && at->first == l)
+      ++at;
+    else
+      base.emplace_hint(at, l, v);
+  }
+}
+
+}  // namespace
+
 const char* to_string(PStatus s) noexcept {
   switch (s) {
     case PStatus::kNormal:
@@ -56,11 +75,16 @@ void Process::restore(const Checkpoint& cp) {
         static_cast<std::int64_t>(st_.delay.size() + st_.buffer.size()));
   st_ = cp.st;
   delivered_ = cp.delivered;
-  order_members_ = std::set<core::Label>(st_.order.begin(), st_.order.end());
+  order_index_.assign(st_.order);
 }
 
 bool Process::primary() const {
   return st_.current.has_value() && quorums_->contains_quorum(st_.current->members);
+}
+
+bool Process::is_safe(const core::Label& l) const {
+  return (st_.safe_prefix != 0 && order_index_.find(st_.order, l) < st_.safe_prefix) ||
+         st_.safe_labels.count(l) != 0;
 }
 
 core::Summary Process::local_summary() const {
@@ -78,17 +102,18 @@ void Process::assign_order(std::vector<core::Label> order) {
                           static_cast<std::int64_t>(st_.order.size()));
   if (tracer_ != nullptr)
     for (const core::Label& l : order)
-      if (order_members_.count(l) == 0) tracer_->msg_tentative(p_, l, recorder_->now());
+      if (order_index_.find(st_.order, l) == OrderIndex::npos)
+        tracer_->msg_tentative(p_, l, recorder_->now());
   st_.order = std::move(order);
-  order_members_ = std::set<core::Label>(st_.order.begin(), st_.order.end());
+  order_index_.assign(st_.order);
   if (st_.current.has_value()) st_.builds_current = true;
 }
 
 void Process::append_order(const core::Label& l) {
+  if (!order_index_.insert(st_.order, l, st_.order.size())) return;  // already placed
   if (obs_.order_depth != nullptr) obs_.order_depth->add(1);
   if (tracer_ != nullptr) tracer_->msg_tentative(p_, l, recorder_->now());
   st_.order.push_back(l);
-  order_members_.insert(l);
   if (st_.current.has_value()) st_.builds_current = true;
 }
 
@@ -146,7 +171,7 @@ bool Process::try_confirm() {
   // stand down rather than index order[-1].
   if (st_.nextconfirm == 0 || st_.nextconfirm > st_.order.size()) return false;
   const core::Label& l = st_.order[st_.nextconfirm - 1];
-  if (st_.safe_labels.count(l) == 0) return false;
+  if (!is_safe(l)) return false;
   if (tracer_ != nullptr) tracer_->msg_confirmed(p_, l, recorder_->now());
   ++st_.nextconfirm;
   if (obs_.confirmed_depth != nullptr) obs_.confirmed_depth->add(1);
@@ -208,6 +233,7 @@ void Process::on_newview(const core::View& v) {
   st_.gotstate.clear();
   st_.safe_exch.clear();
   st_.safe_labels.clear();
+  st_.safe_prefix = 0;
   st_.gotdigest.clear();
   st_.delta_sent = false;
   st_.status = PStatus::kSend;
@@ -217,8 +243,13 @@ void Process::on_newview(const core::View& v) {
   // before any other local action closes the label/state-exchange race).
   // Both modes freeze the exchange base here; delta mode advertises its
   // digest instead of shipping the whole summary (phase 1 of the
-  // anti-entropy exchange — the delta follows in maybe_send_delta).
-  st_.exch_base = local_summary();
+  // anti-entropy exchange — the delta follows in maybe_send_delta). The
+  // base is local_summary() without a copy of content: the previous base
+  // is brought up to it instead.
+  refreeze(st_.exch_base.con, st_.content);
+  st_.exch_base.ord = st_.order;
+  st_.exch_base.next = st_.nextconfirm;
+  st_.exch_base.high = st_.highprimary;
   st_.exch_placed = 0;
   if (exchange_mode_ == ExchangeMode::kDigestDelta) {
     st_.exch_digest = core::digest(st_.exch_base);
@@ -277,7 +308,7 @@ void Process::handle_labeled(ProcId src, const LabeledValue& lv) {
   // out of the shared decoded message.
   if (st_.content.emplace(lv.label, lv.value).second)
     obs::bump(obs_.payload_copies);
-  if (primary() && order_members_.count(lv.label) == 0) append_order(lv.label);
+  if (primary()) append_order(lv.label);
 }
 
 void Process::handle_summary(ProcId src, core::Summary x) {
@@ -326,19 +357,18 @@ void Process::maybe_send_delta() {
     return;
   // Phase 2 needs every member's digest (including our own, self-delivered
   // by VS): the broadcast delta must be sound for the weakest peer.
-  core::SummaryDigest weakest;
-  bool first = true;
+  std::vector<const core::SummaryDigest*> digests;
+  digests.reserve(st_.current->members.size());
   for (const ProcId q : st_.current->members) {
     const auto it = st_.gotdigest.find(q);
     if (it == st_.gotdigest.end()) return;
-    weakest = first ? it->second : core::meet(weakest, it->second);
-    first = false;
+    digests.push_back(&it->second);
   }
   st_.delta_sent = true;
   if (tracer_ != nullptr)
     tracer_->view_digests_collected(p_, st_.current->id, recorder_->now());
-  service_->gpsnd(p_,
-                  encode_message(Message{core::delta(st_.exch_base, weakest)}));
+  service_->gpsnd(
+      p_, encode_message(Message{core::delta(st_.exch_base, core::meet(digests))}));
   obs::bump(obs_.deltas_sent);
 }
 
@@ -390,10 +420,10 @@ void Process::handle_safe_exchange(ProcId src) {
     // mode the qualifying message per member is its delta — same cardinality
     // as the full-summary exchange, so the condition is unchanged. Once the
     // view is established those labels are the order prefix fullorder put
-    // there; labels appended since wait for their own safe.
+    // there (a watermark, see is_safe); labels appended since wait for
+    // their own safe.
     if (st_.status == PStatus::kNormal) {
-      st_.safe_labels.insert(st_.order.begin(),
-                             st_.order.begin() + static_cast<std::ptrdiff_t>(st_.exch_placed));
+      st_.safe_prefix = st_.exch_placed;
     } else {
       for (const auto& l : core::fullorder(st_.gotstate, st_.exch_base, st_.exch_digest))
         st_.safe_labels.insert(l);

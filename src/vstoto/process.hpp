@@ -38,6 +38,7 @@
 #include "obs/span.hpp"
 #include "trace/recorder.hpp"
 #include "vs/service.hpp"
+#include "vstoto/order_index.hpp"
 #include "vstoto/wire.hpp"
 
 namespace vsg::vstoto {
@@ -98,7 +99,12 @@ struct ProcessState {
   std::deque<core::Value> delay;
   core::SummaryMap gotstate;
   std::set<ProcId> safe_exch;
+  // Figure 9's safe-labels, stored in two parts and read through
+  // Process::is_safe: the labels made safe one at a time, plus every label
+  // whose first position in `order` is below safe_prefix (the prefix the
+  // state exchange placed, once all its messages are safe).
   std::set<core::Label> safe_labels;
+  std::size_t safe_prefix = 0;
 
   // Exchange state. exch_base is the local summary frozen at newview (both
   // modes). In delta mode it is also the state our digest and delta
@@ -114,7 +120,7 @@ struct ProcessState {
   bool delta_sent = false;
   // Length of the order prefix establishment placed (fullorder or
   // shortorder of gotstate). Once every exchange message is safe, exactly
-  // these labels become safe.
+  // these labels become safe (safe_prefix = exch_placed).
   std::size_t exch_placed = 0;
 
   // History variables (not part of the algorithm; used by verify/).
@@ -186,6 +192,11 @@ class Process final : public vs::Client {
   /// The summary <content, order, nextconfirm, highprimary> of local state.
   core::Summary local_summary() const;
 
+  /// Whether l is in Figure 9's safe-labels: it is in st.safe_labels, or
+  /// its first position in order is below st.safe_prefix. The one reading
+  /// of safety for try_confirm, verify/ and the tests.
+  bool is_safe(const core::Label& l) const;
+
   const ProcessState& state() const noexcept { return st_; }
 
   /// Values confirmed-and-reported so far, in order (for tests).
@@ -232,6 +243,8 @@ class Process final : public vs::Client {
   void handle_safe_exchange(ProcId src);
 
   void assign_order(std::vector<core::Label> order);
+  /// Append l to order unless it is already there (the duplicate guard of
+  /// the header comment).
   void append_order(const core::Label& l);
 
   ProcId p_;
@@ -244,7 +257,7 @@ class Process final : public vs::Client {
   ProcessObs obs_;
   obs::SpanTracer* tracer_ = nullptr;
   ProcessState st_;
-  std::set<core::Label> order_members_;  // duplicate guard index over st_.order
+  OrderIndex order_index_;  // first position of each label in st_.order
   std::vector<std::pair<ProcId, core::Value>> delivered_;
 };
 

@@ -1,0 +1,188 @@
+// The state-exchange algebra runs as linear merges over sorted containers
+// (core/summary.cpp). These properties hold it to reference copies of the
+// straightforward std::set / map::find formulations, on random inputs that
+// include gappy label streams, digests without marks or with zero
+// watermarks (a decoded digest may carry them), labels with seqno 0 and
+// ord sequences that repeat a label (only corrupted input does that).
+
+#include <gtest/gtest.h>
+
+#include <set>
+
+#include "core/summary.hpp"
+#include "util/rng.hpp"
+
+namespace vsg::core {
+namespace {
+
+// --- Reference formulations ------------------------------------------------
+
+std::uint32_t ref_watermark(const SummaryDigest& d, const Label& l) {
+  const auto it = d.marks.find(LabelStream{l.id, l.origin});
+  return it == d.marks.end() ? 0 : it->second;
+}
+
+bool ref_covers(const SummaryDigest& own, const Label& l) {
+  const auto it = own.marks.find(LabelStream{l.id, l.origin});
+  return it != own.marks.end() && l.seqno <= it->second;
+}
+
+SummaryDigest ref_meet(const SummaryDigest& a, const SummaryDigest& b) {
+  SummaryDigest m;
+  m.next = std::min(a.next, b.next);
+  m.ord_len = std::min(a.ord_len, b.ord_len);
+  if (a.high && b.high) m.high = std::min(*a.high, *b.high);
+  for (const auto& [s, w] : a.marks) {
+    const auto it = b.marks.find(s);
+    if (it != b.marks.end()) m.marks[s] = std::min(w, it->second);
+  }
+  return m;
+}
+
+SummaryDelta ref_delta(const Summary& a, const SummaryDigest& d) {
+  SummaryDelta dl;
+  dl.next = a.next;
+  dl.high = a.high;
+  const std::size_t shared = std::min(
+      {static_cast<std::size_t>(a.next == 0 ? 0 : a.next - 1),
+       static_cast<std::size_t>(d.next == 0 ? 0 : d.next - 1),
+       static_cast<std::size_t>(d.ord_len), a.ord.size()});
+  dl.ord_prefix = static_cast<std::uint32_t>(shared);
+  dl.ord_suffix.assign(a.ord.begin() + static_cast<std::ptrdiff_t>(shared), a.ord.end());
+  for (const auto& [l, v] : a.con)
+    if (l.seqno > ref_watermark(d, l)) dl.con.emplace(l, v);
+  return dl;
+}
+
+Summary ref_with_base(Summary x, const Summary& base, const SummaryDigest& own) {
+  for (const auto& [l, v] : base.con)
+    if (ref_covers(own, l)) x.con.emplace(l, v);
+  return x;
+}
+
+std::vector<Label> ref_fullorder(const SummaryMap& y, const Summary& base,
+                                 const SummaryDigest& own) {
+  std::vector<Label> order = shortorder(y);
+  const std::set<Label> in_short(order.begin(), order.end());
+  std::set<Label> rest;
+  const auto add = [&](const Label& l) {
+    if (in_short.count(l) == 0) rest.insert(l);
+  };
+  for (const auto& [l, a] : base.con)
+    if (ref_covers(own, l)) add(l);
+  for (const auto& [q, x] : y)
+    for (const auto& [l, a] : x.con) add(l);
+  order.insert(order.end(), rest.begin(), rest.end());
+  return order;
+}
+
+// --- Random inputs -----------------------------------------------------------
+
+// Labels over 2 epochs x 2 view origins x 3 label origins, seqnos 0..6.
+Label random_label(util::Rng& rng) {
+  return Label{ViewId{1 + rng.below(2), static_cast<ProcId>(rng.below(2))},
+               static_cast<std::uint32_t>(rng.below(7)), static_cast<ProcId>(rng.below(3))};
+}
+
+Value value_of(const Label& l) { return "v" + to_string(l); }
+
+// A con with gappy streams: each stream keeps a dense prefix, then a random
+// scatter past it (or nothing at all).
+std::map<Label, Value> random_con(util::Rng& rng) {
+  std::map<Label, Value> con;
+  for (std::uint64_t epoch = 1; epoch <= 2; ++epoch)
+    for (ProcId vo = 0; vo < 2; ++vo)
+      for (ProcId origin = 0; origin < 3; ++origin) {
+        if (rng.chance(0.3)) continue;
+        const auto dense = static_cast<std::uint32_t>(rng.below(5));
+        for (std::uint32_t s = 1; s <= dense; ++s) {
+          const Label l{ViewId{epoch, vo}, s, origin};
+          con.emplace(l, value_of(l));
+        }
+        for (std::uint64_t k = rng.below(3); k > 0; --k) {
+          const Label l{ViewId{epoch, vo}, static_cast<std::uint32_t>(rng.below(8)), origin};
+          con.emplace(l, value_of(l));
+        }
+      }
+  return con;
+}
+
+Summary random_summary(util::Rng& rng) {
+  Summary x;
+  x.con = random_con(rng);
+  for (std::uint64_t k = rng.below(8); k > 0; --k) x.ord.push_back(random_label(rng));
+  if (!x.ord.empty() && rng.chance(0.3)) x.ord.push_back(x.ord[rng.below(x.ord.size())]);
+  x.next = static_cast<std::uint32_t>(rng.below(x.ord.size() + 2));
+  if (rng.chance(0.6)) x.high = ViewId{rng.below(3), static_cast<ProcId>(rng.below(2))};
+  return x;
+}
+
+// A digest as a summary yields it, or as the wire may deliver one: marks
+// on arbitrary streams, zero watermarks included, or none.
+SummaryDigest random_digest(util::Rng& rng) {
+  if (rng.chance(0.4)) return digest(random_summary(rng));
+  SummaryDigest d;
+  d.next = static_cast<std::uint32_t>(rng.below(6));
+  d.ord_len = static_cast<std::uint32_t>(rng.below(6));
+  if (rng.chance(0.6)) d.high = ViewId{rng.below(3), static_cast<ProcId>(rng.below(2))};
+  if (rng.chance(0.2)) return d;  // no marks
+  for (std::uint64_t k = rng.below(10); k > 0; --k) {
+    const Label l = random_label(rng);
+    d.marks[LabelStream{l.id, l.origin}] = static_cast<std::uint32_t>(rng.below(6));
+  }
+  return d;
+}
+
+constexpr int kRounds = 3000;
+
+TEST(SummaryEquivalence, MeetMatchesTheFindBasedReference) {
+  util::Rng rng(1501);
+  for (int round = 0; round < kRounds; ++round) {
+    const SummaryDigest a = random_digest(rng), b = random_digest(rng);
+    EXPECT_EQ(meet(a, b), ref_meet(a, b)) << "round " << round;
+    // The n-way meet equals the fold of pairwise reference meets.
+    std::vector<SummaryDigest> ds{a, b};
+    for (std::uint64_t k = rng.below(4); k > 0; --k) ds.push_back(random_digest(rng));
+    std::vector<const SummaryDigest*> ptrs;
+    SummaryDigest folded = ds[0];
+    for (const auto& d : ds) {
+      ptrs.push_back(&d);
+      folded = ref_meet(folded, d);
+    }
+    EXPECT_EQ(meet(ptrs), folded) << "round " << round;
+    EXPECT_EQ(meet(std::span<const SummaryDigest* const>(ptrs.data(), 1)), ds[0]);
+  }
+}
+
+TEST(SummaryEquivalence, DeltaMatchesTheFindBasedReference) {
+  util::Rng rng(1502);
+  for (int round = 0; round < kRounds; ++round) {
+    const Summary a = random_summary(rng);
+    const SummaryDigest d = random_digest(rng);
+    EXPECT_EQ(delta(a, d), ref_delta(a, d)) << "round " << round;
+  }
+}
+
+TEST(SummaryEquivalence, WithBaseAndFullorderMatchTheSetBasedReference) {
+  util::Rng rng(1503);
+  for (int round = 0; round < kRounds; ++round) {
+    SummaryMap y;
+    for (ProcId q = 0, n = 1 + static_cast<ProcId>(rng.below(4)); q < n; ++q) {
+      Summary x = random_summary(rng);
+      // Stored entries often carry only a delta's worth of content.
+      if (rng.chance(0.5))
+        for (auto it = x.con.begin(); it != x.con.end();)
+          it = rng.chance(0.7) ? x.con.erase(it) : std::next(it);
+      y.emplace(q, std::move(x));
+    }
+    const Summary base = random_summary(rng);
+    const SummaryDigest own = rng.chance(0.5) ? digest(base) : random_digest(rng);
+    EXPECT_EQ(fullorder(y, base, own), ref_fullorder(y, base, own)) << "round " << round;
+    EXPECT_EQ(fullorder(y), ref_fullorder(y, Summary{}, SummaryDigest{})) << "round " << round;
+    for (const auto& [q, x] : y)
+      EXPECT_EQ(with_base(x, base, own), ref_with_base(x, base, own)) << "round " << round;
+  }
+}
+
+}  // namespace
+}  // namespace vsg::core

@@ -266,6 +266,25 @@ TEST(Exporter, ExportPathFromArgs) {
   }
 }
 
+TEST(ExporterDeathTest, ExportPathWithoutAPathIsAUsageError) {
+  const auto exits_2 = ::testing::ExitedWithCode(2);
+  {
+    const char* argv[] = {"bench", "--jobs", "4", "--export"};
+    EXPECT_EXIT(export_path_from_args(4, const_cast<char**>(argv)), exits_2,
+                "--export needs a path");
+  }
+  {
+    const char* argv[] = {"bench", "--export", "--jobs", "4"};
+    EXPECT_EXIT(export_path_from_args(4, const_cast<char**>(argv)), exits_2,
+                "--export needs a path, not the flag --jobs");
+  }
+  {
+    const char* argv[] = {"bench", "--export="};
+    EXPECT_EXIT(export_path_from_args(2, const_cast<char**>(argv)), exits_2,
+                "--export needs a path");
+  }
+}
+
 TEST(Stopwatch, ObservesIntoWallHistogram) {
   Histogram h({1000000}, Unit::kWallMicros);
   { ScopedWallTimer t(h); }

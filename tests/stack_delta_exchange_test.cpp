@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <set>
+#include <tuple>
 
 #include "core/summary.hpp"
 #include "harness/world.hpp"
@@ -129,6 +132,23 @@ TEST(DeltaExchange, ExchangeBytesDropByAnOrderOfMagnitude) {
       << "summaries grow with history, digests/deltas do not: " << before << " vs " << after;
 }
 
+// Partition/merge and crash/rejoin churn on a 5-processor world with
+// steady traffic. {0,1} labels values in a non-primary view and hands them
+// to 2 in another non-primary view, so the primary {0,1,2} finds them in
+// every member's content, in no member's order, and in no delta: only the
+// shared base supplies them to fullorder.
+void partition_merge_crash(World& world) {
+  const int n = world.n();
+  for (sim::Time t = sim::msec(200); t < sim::sec(9); t += sim::msec(100))
+    for (ProcId p = 0; p < n; ++p) world.bcast_at(t, p, "m" + std::to_string(t / 1000));
+  world.partition_at(sim::sec(1), {{0, 1}, {2}, {3, 4}});
+  world.partition_at(sim::msec(2500), {{0}, {1, 2}, {3, 4}});
+  world.partition_at(sim::sec(4), {{0, 1, 2}, {3, 4}});
+  world.heal_at(sim::msec(5500));
+  world.proc_status_at(sim::sec(7), 2, sim::Status::kBad);
+  world.proc_status_at(sim::msec(7800), 2, sim::Status::kGood);
+}
+
 // Receivers store each delta as it came and share their frozen base across
 // gotstate (vstoto::got_summary). At every establishment through partition/
 // merge and crash/rejoin churn, each member's materialized gotstate[q] must
@@ -158,18 +178,7 @@ TEST(DeltaExchange, SharedBaseGotstateMatchesApplyDeltaAtEveryEstablishment) {
     }
   });
 
-  for (sim::Time t = sim::msec(200); t < sim::sec(9); t += sim::msec(100))
-    for (ProcId p = 0; p < n; ++p) world.bcast_at(t, p, "m" + std::to_string(t / 1000));
-  // {0,1} labels values in a non-primary view and hands them to 2 in another
-  // non-primary view, so the primary {0,1,2} finds them in every member's
-  // content, in no member's order, and in no delta: only the shared base
-  // supplies them to fullorder.
-  world.partition_at(sim::sec(1), {{0, 1}, {2}, {3, 4}});
-  world.partition_at(sim::msec(2500), {{0}, {1, 2}, {3, 4}});
-  world.partition_at(sim::sec(4), {{0, 1, 2}, {3, 4}});
-  world.heal_at(sim::msec(5500));
-  world.proc_status_at(sim::sec(7), 2, sim::Status::kBad);
-  world.proc_status_at(sim::msec(7800), 2, sim::Status::kGood);
+  partition_merge_crash(world);
 
   std::map<ProcId, core::ViewId> checked;  // last view checked per processor
   int establishments = 0;
@@ -222,6 +231,73 @@ TEST(DeltaExchange, SharedBaseGotstateMatchesApplyDeltaAtEveryEstablishment) {
   EXPECT_GE(establishments, 4 * n) << "the schedule must re-form views repeatedly";
   EXPECT_GT(carried_total, 0u) << "some deltas must carry content";
   EXPECT_GT(from_base_only, 0u) << "some placed labels must come from the shared base alone";
+  EXPECT_TRUE(world.check_to_safety().empty());
+}
+
+// Two state-exchange representations against their expanded forms, through
+// the same churn:
+//  - newview brings the previous exchange base up to content instead of
+//    copying content, so the base it froze must equal local_summary() as
+//    it stood when newview arrived (checked when the digest goes out, the
+//    first thing newview does after freezing);
+//  - an established view's placed prefix becomes safe as a watermark, so
+//    Process::is_safe must equal the set that prefix used to be expanded
+//    into: safe_labels, plus order[0, exch_placed) once every exchange
+//    message of the primary view is safe.
+TEST(DeltaExchange, IncrementalFreezeAndSafeWatermarkMatchTheirExpandedForms) {
+  WorldConfig cfg = config(kDelta, 17);
+  cfg.n = 5;
+  World world(cfg);
+  const int n = world.n();
+  const auto& stack = world.stack();
+
+  std::map<ProcId, core::Summary> at_newview;
+  int freezes = 0;
+  world.recorder().subscribe([&](const trace::TimedEvent& te) {
+    if (const auto* nv = std::get_if<trace::NewViewEvent>(&te.event)) {
+      at_newview.insert_or_assign(nv->p, stack.process(nv->p).local_summary());
+    } else if (const auto* snd = std::get_if<trace::GpsndEvent>(&te.event)) {
+      const auto frozen = at_newview.find(snd->p);
+      if (frozen == at_newview.end()) return;
+      EXPECT_EQ(stack.process(snd->p).state().exch_base, frozen->second)
+          << "p" << snd->p << " at t=" << te.at;
+      at_newview.erase(frozen);
+      ++freezes;
+    }
+  });
+  partition_merge_crash(world);
+
+  // Re-check a processor only when something safety depends on moved.
+  using Signature = std::tuple<std::optional<core::ViewId>, vstoto::PStatus, std::size_t,
+                               std::size_t, std::size_t, std::size_t>;
+  std::map<ProcId, Signature> last;
+  int watermarked = 0;
+  sim::Simulator& sim = world.simulator();
+  while (sim.now() < sim::sec(12) && sim.step()) {
+    for (ProcId p = 0; p < n; ++p) {
+      const auto& proc = stack.process(p);
+      const auto& st = proc.state();
+      Signature sig{st.current ? std::optional(st.current->id) : std::nullopt, st.status,
+                    st.order.size(), st.safe_labels.size(), st.safe_exch.size(), st.safe_prefix};
+      if (last[p] == sig) continue;
+      last[p] = sig;
+
+      std::set<core::Label> expanded = st.safe_labels;
+      if (st.current.has_value() && proc.primary() && st.status == vstoto::PStatus::kNormal &&
+          st.safe_exch == st.current->members)
+        expanded.insert(st.order.begin(),
+                        st.order.begin() + static_cast<std::ptrdiff_t>(st.exch_placed));
+      if (st.safe_prefix != 0) ++watermarked;
+      std::set<core::Label> known = st.safe_labels;
+      known.insert(st.order.begin(), st.order.end());
+      for (const auto& [l, a] : st.content) known.insert(l);
+      for (const auto& l : known)
+        ASSERT_EQ(proc.is_safe(l), expanded.count(l) != 0)
+            << "p" << p << " " << core::to_string(l) << " at t=" << sim.now();
+    }
+  }
+  EXPECT_GE(freezes, 4 * n) << "the schedule must re-form views repeatedly";
+  EXPECT_GT(watermarked, 0) << "some primary view must reach its safe watermark";
   EXPECT_TRUE(world.check_to_safety().empty());
 }
 

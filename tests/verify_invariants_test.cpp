@@ -205,6 +205,53 @@ TEST(Invariants, MoreCheckersDetectSeededCorruption) {
   EXPECT_TRUE(verify::check_all_invariants(gs).empty());
 }
 
+// Safety is stored as explicit labels plus an order-prefix watermark
+// (vstoto::Process::is_safe); Lemma 6.20 must see a safe label outside a
+// member's buildorder prefix through either part.
+TEST(Invariants, Lemma620ReportsASafeLabelOutsideABuildorderPrefix) {
+  World world(spec_cfg(3, 8));
+  harness::steady_traffic({0, 1}, 3, sim::msec(10), sim::msec(10)).apply(world);
+  world.run_until(sim::sec(1));
+  const auto gs = world.global_state();
+  ASSERT_TRUE(verify::check_lemma_6_20(gs).empty());
+  ASSERT_TRUE(gs.procs[0]->primary());
+
+  std::vector<vstoto::ProcessState*> st;
+  std::vector<vstoto::ProcessState> saved;
+  for (const auto* proc : gs.procs) {
+    st.push_back(&const_cast<vstoto::ProcessState&>(proc->state()));
+    saved.push_back(*st.back());
+    st.back()->safe_labels.clear();
+    st.back()->safe_prefix = 0;
+  }
+  ASSERT_GE(st[0]->order.size(), 2u);
+  // Member 1's buildorder[current] (its order) stops one label short.
+  st[1]->order.pop_back();
+  ASSERT_TRUE(verify::check_lemma_6_20(gs).empty()) << "nothing is safe yet";
+
+  const auto reports_p0 = [&] {
+    for (const auto& line : verify::check_lemma_6_20(gs))
+      if (line.find("safe label at p0 position " + std::to_string(st[0]->order.size() - 1) +
+                    " not in member p1") != std::string::npos)
+        return true;
+    return false;
+  };
+  st[0]->safe_prefix = st[0]->order.size();
+  EXPECT_TRUE(reports_p0()) << "the last label is safe through the watermark";
+  st[0]->safe_prefix = st[0]->order.size() - 1;
+  EXPECT_TRUE(verify::check_lemma_6_20(gs).empty()) << "a watermark one short covers p1";
+  st[0]->safe_prefix = 0;
+  st[0]->safe_labels = {st[0]->order.back()};
+  EXPECT_TRUE(reports_p0()) << "the last label is safe through the explicit set";
+
+  for (std::size_t p = 0; p < st.size(); ++p) {
+    st[p]->order = saved[p].order;
+    st[p]->safe_labels = saved[p].safe_labels;
+    st[p]->safe_prefix = saved[p].safe_prefix;
+  }
+  EXPECT_TRUE(verify::check_all_invariants(gs).empty());
+}
+
 TEST(Invariants, HistoryAuditDetectsSeededCorruption) {
   World world(spec_cfg(3, 8));
   harness::steady_traffic({0, 1}, 3, sim::msec(10), sim::msec(10)).apply(world);

@@ -1,0 +1,78 @@
+// vstoto::OrderIndex against a first-occurrence scan of the same sequence,
+// through growth, rebuilds and repeated labels.
+
+#include <gtest/gtest.h>
+
+#include <map>
+
+#include "util/rng.hpp"
+#include "vstoto/order_index.hpp"
+
+namespace vsg::vstoto {
+namespace {
+
+core::Label random_label(util::Rng& rng) {
+  return core::Label{core::ViewId{rng.below(4), static_cast<ProcId>(rng.below(3))},
+                     static_cast<std::uint32_t>(rng.below(200)),
+                     static_cast<ProcId>(rng.below(5))};
+}
+
+std::map<core::Label, std::size_t> first_positions(const std::vector<core::Label>& order) {
+  std::map<core::Label, std::size_t> first;
+  for (std::size_t i = 0; i < order.size(); ++i) first.emplace(order[i], i);
+  return first;
+}
+
+void expect_matches(const OrderIndex& index, const std::vector<core::Label>& order,
+                    util::Rng& rng) {
+  const auto first = first_positions(order);
+  for (const auto& [l, i] : first) ASSERT_EQ(index.find(order, l), i) << core::to_string(l);
+  for (int k = 0; k < 50; ++k) {
+    const core::Label l = random_label(rng);
+    const auto it = first.find(l);
+    EXPECT_EQ(index.find(order, l), it == first.end() ? OrderIndex::npos : it->second);
+  }
+}
+
+TEST(OrderIndex, EmptyIndexFindsNothing) {
+  const OrderIndex index;
+  const std::vector<core::Label> order;
+  EXPECT_EQ(index.find(order, core::Label{}), OrderIndex::npos);
+}
+
+TEST(OrderIndex, AppendsGrowTheTableAndRefuseRepeats) {
+  util::Rng rng(7);
+  OrderIndex index;
+  std::vector<core::Label> order;
+  std::map<core::Label, std::size_t> first;
+  for (int i = 0; i < 3000; ++i) {
+    const core::Label l = random_label(rng);
+    const bool fresh = first.emplace(l, order.size()).second;
+    ASSERT_EQ(index.insert(order, l, order.size()), fresh) << "append " << i;
+    if (fresh) order.push_back(l);
+    if (i % 500 == 0) expect_matches(index, order, rng);
+  }
+  expect_matches(index, order, rng);
+}
+
+TEST(OrderIndex, AssignKeepsTheFirstOfRepeatedLabels) {
+  util::Rng rng(8);
+  OrderIndex index;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<core::Label> order;
+    for (std::uint64_t k = rng.below(300); k > 0; --k)
+      order.push_back(rng.chance(0.2) && !order.empty() ? order[rng.below(order.size())]
+                                                        : random_label(rng));
+    index.assign(order);  // shrinks as well as grows
+    expect_matches(index, order, rng);
+    // Appending past a rebuilt index behaves like a fresh one.
+    const core::Label l = random_label(rng);
+    const bool fresh = first_positions(order).count(l) == 0;
+    EXPECT_EQ(index.insert(order, l, order.size()), fresh);
+    if (fresh) order.push_back(l);
+    expect_matches(index, order, rng);
+  }
+}
+
+}  // namespace
+}  // namespace vsg::vstoto

@@ -47,6 +47,20 @@ class FakeVS final : public vs::Service {
   std::vector<vs::Client*> clients_;
 };
 
+// Figure 9's safe-labels as Process::is_safe reads it, over every label the
+// process holds: the explicit set, content and order.
+std::set<core::Label> safe_set(const Process& proc) {
+  const auto& st = proc.state();
+  std::set<core::Label> out;
+  for (const auto& l : st.safe_labels)
+    if (proc.is_safe(l)) out.insert(l);
+  for (const auto& [l, a] : st.content)
+    if (proc.is_safe(l)) out.insert(l);
+  for (const auto& l : st.order)
+    if (proc.is_safe(l)) out.insert(l);
+  return out;
+}
+
 struct Fixture {
   sim::Simulator sim;
   trace::Recorder recorder{sim};
@@ -142,7 +156,7 @@ TEST(Process, NonPrimaryRecordsContentButDoesNotOrder) {
   EXPECT_EQ(f.at(0).state().content.size(), 1u);
   EXPECT_TRUE(f.at(0).state().order.empty()) << "non-primary must not extend order";
   f.at(0).on_safe(0, f.fake.sent[0][1]);
-  EXPECT_TRUE(f.at(0).state().safe_labels.empty()) << "non-primary ignores safe";
+  EXPECT_TRUE(safe_set(f.at(0)).empty()) << "non-primary ignores safe";
   EXPECT_TRUE(f.at(0).delivered().empty());
 }
 
@@ -155,7 +169,8 @@ TEST(Process, NewviewResetsPerViewState) {
   EXPECT_EQ(st.status, PStatus::kCollect) << "summary sent immediately, now collecting";
   EXPECT_TRUE(st.buffer.empty());
   EXPECT_TRUE(st.gotstate.empty());
-  EXPECT_TRUE(st.safe_labels.empty());
+  EXPECT_TRUE(safe_set(f.at(0)).empty());
+  EXPECT_EQ(st.safe_prefix, 0u);
   EXPECT_EQ(st.nextseqno, 1u);
   EXPECT_EQ(st.current->id, v.id);
   // The state-exchange summary went out and carries the old content.
@@ -434,9 +449,9 @@ std::vector<vs::Payload> exchange_all(Fixture& f, const core::View& v) {
   return last;
 }
 
-// Once every exchange message of a primary view is safe, safe_labels gains
-// exactly the order prefix establishment placed; a label appended after
-// establishment stays unsafe until its own safe.
+// Once every exchange message of a primary view is safe, the safe set gains
+// exactly the order prefix establishment placed (as a watermark); a label
+// appended after establishment stays unsafe until its own safe.
 TEST(Process, SafeExchangeMarksExactlyThePrefixPlacedAtEstablishment) {
   for (const auto mode : {ExchangeMode::kDigestDelta, ExchangeMode::kFullSummary}) {
     SCOPED_TRACE(to_string(mode));
@@ -466,8 +481,9 @@ TEST(Process, SafeExchangeMarksExactlyThePrefixPlacedAtEstablishment) {
     for (ProcId p = 0; p < 3; ++p) f.fake.make_safe(p, exch[static_cast<std::size_t>(p)], {0, 1, 2});
     for (ProcId p = 0; p < 3; ++p) {
       const auto& st = f.at(p).state();
-      EXPECT_EQ(st.safe_labels, std::set<core::Label>(st.order.begin(), st.order.begin() + 2))
+      EXPECT_EQ(safe_set(f.at(p)), std::set<core::Label>(st.order.begin(), st.order.begin() + 2))
           << "at " << p;
+      EXPECT_EQ(st.safe_prefix, 2u) << "at " << p;
       EXPECT_EQ(st.nextconfirm, 3u) << "a and z confirmed, c not yet";
       ASSERT_EQ(f.at(p).delivered().size(), 2u) << "at " << p;
       EXPECT_EQ(f.at(p).delivered()[1].second, "z");
@@ -481,7 +497,7 @@ TEST(Process, SafeExchangeMarksExactlyThePrefixPlacedAtEstablishment) {
 }
 
 // If every exchange message is safe before the view is established (only
-// possible when a gprcv went missing), safe_labels still takes
+// possible when a gprcv went missing), the explicit safe_labels still take
 // fullorder(gotstate) over what has arrived.
 TEST(Process, SafeExchangeInUnestablishedViewTakesFullorderOfGotstate) {
   Fixture f;
@@ -508,8 +524,57 @@ TEST(Process, SafeExchangeInUnestablishedViewTakesFullorderOfGotstate) {
   const auto expected = core::fullorder(materialized);
   ASSERT_EQ(expected.size(), 2u) << "a from the base, b from p2's delta";
   for (ProcId p = 0; p < 3; ++p) f.at(0).on_safe(p, deltas[static_cast<std::size_t>(p)]);
-  EXPECT_EQ(st.safe_labels, std::set<core::Label>(expected.begin(), expected.end()));
+  EXPECT_EQ(safe_set(f.at(0)), std::set<core::Label>(expected.begin(), expected.end()));
   EXPECT_EQ(st.exch_placed, 0u);
+  EXPECT_EQ(st.safe_prefix, 0u);
+}
+
+// is_safe must read the watermark against a label's *first* position in
+// order: it then equals the set the prefix used to be expanded into,
+// safe_labels plus order[0, exch_placed), even for an order holding a
+// duplicate (only a corrupted summary under the injected unchecked-decode
+// fault can plant one; here restore does).
+TEST(Process, SafePrefixMatchesTheExpandedSetWithDuplicatesInOrder) {
+  Fixture f;
+  for (ProcId p = 0; p < 3; ++p) f.at(p).set_exchange_mode(ExchangeMode::kDigestDelta);
+  f.at(0).bcast("a");
+  f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+  f.at(1).bcast("b");
+  f.fake.deliver_all(1, f.fake.sent[1].back(), {0, 1, 2});
+  const auto exch = exchange_all(f, core::View{core::ViewId{1, 0}, {0, 1, 2}});
+  for (ProcId p = 0; p < 3; ++p) f.fake.make_safe(p, exch[static_cast<std::size_t>(p)], {0, 1, 2});
+  const auto base = f.at(0).checkpoint();
+  ASSERT_EQ(base.st.order.size(), 2u);
+  ASSERT_EQ(base.st.safe_prefix, 2u);
+  const core::Label a = base.st.order[0], b = base.st.order[1];
+  const core::Label c{core::ViewId{1, 0}, 1, 2};  // known to no one
+
+  struct Case {
+    std::vector<core::Label> order;
+    std::size_t prefix;
+    std::set<core::Label> explicit_safe;
+  };
+  const std::vector<Case> cases = {
+      {{a, b, a}, 1, {}},   // a's duplicate lies past the prefix
+      {{b, a, b}, 1, {}},   // so does b's
+      {{a, a, b}, 2, {}},   // a duplicate inside the prefix
+      {{b, a, b}, 0, {a}},  // no prefix, one explicit label
+      {{a, b, c, b}, 3, {}},
+  };
+  for (const auto& tc : cases) {
+    auto cp = base;
+    cp.st.order = tc.order;
+    cp.st.exch_placed = tc.prefix;
+    cp.st.safe_prefix = tc.prefix;
+    cp.st.safe_labels = tc.explicit_safe;
+    f.at(0).restore(cp);
+    std::set<core::Label> expanded = tc.explicit_safe;
+    expanded.insert(tc.order.begin(), tc.order.begin() + static_cast<std::ptrdiff_t>(tc.prefix));
+    for (const auto& l : {a, b, c})
+      EXPECT_EQ(f.at(0).is_safe(l), expanded.count(l) != 0)
+          << core::to_string(l) << " with prefix " << tc.prefix;
+    EXPECT_EQ(safe_set(f.at(0)), expanded);
+  }
 }
 
 TEST(Process, CheckpointRestoreRoundTripsExchangeState) {
@@ -536,6 +601,7 @@ TEST(Process, CheckpointRestoreRoundTripsExchangeState) {
   f.at(0).restore(cp);
   EXPECT_EQ(f.at(0).state().exch_digest, cp.st.exch_digest);
   EXPECT_EQ(f.at(0).state().exch_placed, cp.st.exch_placed);
+  EXPECT_EQ(f.at(0).state().safe_prefix, cp.st.safe_prefix);
   EXPECT_EQ(f.at(0).state().exch_base, cp.st.exch_base);
   EXPECT_EQ(f.at(0).state().gotstate, cp.st.gotstate);
   EXPECT_EQ(got_summary(f.at(0).state(), 1), got);
