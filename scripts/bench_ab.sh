@@ -11,6 +11,9 @@
 # medians) and the number of pairs the change wins. Last it diffs the
 # `det` lines of one `--quick --seed 7 --seconds 1` run per side: a
 # host-only change must leave every line but peak_heap_mb bit-identical.
+# Those two runs also export vsg-metrics-v1 snapshots, and `vsg_report
+# --diff` (built from the working tree) lists every registry entry that
+# moved between them.
 #
 # Work files (the exported tree, both builds, every run's output) go to
 # $BENCH_AB_DIR, default a fresh directory from mktemp; reuse one to skip
@@ -47,8 +50,14 @@ run() {
 
 for side in parent change; do
   echo "bench_ab: building $side" >&2
-  run "$side" "$dir/runs/det_$side" --workload "$workload" --quick --seed 7 --seconds 1
+  run "$side" "$dir/runs/det_$side" --workload "$workload" --quick --seed 7 --seconds 1 \
+    --export "$dir/runs/det_$side.json"
 done
+echo "bench_ab: building vsg_report" >&2
+if [ ! -f "$dir/build_tools/CMakeCache.txt" ]; then
+  cmake -S "$root" -B "$dir/build_tools" -DCMAKE_BUILD_TYPE=Release >&2
+fi
+cmake --build "$dir/build_tools" --target vsg_report -j 2 >&2
 
 for ((i = 0; i < pairs; ++i)); do
   order=(parent change)
@@ -89,3 +98,9 @@ echo "det lines (--quick --seed 7 --seconds 1), parent vs change:"
 if diff <(grep '^det ' "$dir/runs/det_parent") <(grep '^det ' "$dir/runs/det_change"); then
   echo "  identical"
 fi
+echo "registry of the same runs, parent vs change (vsg_report --diff):"
+status=0
+"$dir/build_tools/tools/vsg_report" --diff "$dir/runs/det_parent.json" \
+  "$dir/runs/det_change.json" >"$dir/runs/registry_diff" || status=$?
+sed 's/^/  /' "$dir/runs/registry_diff"
+[ "$status" -le 1 ] || exit 1

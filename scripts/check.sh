@@ -133,7 +133,7 @@ test "$(ls build/timelines/timeline_seed*.json | wc -l)" -eq 50
 ./build/tools/chaos_runner --replay tests/scenarios/chaos_seed248_stuck_proposal.scn \
     --timeline-out build/replay_timeline.json
 tfp=$(./build/tools/vsg_report --fingerprint build/replay_timeline.json | cut -d' ' -f1)
-if [ "$tfp" != "dcc6a656e1a3b565" ]; then
+if [ "$tfp" != "e337584257d06b15" ]; then
   echo "check.sh: fixed-seed timeline fingerprint drifted ($tfp)" >&2
   exit 1
 fi

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 namespace vsg::obs {
 
@@ -96,6 +97,46 @@ MetricsSnapshot strip_wall_metrics(const MetricsSnapshot& snap) {
     if (!is_wall_metric(e.first)) out.gauges.push_back(e);
   for (const auto& h : snap.histograms)
     if (!is_wall_metric(h.name, h.unit)) out.histograms.push_back(h);
+  return out;
+}
+
+namespace {
+
+template <typename V>
+void diff_entries(const std::string& kind, const std::map<std::string, V>& a,
+                  const std::map<std::string, V>& b, std::vector<std::string>& out) {
+  std::set<std::string> names;
+  for (const auto& [name, v] : a) names.insert(name);
+  for (const auto& [name, v] : b) names.insert(name);
+  const auto show = [](const std::map<std::string, V>& m, const std::string& name) {
+    const auto it = m.find(name);
+    return it == m.end() ? std::string("absent") : std::to_string(it->second);
+  };
+  for (const auto& name : names) {
+    const std::string x = show(a, name), y = show(b, name);
+    if (x != y) out.push_back(kind + " " + name + ": " + x + " -> " + y);
+  }
+}
+
+template <typename V>
+std::map<std::string, V> by_name(const std::vector<std::pair<std::string, V>>& entries) {
+  return {entries.begin(), entries.end()};
+}
+
+std::map<std::string, std::uint64_t> histogram_counts(const MetricsSnapshot& s) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& h : s.histograms) out.emplace(h.name, h.count);
+  return out;
+}
+
+}  // namespace
+
+std::vector<std::string> diff_snapshots(const MetricsSnapshot& a, const MetricsSnapshot& b) {
+  const MetricsSnapshot x = strip_wall_metrics(a), y = strip_wall_metrics(b);
+  std::vector<std::string> out;
+  diff_entries("counter", by_name(x.counters), by_name(y.counters), out);
+  diff_entries("gauge", by_name(x.gauges), by_name(y.gauges), out);
+  diff_entries("histogram count", histogram_counts(x), histogram_counts(y), out);
   return out;
 }
 

@@ -158,6 +158,13 @@ bool is_wall_metric(const std::string& name, Unit unit);
 /// export writes, so fixed-seed timelines are byte-identical across --jobs.
 MetricsSnapshot strip_wall_metrics(const MetricsSnapshot& snap);
 
+/// Every counter, gauge and histogram count that differs between two
+/// snapshots, wall-clock entries skipped: one line per entry, counters
+/// then gauges then histograms, each kind in name order, as
+/// "counter NAME: A -> B" with "absent" for a side that lacks the entry.
+/// Empty iff the snapshots agree (vsg_report --diff).
+std::vector<std::string> diff_snapshots(const MetricsSnapshot& a, const MetricsSnapshot& b);
+
 class MetricsRegistry {
  public:
   /// Get-or-create. Returned references are stable for the registry's

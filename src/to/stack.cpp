@@ -17,10 +17,6 @@ Stack::Stack(vs::Service& vs_service, trace::Recorder& recorder,
     proc->set_delivery([this, p](ProcId origin, const core::Value& a) {
       on_deliver(p, origin, a);
     });
-    // One decode-once cache per stack: the VS back end hands every process
-    // the same shared payload buffers, so fan-in decodes hit across
-    // processes, not just across the gprcv/safe pair.
-    proc->set_decode_cache(&decode_cache_);
     vs_service.attach(p, *proc);
     procs_.push_back(std::move(proc));
   }
@@ -109,8 +105,6 @@ void Stack::bind_metrics(obs::MetricsRegistry& registry) {
   obs.pending_labels = &registry.gauge("to.pending_labels");
   obs.views_established = &registry.counter("to.views_established");
   obs.primary_established = &registry.counter("to.primary_established");
-  obs.decode_hits = &registry.counter("to.decode_hits");
-  obs.decode_misses = &registry.counter("to.decode_misses");
   for (auto& proc : procs_) proc->bind_metrics(obs);
 
   latency_all_ = &registry.histogram("to.brcv_latency.all");

@@ -70,9 +70,6 @@ class Stack final : public Service {
     return *procs_[static_cast<std::size_t>(p)];
   }
 
-  /// The stack's decode-once cache (shared by all its processes).
-  const vstoto::DecodeCache& decode_cache() const noexcept { return decode_cache_; }
-
  private:
   void on_deliver(ProcId dest, ProcId origin, const core::Value& a);
   /// True when the armed gate must hold a new submission at p: the backlog
@@ -83,7 +80,6 @@ class Stack final : public Service {
   void admit(ProcId p, core::Value a, sim::Time waited);
 
   trace::Recorder* recorder_;
-  vstoto::DecodeCache decode_cache_;
   std::vector<std::unique_ptr<vstoto::Process>> procs_;
   std::vector<Client*> clients_;
   DeliveryFn delivery_;

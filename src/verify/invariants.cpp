@@ -407,7 +407,9 @@ std::vector<std::string> check_lemma_6_20(const GlobalState& s) {
   for (ProcId p = 0; p < s.size(); ++p) {
     const auto& st = s.st(p);
     const auto& proc = *s.procs[static_cast<std::size_t>(p)];
-    if (st.safe_labels.empty() && st.safe_prefix == 0) continue;
+    if (st.safe_labels.empty() &&
+        std::find(st.safe_bits.begin(), st.safe_bits.end(), true) == st.safe_bits.end())
+      continue;
     if (!proc.primary()) {
       bad.push_back("6.20: nonempty safe-labels at non-primary " + pname(p));
       continue;

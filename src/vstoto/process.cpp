@@ -1,5 +1,6 @@
 #include "vstoto/process.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/logging.hpp"
@@ -83,8 +84,11 @@ bool Process::primary() const {
 }
 
 bool Process::is_safe(const core::Label& l) const {
-  return (st_.safe_prefix != 0 && order_index_.find(st_.order, l) < st_.safe_prefix) ||
-         st_.safe_labels.count(l) != 0;
+  if (!st_.safe_bits.empty()) {
+    const std::size_t pos = order_index_.find(st_.order, l);
+    if (pos < st_.safe_bits.size() && st_.safe_bits[pos]) return true;
+  }
+  return st_.safe_labels.count(l) != 0;
 }
 
 core::Summary Process::local_summary() const {
@@ -97,6 +101,9 @@ core::Summary Process::local_summary() const {
 }
 
 void Process::assign_order(std::vector<core::Label> order) {
+  // Only establishment reorders, and no bit is set between newview and
+  // establishment, so no bit can name a position of the old order.
+  assert(std::find(st_.safe_bits.begin(), st_.safe_bits.end(), true) == st_.safe_bits.end());
   if (obs_.order_depth != nullptr)
     obs_.order_depth->add(static_cast<std::int64_t>(order.size()) -
                           static_cast<std::int64_t>(st_.order.size()));
@@ -233,7 +240,7 @@ void Process::on_newview(const core::View& v) {
   st_.gotstate.clear();
   st_.safe_exch.clear();
   st_.safe_labels.clear();
-  st_.safe_prefix = 0;
+  st_.safe_bits.clear();
   st_.gotdigest.clear();
   st_.delta_sent = false;
   st_.status = PStatus::kSend;
@@ -267,47 +274,31 @@ void Process::on_newview(const core::View& v) {
 
 // --- Inputs gprcv(m)_{q,p} ---------------------------------------------------
 
-std::shared_ptr<const Message> Process::decode_shared(const vs::Payload& payload) {
-  if (cache_ != nullptr) {
-    const std::uint64_t h = cache_->hits();
-    auto msg = cache_->decode(payload);
-    obs::bump(cache_->hits() != h ? obs_.decode_hits : obs_.decode_misses);
-    return msg;
-  }
-  obs::bump(obs_.decode_misses);
+void Process::on_gprcv(ProcId src, const vs::Payload& payload) {
   auto decoded = decode_message_ex(payload.view());
   if (!decoded.ok()) {
-    VSG_WARN << "process " << p_ << ": " << decoded.error;
-    return nullptr;
-  }
-  return std::make_shared<const Message>(std::move(*decoded.value));
-}
-
-void Process::on_gprcv(ProcId src, const vs::Payload& payload) {
-  const auto decoded = decode_shared(payload);
-  if (decoded == nullptr) {
-    VSG_WARN << "process " << p_ << ": undecodable gprcv payload dropped";
+    VSG_WARN << "process " << p_ << ": undecodable gprcv payload dropped: " << decoded.error;
     return;
   }
-  if (const auto* lv = std::get_if<LabeledValue>(decoded.get()))
-    handle_labeled(src, *lv);
-  else if (const auto* x = std::get_if<core::Summary>(decoded.get()))
-    handle_summary(src, *x);
-  else if (const auto* g = std::get_if<core::SummaryDigest>(decoded.get()))
+  Message& m = *decoded.value;
+  if (auto* lv = std::get_if<LabeledValue>(&m))
+    handle_labeled(std::move(*lv));
+  else if (auto* x = std::get_if<core::Summary>(&m))
+    handle_summary(src, std::move(*x));
+  else if (const auto* g = std::get_if<core::SummaryDigest>(&m))
     handle_digest(src, *g);
   else
-    handle_delta(src, std::get<core::SummaryDelta>(*decoded));
+    handle_delta(src, std::get<core::SummaryDelta>(m));
   run_to_quiescence();
 }
 
-void Process::handle_labeled(ProcId src, const LabeledValue& lv) {
-  (void)src;
+void Process::handle_labeled(LabeledValue lv) {
   if (tracer_ != nullptr) tracer_->msg_received(p_, lv.label, recorder_->now());
   // The self-delivered copy (the VS layer gprcvs to the sender too) finds
-  // its label already in content; only a genuine insertion copies the value
-  // out of the shared decoded message.
-  if (st_.content.emplace(lv.label, lv.value).second)
-    obs::bump(obs_.payload_copies);
+  // its label already in content; a genuine insertion moves the decoded
+  // value in.
+  if (st_.content.try_emplace(lv.label, std::move(lv.value)).second)
+    obs::bump(obs_.payload_moves);
   if (primary()) append_order(lv.label);
 }
 
@@ -391,24 +382,43 @@ void Process::handle_delta(ProcId src, const core::SummaryDelta& dl) {
 // --- Inputs safe(m)_{q,p} ----------------------------------------------------
 
 void Process::on_safe(ProcId src, const vs::Payload& payload) {
-  const auto decoded = decode_shared(payload);
-  if (decoded == nullptr) {
-    VSG_WARN << "process " << p_ << ": undecodable safe payload dropped";
-    return;
-  }
-  if (const auto* lv = std::get_if<LabeledValue>(decoded.get()))
-    handle_safe_labeled(src, *lv);
-  else if (std::holds_alternative<core::SummaryDigest>(*decoded)) {
-    // Digests carry no labels; only the delta gates the second phase.
-  } else {
+  // safe of a labeled value needs only its label, and safe of a digest
+  // nothing (digests carry no labels; only the delta gates the second
+  // phase), so neither is decoded whole. Exchange messages, one per member
+  // and view, are.
+  const util::BufferView bytes = payload.view();
+  const int tag = bytes.empty() ? -1 : bytes[0];
+  if (tag == kTagLabeledValue) {
+    const auto l = decode_label_ex(bytes);
+    if (!l.ok()) {
+      VSG_WARN << "process " << p_ << ": undecodable safe payload dropped: " << l.error;
+      return;
+    }
+    handle_safe_labeled(*l.value);
+  } else if (tag != kTagDigest) {
+    const auto decoded = decode_message_ex(bytes);
+    if (!decoded.ok()) {
+      VSG_WARN << "process " << p_ << ": undecodable safe payload dropped: " << decoded.error;
+      return;
+    }
     handle_safe_exchange(src);
   }
   run_to_quiescence();
 }
 
-void Process::handle_safe_labeled(ProcId src, const LabeledValue& lv) {
-  (void)src;
-  if (primary()) st_.safe_labels.insert(lv.label);
+void Process::handle_safe_labeled(const core::Label& l) {
+  if (!primary()) return;
+  // In normal status gprcv has already appended l, so it is safe by
+  // position; before establishment, or if l missed order, it is kept
+  // explicitly.
+  const std::size_t pos =
+      st_.status == PStatus::kNormal ? order_index_.find(st_.order, l) : OrderIndex::npos;
+  if (pos == OrderIndex::npos) {
+    st_.safe_labels.insert(l);
+    return;
+  }
+  if (pos >= st_.safe_bits.size()) st_.safe_bits.resize(st_.order.size());
+  st_.safe_bits[pos] = true;
 }
 
 void Process::handle_safe_exchange(ProcId src) {
@@ -420,10 +430,11 @@ void Process::handle_safe_exchange(ProcId src) {
     // mode the qualifying message per member is its delta — same cardinality
     // as the full-summary exchange, so the condition is unchanged. Once the
     // view is established those labels are the order prefix fullorder put
-    // there (a watermark, see is_safe); labels appended since wait for
-    // their own safe.
+    // there, so their bits are set; labels appended since wait for their
+    // own safe.
     if (st_.status == PStatus::kNormal) {
-      st_.safe_prefix = st_.exch_placed;
+      if (st_.safe_bits.size() < st_.exch_placed) st_.safe_bits.resize(st_.exch_placed);
+      std::fill_n(st_.safe_bits.begin(), st_.exch_placed, true);
     } else {
       for (const auto& l : core::fullorder(st_.gotstate, st_.exch_base, st_.exch_digest))
         st_.safe_labels.insert(l);

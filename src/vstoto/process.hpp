@@ -64,8 +64,6 @@ struct ProcessObs {
   obs::Gauge* pending_labels = nullptr;        // sum over procs of |delay| + |buffer|
   obs::Counter* views_established = nullptr;   // establishment completions (any view)
   obs::Counter* primary_established = nullptr; // ... where the view is primary
-  obs::Counter* decode_hits = nullptr;         // decode-once cache hits (fan-in)
-  obs::Counter* decode_misses = nullptr;       // payloads actually parsed
 };
 
 enum class PStatus : std::uint8_t { kNormal, kSend, kCollect };
@@ -100,11 +98,15 @@ struct ProcessState {
   core::SummaryMap gotstate;
   std::set<ProcId> safe_exch;
   // Figure 9's safe-labels, stored in two parts and read through
-  // Process::is_safe: the labels made safe one at a time, plus every label
-  // whose first position in `order` is below safe_prefix (the prefix the
-  // state exchange placed, once all its messages are safe).
+  // Process::is_safe:
+  //  - safe_bits: every label whose first position in `order` has its bit
+  //    set (a safe in normal status, whose gprcv already appended the
+  //    label, or the prefix the state exchange placed, once all its
+  //    messages are safe); the vector grows only when a bit is set;
+  //  - safe_labels: the labels made safe any other way (before
+  //    establishment, or missing from order).
   std::set<core::Label> safe_labels;
-  std::size_t safe_prefix = 0;
+  std::vector<bool> safe_bits;
 
   // Exchange state. exch_base is the local summary frozen at newview (both
   // modes). In delta mode it is also the state our digest and delta
@@ -120,7 +122,7 @@ struct ProcessState {
   bool delta_sent = false;
   // Length of the order prefix establishment placed (fullorder or
   // shortorder of gotstate). Once every exchange message is safe, exactly
-  // these labels become safe (safe_prefix = exch_placed).
+  // these labels become safe (bits [0, exch_placed) are set).
   std::size_t exch_placed = 0;
 
   // History variables (not part of the algorithm; used by verify/).
@@ -174,13 +176,6 @@ class Process final : public vs::Client {
   void set_exchange_mode(ExchangeMode m) { exchange_mode_ = m; }
   ExchangeMode exchange_mode() const noexcept { return exchange_mode_; }
 
-  /// Share a decode-once cache (owned by the Stack, shared by its
-  /// processes). VS delivers the same Buffer to every member and again for
-  /// the safe indication, so with a shared cache each distinct payload is
-  /// parsed once per node rather than once per callback. Unset: decode
-  /// per callback.
-  void set_decode_cache(DecodeCache* cache) { cache_ = cache; }
-
   // vs::Client (inputs from the VS layer):
   void on_gprcv(ProcId src, const vs::Payload& m) override;
   void on_safe(ProcId src, const vs::Payload& m) override;
@@ -192,9 +187,9 @@ class Process final : public vs::Client {
   /// The summary <content, order, nextconfirm, highprimary> of local state.
   core::Summary local_summary() const;
 
-  /// Whether l is in Figure 9's safe-labels: it is in st.safe_labels, or
-  /// its first position in order is below st.safe_prefix. The one reading
-  /// of safety for try_confirm, verify/ and the tests.
+  /// Whether l is in Figure 9's safe-labels: its first position in order
+  /// has its st.safe_bits bit set, or it is in st.safe_labels. The one
+  /// reading of safety for try_confirm, verify/ and the tests.
   bool is_safe(const core::Label& l) const;
 
   const ProcessState& state() const noexcept { return st_; }
@@ -224,11 +219,7 @@ class Process final : public vs::Client {
   bool try_brcv();
   void run_to_quiescence();
 
-  /// Decode via the shared cache when bound, else parse locally. nullptr on
-  /// malformed input.
-  std::shared_ptr<const Message> decode_shared(const vs::Payload& payload);
-
-  void handle_labeled(ProcId src, const LabeledValue& lv);
+  void handle_labeled(LabeledValue lv);
   /// Merge x.con into content and store x as gotstate[src]; establish the
   /// view once every member's entry is in.
   void handle_summary(ProcId src, core::Summary x);
@@ -237,7 +228,7 @@ class Process final : public vs::Client {
   /// Delta mode: once every member's digest is in, broadcast the one delta
   /// against their meet (VS has no point-to-point send).
   void maybe_send_delta();
-  void handle_safe_labeled(ProcId src, const LabeledValue& lv);
+  void handle_safe_labeled(const core::Label& l);
   /// A state-exchange message (full summary, or delta-mode delta) became
   /// safe at every member; digests carry no labels and do not count.
   void handle_safe_exchange(ProcId src);
@@ -252,7 +243,6 @@ class Process final : public vs::Client {
   vs::Service* service_;
   trace::Recorder* recorder_;
   DeliveryFn deliver_;
-  DecodeCache* cache_ = nullptr;
   ExchangeMode exchange_mode_ = ExchangeMode::kFullSummary;
   ProcessObs obs_;
   obs::SpanTracer* tracer_ = nullptr;

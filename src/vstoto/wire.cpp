@@ -90,32 +90,24 @@ wire::DecodeOutcome<Message> decode_message_ex(util::BufferView bytes) {
   }
 }
 
-std::shared_ptr<const Message> DecodeCache::decode(const util::Buffer& payload) {
-  // Identity-keyed caching is only sound for real shared storage (id != 0),
-  // and only while strict decoding is on — the chaos injection changes what
-  // the same bytes decode to, so a warm cache would mask the injected bug.
-  const bool cacheable = payload.id() != 0 && !util::unchecked_decode();
-  const Key key{payload.id(), payload.storage_offset(), payload.size()};
-  if (cacheable) {
-    const auto it = by_key_.find(key);
-    if (it != by_key_.end()) {
-      ++hits_;
-      return it->second;
-    }
+wire::DecodeOutcome<core::Label> decode_label_ex(util::BufferView bytes) {
+  // Under util::unchecked_decode() the length checks lapse exactly as in
+  // decode_message_ex, so both read the same label from the same bytes.
+  const bool strict = !util::unchecked_decode();
+  wire::DecodeOutcome<core::Label> out;
+  util::Decoder d(bytes);
+  if (d.u8() != kTagLabeledValue) {
+    out.error = "not a labeled-value payload";
+    return out;
   }
-  ++misses_;
-  auto decoded = decode_message_ex(payload.view());
-  if (!decoded.ok()) return nullptr;  // malformed: not cached
-  auto msg = std::make_shared<const Message>(std::move(*decoded.value));
-  if (cacheable) {
-    if (order_.size() >= capacity_ && !order_.empty()) {
-      by_key_.erase(order_.front());
-      order_.pop_front();
-    }
-    by_key_.emplace(key, msg);
-    order_.push_back(key);
+  const core::Label l = wire::Codec<core::Label>::decode(d);
+  d.vraw_view();
+  if (strict && !d.complete()) {
+    out.error = "truncated or oversized labeled-value payload";
+    return out;
   }
-  return msg;
+  out.value = l;
+  return out;
 }
 
 }  // namespace vsg::vstoto

@@ -4,18 +4,12 @@
 // through VS (Figure 9's signature): labeled client values <l, a> during
 // normal activity, and state-exchange summaries during recovery.
 //
-// Decode-once fan-in (docs/DATAPLANE.md): VS delivers the same shared
-// Buffer to every member and again for the safe indication, so the same
-// bytes reach decode_message_ex several times per node. DecodeCache keys on
-// the buffer's storage identity (uid, offset, size) — never its contents —
-// and hands back one shared decoded Message for all of them.
+// Each gprcv decodes its payload once, into a Message the receiver owns
+// and moves from; `safe` of a labeled value needs only the label, which
+// decode_label_ex reads without copying the value out (docs/DATAPLANE.md).
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <variant>
 
@@ -55,36 +49,15 @@ std::size_t encoded_message_size(const Message& m);
 /// vstoto_wire_test via Encoder::allocs()).
 util::Buffer encode_message(const Message& m);
 
-/// Outcome-based decode (the single public decode entry point, mirroring
-/// membership::decode_packet_ex): `error` names the reject reason iff
-/// `value` is disengaged. Defensive — the network layer hands us raw bytes.
+/// Outcome-based decode (mirroring membership::decode_packet_ex): `error`
+/// names the reject reason iff `value` is disengaged. Defensive — the
+/// network layer hands us raw bytes.
 wire::DecodeOutcome<Message> decode_message_ex(util::BufferView bytes);
 
-/// Decode-once cache over buffer identity. Only successful strict decodes
-/// are cached; identity is the storage uid (process-unique, never reused)
-/// plus the window, so a hit can never alias different bytes. Bounded FIFO
-/// with deterministic eviction. Single-threaded, like the whole stack.
-class DecodeCache {
- public:
-  explicit DecodeCache(std::size_t capacity = 128) : capacity_(capacity) {}
-
-  /// The decoded message for `payload`, from cache or by decoding now.
-  /// nullptr if the payload is malformed (malformed payloads are not
-  /// cached: they are rare and never re-delivered by a correct VS).
-  std::shared_ptr<const Message> decode(const util::Buffer& payload);
-
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
-
- private:
-  /// (storage uid, window offset, window size) — full buffer identity.
-  using Key = std::tuple<std::uint64_t, std::size_t, std::size_t>;
-
-  std::size_t capacity_;
-  std::map<Key, std::shared_ptr<const Message>> by_key_;
-  std::deque<Key> order_;  // FIFO: push_back, evict front
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
+/// The label of a labeled-value payload, with the value skipped under its
+/// length check instead of copied out. Accepts exactly the bytes
+/// decode_message_ex accepts as a LabeledValue and returns its label; any
+/// other tag is an error.
+wire::DecodeOutcome<core::Label> decode_label_ex(util::BufferView bytes);
 
 }  // namespace vsg::vstoto

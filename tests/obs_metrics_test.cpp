@@ -190,6 +190,39 @@ TEST(RegistryMerge, FoldOrderDoesNotChangeTotals) {
   EXPECT_EQ(forward.snapshot(), backward.snapshot());
 }
 
+// vsg_report --diff: every counter, gauge and histogram count that moved,
+// including entries one side lacks, with the wall-clock entries skipped.
+TEST(MetricsDiff, ListsEveryMovedEntryAndSkipsWallClockOnes) {
+  MetricsRegistry a, b;
+  a.counter("net.packets_sent").inc(7);
+  b.counter("net.packets_sent").inc(7);
+  a.counter("to.payload_copies").inc(54);
+  b.counter("to.payload_copies").inc(42);
+  a.counter("to.decode_hits").inc(3);
+  b.counter("to.added").inc(0);
+  a.counter("bench.run_wall").inc(1);
+  b.counter("bench.run_wall").inc(2);
+  a.gauge("to.order_depth").set(5);
+  b.gauge("to.order_depth").set(-1);
+  a.histogram("to.brcv_latency.all").observe(10);
+  b.histogram("to.brcv_latency.all").observe(10);
+  b.histogram("to.brcv_latency.all").observe(20);
+  a.histogram("to.phase.net").observe(10);
+  b.histogram("to.phase.net").observe(30);  // same count: not listed
+  a.histogram("bench.step", Unit::kWallMicros).observe(1);
+
+  EXPECT_EQ(diff_snapshots(a.snapshot(), b.snapshot()),
+            (std::vector<std::string>{
+                "counter to.added: absent -> 0",
+                "counter to.decode_hits: 3 -> absent",
+                "counter to.payload_copies: 54 -> 42",
+                "gauge to.order_depth: 5 -> -1",
+                "histogram count to.brcv_latency.all: 1 -> 2",
+            }));
+  EXPECT_TRUE(diff_snapshots(a.snapshot(), a.snapshot()).empty());
+  EXPECT_TRUE(diff_snapshots(MetricsSnapshot{}, MetricsSnapshot{}).empty());
+}
+
 TEST(Exporter, RoundTripsAFullRegistry) {
   MetricsRegistry reg;
   reg.counter("net.packets_sent").inc(123);

@@ -7,10 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
-#include <tuple>
 
 #include "core/summary.hpp"
 #include "harness/world.hpp"
@@ -234,16 +234,90 @@ TEST(DeltaExchange, SharedBaseGotstateMatchesApplyDeltaAtEveryEstablishment) {
   EXPECT_TRUE(world.check_to_safety().empty());
 }
 
+// Figure 9's safe-labels at every process of a World, re-checked after
+// every simulator step that delivered gprcv, safe or newview to it, against
+// two expansions of what Process::is_safe reads:
+//  - its stored parts: safe_labels ∪ {order[i] : bit i of safe_bits set};
+//  - the trace: the labels whose safe(<l, a>) reached p in its current view
+//    while that view was primary, plus order[0, exch_placed) once every
+//    exchange message of the established primary view is safe, plus
+//    safe_labels (which also takes fullorder(gotstate) when the exchange is
+//    all safe before establishment, a case the trace cannot rebuild).
+class SafeLabelsWatch {
+ public:
+  explicit SafeLabelsWatch(World& world)
+      : world_(world), traced_(static_cast<std::size_t>(world.n())),
+        dirty_(static_cast<std::size_t>(world.n()), false) {
+    world.recorder().subscribe([this](const trace::TimedEvent& te) {
+      if (const auto* nv = std::get_if<trace::NewViewEvent>(&te.event)) {
+        traced_[static_cast<std::size_t>(nv->p)].clear();
+        dirty_[static_cast<std::size_t>(nv->p)] = true;
+      } else if (const auto* rcv = std::get_if<trace::GprcvEvent>(&te.event)) {
+        dirty_[static_cast<std::size_t>(rcv->dst)] = true;
+      } else if (const auto* sf = std::get_if<trace::SafeEvent>(&te.event)) {
+        dirty_[static_cast<std::size_t>(sf->dst)] = true;
+        const auto m = vstoto::decode_message_ex(sf->m.view());
+        const auto* lv = m.ok() ? std::get_if<vstoto::LabeledValue>(&*m.value) : nullptr;
+        if (lv != nullptr && world_.stack().process(sf->dst).primary())
+          traced_[static_cast<std::size_t>(sf->dst)].insert(lv->label);
+      }
+    });
+  }
+
+  void check() {
+    for (ProcId p = 0; p < world_.n(); ++p) {
+      if (!dirty_[static_cast<std::size_t>(p)]) continue;
+      dirty_[static_cast<std::size_t>(p)] = false;
+      const auto& proc = world_.stack().process(p);
+      const auto& st = proc.state();
+
+      std::set<core::Label> stored = st.safe_labels;
+      for (std::size_t i = 0; i < st.safe_bits.size(); ++i)
+        if (st.safe_bits[i]) stored.insert(st.order.at(i));
+
+      std::set<core::Label> traced = traced_[static_cast<std::size_t>(p)];
+      traced.insert(st.safe_labels.begin(), st.safe_labels.end());
+      if (st.current.has_value() && proc.primary() && st.status == vstoto::PStatus::kNormal &&
+          st.safe_exch == st.current->members && st.exch_placed != 0) {
+        traced.insert(st.order.begin(),
+                      st.order.begin() + static_cast<std::ptrdiff_t>(st.exch_placed));
+        ++watermarked;
+      }
+
+      if (std::find(st.safe_bits.begin(), st.safe_bits.end(), true) != st.safe_bits.end())
+        ++with_bits;
+      if (!st.safe_labels.empty()) ++with_explicit;
+      std::set<core::Label> known = traced;
+      known.insert(st.order.begin(), st.order.end());
+      for (const auto& [l, a] : st.content) known.insert(l);
+      for (const auto& l : known) {
+        ASSERT_EQ(proc.is_safe(l), stored.count(l) != 0)
+            << "stored parts, p" << p << " " << core::to_string(l);
+        ASSERT_EQ(proc.is_safe(l), traced.count(l) != 0)
+            << "trace, p" << p << " " << core::to_string(l);
+      }
+    }
+  }
+
+  int watermarked = 0;    // checks that saw an all-safe exchange prefix
+  int with_bits = 0;      // ... a set bit
+  int with_explicit = 0;  // ... a nonempty safe_labels
+
+ private:
+  World& world_;
+  std::vector<std::set<core::Label>> traced_;
+  std::vector<bool> dirty_;
+};
+
 // Two state-exchange representations against their expanded forms, through
 // the same churn:
 //  - newview brings the previous exchange base up to content instead of
 //    copying content, so the base it froze must equal local_summary() as
 //    it stood when newview arrived (checked when the digest goes out, the
 //    first thing newview does after freezing);
-//  - an established view's placed prefix becomes safe as a watermark, so
-//    Process::is_safe must equal the set that prefix used to be expanded
-//    into: safe_labels, plus order[0, exch_placed) once every exchange
-//    message of the primary view is safe.
+//  - safety is stored as explicit labels and per-position bits (set for
+//    the exchange's whole prefix once it is safe), so Process::is_safe
+//    must equal both expansions SafeLabelsWatch builds, at every step.
 TEST(DeltaExchange, IncrementalFreezeAndSafeWatermarkMatchTheirExpandedForms) {
   WorldConfig cfg = config(kDelta, 17);
   cfg.n = 5;
@@ -265,39 +339,45 @@ TEST(DeltaExchange, IncrementalFreezeAndSafeWatermarkMatchTheirExpandedForms) {
       ++freezes;
     }
   });
+  SafeLabelsWatch watch(world);
   partition_merge_crash(world);
 
-  // Re-check a processor only when something safety depends on moved.
-  using Signature = std::tuple<std::optional<core::ViewId>, vstoto::PStatus, std::size_t,
-                               std::size_t, std::size_t, std::size_t>;
-  std::map<ProcId, Signature> last;
-  int watermarked = 0;
   sim::Simulator& sim = world.simulator();
   while (sim.now() < sim::sec(12) && sim.step()) {
-    for (ProcId p = 0; p < n; ++p) {
-      const auto& proc = stack.process(p);
-      const auto& st = proc.state();
-      Signature sig{st.current ? std::optional(st.current->id) : std::nullopt, st.status,
-                    st.order.size(), st.safe_labels.size(), st.safe_exch.size(), st.safe_prefix};
-      if (last[p] == sig) continue;
-      last[p] = sig;
-
-      std::set<core::Label> expanded = st.safe_labels;
-      if (st.current.has_value() && proc.primary() && st.status == vstoto::PStatus::kNormal &&
-          st.safe_exch == st.current->members)
-        expanded.insert(st.order.begin(),
-                        st.order.begin() + static_cast<std::ptrdiff_t>(st.exch_placed));
-      if (st.safe_prefix != 0) ++watermarked;
-      std::set<core::Label> known = st.safe_labels;
-      known.insert(st.order.begin(), st.order.end());
-      for (const auto& [l, a] : st.content) known.insert(l);
-      for (const auto& l : known)
-        ASSERT_EQ(proc.is_safe(l), expanded.count(l) != 0)
-            << "p" << p << " " << core::to_string(l) << " at t=" << sim.now();
-    }
+    watch.check();
+    if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GE(freezes, 4 * n) << "the schedule must re-form views repeatedly";
-  EXPECT_GT(watermarked, 0) << "some primary view must reach its safe watermark";
+  EXPECT_GT(watch.watermarked, 0) << "some primary view must reach its safe watermark";
+  EXPECT_GT(watch.with_bits, 0) << "some label must become safe by position";
+  EXPECT_TRUE(world.check_to_safety().empty());
+}
+
+// One n=8 primary view with steady traffic and no state exchange: every
+// safe finds its label in order, so safety is all bits, the explicit set
+// stays empty, and every label is confirmed and delivered everywhere.
+TEST(SafeBits, SteadyPrimaryConfirmsEveryLabelByPosition) {
+  WorldConfig cfg = config(kDelta, 23);
+  cfg.n = 8;
+  World world(cfg);
+  SafeLabelsWatch watch(world);
+  for (sim::Time t = sim::msec(100); t < sim::sec(2); t += sim::msec(50))
+    for (ProcId p = 0; p < cfg.n; ++p) world.bcast_at(t, p, "s" + std::to_string(t));
+
+  sim::Simulator& sim = world.simulator();
+  while (sim.now() < sim::sec(4) && sim.step()) {
+    watch.check();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(watch.with_bits, 0);
+  EXPECT_EQ(watch.with_explicit, 0) << "no safe may fall back to the explicit set";
+  EXPECT_EQ(watch.watermarked, 0) << "no state exchange ran";
+  for (ProcId p = 0; p < cfg.n; ++p) {
+    const auto& proc = world.stack().process(p);
+    EXPECT_EQ(proc.state().current->id, core::ViewId::initial()) << "p" << p;
+    EXPECT_EQ(proc.state().order.size(), 38u * 8u) << "p" << p;
+    EXPECT_EQ(proc.delivered().size(), proc.state().order.size()) << "p" << p;
+  }
   EXPECT_TRUE(world.check_to_safety().empty());
 }
 

@@ -205,7 +205,8 @@ TEST(Invariants, MoreCheckersDetectSeededCorruption) {
   EXPECT_TRUE(verify::check_all_invariants(gs).empty());
 }
 
-// Safety is stored as explicit labels plus an order-prefix watermark
+// Safety is stored as explicit labels plus a bit per order position, which
+// the state exchange sets for a whole prefix at once
 // (vstoto::Process::is_safe); Lemma 6.20 must see a safe label outside a
 // member's buildorder prefix through either part.
 TEST(Invariants, Lemma620ReportsASafeLabelOutsideABuildorderPrefix) {
@@ -222,7 +223,7 @@ TEST(Invariants, Lemma620ReportsASafeLabelOutsideABuildorderPrefix) {
     st.push_back(&const_cast<vstoto::ProcessState&>(proc->state()));
     saved.push_back(*st.back());
     st.back()->safe_labels.clear();
-    st.back()->safe_prefix = 0;
+    st.back()->safe_bits.clear();
   }
   ASSERT_GE(st[0]->order.size(), 2u);
   // Member 1's buildorder[current] (its order) stops one label short.
@@ -236,18 +237,24 @@ TEST(Invariants, Lemma620ReportsASafeLabelOutsideABuildorderPrefix) {
         return true;
     return false;
   };
-  st[0]->safe_prefix = st[0]->order.size();
-  EXPECT_TRUE(reports_p0()) << "the last label is safe through the watermark";
-  st[0]->safe_prefix = st[0]->order.size() - 1;
-  EXPECT_TRUE(verify::check_lemma_6_20(gs).empty()) << "a watermark one short covers p1";
-  st[0]->safe_prefix = 0;
+  st[0]->safe_bits.assign(st[0]->order.size(), true);
+  EXPECT_TRUE(reports_p0()) << "the last label is safe through a full prefix of bits";
+  st[0]->safe_bits.pop_back();
+  EXPECT_TRUE(verify::check_lemma_6_20(gs).empty()) << "a prefix one short covers p1";
+  st[0]->safe_bits.clear();
   st[0]->safe_labels = {st[0]->order.back()};
   EXPECT_TRUE(reports_p0()) << "the last label is safe through the explicit set";
+  st[0]->safe_labels.clear();
+  st[0]->safe_bits.assign(st[0]->order.size(), false);
+  st[0]->safe_bits[st[0]->order.size() - 2] = true;
+  EXPECT_TRUE(verify::check_lemma_6_20(gs).empty()) << "the bit one short covers p1";
+  st[0]->safe_bits.back() = true;
+  EXPECT_TRUE(reports_p0()) << "the last label is safe through its bit";
 
   for (std::size_t p = 0; p < st.size(); ++p) {
     st[p]->order = saved[p].order;
     st[p]->safe_labels = saved[p].safe_labels;
-    st[p]->safe_prefix = saved[p].safe_prefix;
+    st[p]->safe_bits = saved[p].safe_bits;
   }
   EXPECT_TRUE(verify::check_all_invariants(gs).empty());
 }

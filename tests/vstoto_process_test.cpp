@@ -48,7 +48,8 @@ class FakeVS final : public vs::Service {
 };
 
 // Figure 9's safe-labels as Process::is_safe reads it, over every label the
-// process holds: the explicit set, content and order.
+// process holds: the explicit set, content and order (which holds every
+// label a bit makes safe).
 std::set<core::Label> safe_set(const Process& proc) {
   const auto& st = proc.state();
   std::set<core::Label> out;
@@ -138,6 +139,38 @@ TEST(Process, PrimaryDeliveryPathConfirmsOnSafe) {
   }
 }
 
+// In a primary view in normal status a safe finds its label in order, so
+// it sets the bit at the label's position and keeps no explicit label; a
+// label confirms once every position up to its own is safe.
+TEST(Process, SafeInNormalStatusSetsTheBitAtTheLabelsPosition) {
+  Fixture f;
+  f.at(0).bcast("a");
+  const auto a_msg = f.fake.sent[0].back();
+  f.at(1).bcast("b");
+  const auto b_msg = f.fake.sent[1].back();
+  f.fake.deliver_all(0, a_msg, {0, 1, 2});
+  f.fake.deliver_all(1, b_msg, {0, 1, 2});
+
+  f.fake.make_safe(1, b_msg, {0, 1, 2});
+  for (ProcId p = 0; p < 3; ++p) {
+    const auto& st = f.at(p).state();
+    ASSERT_EQ(st.order.size(), 2u);
+    EXPECT_EQ(st.safe_bits, std::vector<bool>({false, true})) << "at " << p;
+    EXPECT_TRUE(st.safe_labels.empty()) << "at " << p;
+    EXPECT_EQ(safe_set(f.at(p)), std::set<core::Label>{st.order[1]}) << "at " << p;
+    EXPECT_EQ(st.nextconfirm, 1u) << "a, ahead of b, is not safe yet";
+  }
+  f.fake.make_safe(0, a_msg, {0, 1, 2});
+  for (ProcId p = 0; p < 3; ++p) {
+    const auto& st = f.at(p).state();
+    EXPECT_EQ(st.safe_bits, std::vector<bool>({true, true})) << "at " << p;
+    EXPECT_EQ(st.nextconfirm, 3u) << "at " << p;
+    ASSERT_EQ(f.at(p).delivered().size(), 2u) << "at " << p;
+    EXPECT_EQ(f.at(p).delivered()[0].second, "a");
+    EXPECT_EQ(f.at(p).delivered()[1].second, "b");
+  }
+}
+
 TEST(Process, NonPrimaryRecordsContentButDoesNotOrder) {
   Fixture f;
   // Move 0 and 1 into a minority view {0,1}... of majorities(3), {0,1} IS a
@@ -170,7 +203,7 @@ TEST(Process, NewviewResetsPerViewState) {
   EXPECT_TRUE(st.buffer.empty());
   EXPECT_TRUE(st.gotstate.empty());
   EXPECT_TRUE(safe_set(f.at(0)).empty());
-  EXPECT_EQ(st.safe_prefix, 0u);
+  EXPECT_TRUE(st.safe_bits.empty());
   EXPECT_EQ(st.nextseqno, 1u);
   EXPECT_EQ(st.current->id, v.id);
   // The state-exchange summary went out and carries the old content.
@@ -483,7 +516,7 @@ TEST(Process, SafeExchangeMarksExactlyThePrefixPlacedAtEstablishment) {
       const auto& st = f.at(p).state();
       EXPECT_EQ(safe_set(f.at(p)), std::set<core::Label>(st.order.begin(), st.order.begin() + 2))
           << "at " << p;
-      EXPECT_EQ(st.safe_prefix, 2u) << "at " << p;
+      EXPECT_EQ(st.safe_bits, std::vector<bool>({true, true})) << "at " << p;
       EXPECT_EQ(st.nextconfirm, 3u) << "a and z confirmed, c not yet";
       ASSERT_EQ(f.at(p).delivered().size(), 2u) << "at " << p;
       EXPECT_EQ(f.at(p).delivered()[1].second, "z");
@@ -526,14 +559,24 @@ TEST(Process, SafeExchangeInUnestablishedViewTakesFullorderOfGotstate) {
   for (ProcId p = 0; p < 3; ++p) f.at(0).on_safe(p, deltas[static_cast<std::size_t>(p)]);
   EXPECT_EQ(safe_set(f.at(0)), std::set<core::Label>(expected.begin(), expected.end()));
   EXPECT_EQ(st.exch_placed, 0u);
-  EXPECT_EQ(st.safe_prefix, 0u);
+  EXPECT_TRUE(st.safe_bits.empty());
+
+  // The missing delta arrives late: establishment places both labels, and
+  // only the explicit set makes them safe (no bit), so confirmation must
+  // read it.
+  f.fake.deliver(0, 0, deltas[0]);
+  ASSERT_EQ(st.status, PStatus::kNormal);
+  ASSERT_EQ(st.order, expected);
+  EXPECT_TRUE(st.safe_bits.empty());
+  EXPECT_EQ(st.nextconfirm, 3u);
+  ASSERT_EQ(f.at(0).delivered().size(), 2u);
 }
 
-// is_safe must read the watermark against a label's *first* position in
-// order: it then equals the set the prefix used to be expanded into,
-// safe_labels plus order[0, exch_placed), even for an order holding a
-// duplicate (only a corrupted summary under the injected unchecked-decode
-// fault can plant one; here restore does).
+// is_safe must read the bits the exchange set for its prefix against a
+// label's *first* position in order: it then equals the set the prefix used
+// to be expanded into, safe_labels plus order[0, exch_placed), even for an
+// order holding a duplicate (only a corrupted summary under the injected
+// unchecked-decode fault can plant one; here restore does).
 TEST(Process, SafePrefixMatchesTheExpandedSetWithDuplicatesInOrder) {
   Fixture f;
   for (ProcId p = 0; p < 3; ++p) f.at(p).set_exchange_mode(ExchangeMode::kDigestDelta);
@@ -545,7 +588,7 @@ TEST(Process, SafePrefixMatchesTheExpandedSetWithDuplicatesInOrder) {
   for (ProcId p = 0; p < 3; ++p) f.fake.make_safe(p, exch[static_cast<std::size_t>(p)], {0, 1, 2});
   const auto base = f.at(0).checkpoint();
   ASSERT_EQ(base.st.order.size(), 2u);
-  ASSERT_EQ(base.st.safe_prefix, 2u);
+  ASSERT_EQ(base.st.safe_bits, std::vector<bool>(2, true));
   const core::Label a = base.st.order[0], b = base.st.order[1];
   const core::Label c{core::ViewId{1, 0}, 1, 2};  // known to no one
 
@@ -565,7 +608,7 @@ TEST(Process, SafePrefixMatchesTheExpandedSetWithDuplicatesInOrder) {
     auto cp = base;
     cp.st.order = tc.order;
     cp.st.exch_placed = tc.prefix;
-    cp.st.safe_prefix = tc.prefix;
+    cp.st.safe_bits.assign(tc.prefix, true);
     cp.st.safe_labels = tc.explicit_safe;
     f.at(0).restore(cp);
     std::set<core::Label> expanded = tc.explicit_safe;
@@ -593,15 +636,25 @@ TEST(Process, CheckpointRestoreRoundTripsExchangeState) {
   EXPECT_TRUE(cp.st.gotstate.at(1).con.empty()) << "but not stored per sender";
 
   f.at(1).bcast("b");
-  f.fake.deliver_all(1, f.fake.sent[1].back(), {0, 1, 2});
+  const auto b_msg = f.fake.sent[1].back();
+  f.fake.deliver_all(1, b_msg, {0, 1, 2});
+  f.fake.make_safe(1, b_msg, {0, 1, 2});
+  const auto with_bit = f.at(0).checkpoint();
+  ASSERT_EQ(with_bit.st.safe_bits, std::vector<bool>({false, true}));
   exchange_all(f, core::View{core::ViewId{2, 0}, {0, 1, 2}});
   ASSERT_NE(f.at(0).state().exch_digest, cp.st.exch_digest);
   ASSERT_NE(f.at(0).state().exch_placed, cp.st.exch_placed);
+  ASSERT_TRUE(f.at(0).state().safe_bits.empty()) << "newview clears the bits";
+
+  f.at(0).restore(with_bit);
+  EXPECT_EQ(f.at(0).state().safe_bits, with_bit.st.safe_bits);
+  EXPECT_TRUE(f.at(0).is_safe(with_bit.st.order[1]));
+  EXPECT_FALSE(f.at(0).is_safe(with_bit.st.order[0]));
 
   f.at(0).restore(cp);
   EXPECT_EQ(f.at(0).state().exch_digest, cp.st.exch_digest);
   EXPECT_EQ(f.at(0).state().exch_placed, cp.st.exch_placed);
-  EXPECT_EQ(f.at(0).state().safe_prefix, cp.st.safe_prefix);
+  EXPECT_EQ(f.at(0).state().safe_bits, cp.st.safe_bits);
   EXPECT_EQ(f.at(0).state().exch_base, cp.st.exch_base);
   EXPECT_EQ(f.at(0).state().gotstate, cp.st.gotstate);
   EXPECT_EQ(got_summary(f.at(0).state(), 1), got);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "membership/messages.hpp"
 #include "util/rng.hpp"
 #include "util/serde.hpp"
@@ -179,6 +182,90 @@ TEST(WireFuzz, PacketsDecodeFromSlicesOfASharedArena) {
     EXPECT_EQ(token.entries[i].second, orig.entries[i].second);
 }
 
+// --- The label-only decode of `safe` -------------------------------------
+//
+// Process::on_safe reads only the label of a labeled value
+// (vstoto::decode_label_ex). It must accept exactly the bytes
+// decode_message_ex accepts as a labeled value, and return that label.
+
+std::string hex(const util::Bytes& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 15];
+  }
+  return out;
+}
+
+// Whether decode_label_ex accepted `bytes`; fails the test if it disagrees
+// with decode_message_ex.
+bool label_decode_agrees(const util::Bytes& bytes) {
+  const auto full = vstoto::decode_message_ex(bytes);
+  const auto* lv = full.ok() ? std::get_if<vstoto::LabeledValue>(&*full.value) : nullptr;
+  const auto label = vstoto::decode_label_ex(bytes);
+  EXPECT_EQ(label.ok(), lv != nullptr) << hex(bytes);
+  if (label.ok() && lv != nullptr) {
+    EXPECT_EQ(*label.value, lv->label) << hex(bytes);
+  }
+  return label.ok();
+}
+
+TEST(WireFuzz, LabelDecodeAcceptsExactlyWhatTheFullDecodeAccepts) {
+  util::Rng rng(1616);
+  std::vector<util::Bytes> corpus;
+  for (const auto& m : all_messages()) corpus.push_back(vstoto::encode_message(m).to_bytes());
+  for (const auto& p : all_packets()) corpus.push_back(membership::encode_packet(p).to_bytes());
+  // Labeled values whose label varints and value length prefix take one to
+  // five bytes each.
+  for (int i = 0; i < 60; ++i) {
+    const core::Label l{core::ViewId{rng.below(std::uint64_t{1} << (7 * (i % 5))),
+                                     static_cast<ProcId>(rng.below(300))},
+                        static_cast<std::uint32_t>(rng.below(1u << (6 * (i % 6)))),
+                        static_cast<ProcId>(rng.below(300))};
+    core::Value v(rng.below(i % 3 == 0 ? 300 : 20), 'x');
+    for (auto& c : v) c = static_cast<char>(rng.below(256));
+    corpus.push_back(vstoto::encode_message(vstoto::LabeledValue{l, v}).to_bytes());
+  }
+
+  int accepted_mutants = 0, rejected_mutants = 0;
+  for (const auto& frame : corpus) {
+    label_decode_agrees(frame);
+    auto longer = frame;
+    longer.push_back(0);
+    EXPECT_FALSE(label_decode_agrees(longer)) << "a trailing byte must be refused";
+    for (std::size_t len = 0; len < frame.size(); ++len)
+      label_decode_agrees(util::Bytes(frame.begin(),
+                                      frame.begin() + static_cast<std::ptrdiff_t>(len)));
+    // Every single-bit flip of the tag, label and length prefix, then random
+    // flips anywhere.
+    for (std::size_t i = 0; i < std::min<std::size_t>(frame.size(), 24); ++i)
+      for (int bit = 0; bit < 8; ++bit) {
+        auto corrupt = frame;
+        corrupt[i] ^= static_cast<std::uint8_t>(1u << bit);
+        (label_decode_agrees(corrupt) ? accepted_mutants : rejected_mutants)++;
+      }
+    for (int k = 0; k < 40; ++k) {
+      auto corrupt = frame;
+      const auto flips = 1 + rng.below(3);
+      for (std::uint64_t f = 0; f < flips; ++f)
+        corrupt[rng.below(corrupt.size())] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+      (label_decode_agrees(corrupt) ? accepted_mutants : rejected_mutants)++;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(accepted_mutants, 100) << "flips that keep the frame well-formed must be accepted";
+  EXPECT_GT(rejected_mutants, 100);
+}
+
+TEST(WireFuzz, LabelDecodeRefusesEveryOtherTag) {
+  for (const auto& m : all_messages()) {
+    if (std::holds_alternative<vstoto::LabeledValue>(m)) continue;
+    EXPECT_FALSE(vstoto::decode_label_ex(vstoto::encode_message(m).view()).ok());
+  }
+  EXPECT_FALSE(vstoto::decode_label_ex(util::BufferView{}).ok());
+}
+
 // --- The injectable historical bug ---------------------------------------
 
 TEST(WireFuzz, UncheckedDecodeAcceptsTruncatedMessage) {
@@ -189,6 +276,24 @@ TEST(WireFuzz, UncheckedDecodeAcceptsTruncatedMessage) {
   util::UncheckedDecodeGuard guard;
   const auto lenient = vstoto::decode_message_ex(bytes).value;
   ASSERT_TRUE(lenient.has_value());  // zero-filled fields — the old bug
+}
+
+// Under the injected fault the length checks lapse in both decoders alike,
+// so the label `safe` reads is still the one the full decoder reads.
+TEST(WireFuzz, UncheckedDecodeReadsTheSameLabelAsTheFullDecode) {
+  util::UncheckedDecodeGuard guard;
+  int accepted_truncations = 0;
+  for (const auto& m : all_messages()) {
+    const auto frame = vstoto::encode_message(m).to_bytes();
+    auto longer = frame;
+    longer.push_back(0);
+    label_decode_agrees(longer);
+    for (std::size_t len = 0; len < frame.size(); ++len)
+      if (label_decode_agrees(
+              util::Bytes(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len))))
+        ++accepted_truncations;
+  }
+  EXPECT_GT(accepted_truncations, 0) << "truncated labeled values decode, zero-filled";
 }
 
 TEST(WireFuzz, UncheckedDecodeAcceptsCorruptPacket) {

@@ -6,6 +6,7 @@
 //   $ ./vsg_report --validate /tmp/tl/*.json        # schema check, exit 0/1
 //   $ ./vsg_report --fingerprint timeline.json      # canonical fnv1a, hex
 //   $ ./vsg_report --check-final EXPORT.json timeline.json
+//   $ ./vsg_report --diff A.json B.json             # what moved, exit 0/1
 //   $ ./vsg_report --html report.html timeline.json BENCH_E6.json
 //
 // File kind is auto-detected from the schema tag. `--metric NAME` adds a
@@ -14,8 +15,12 @@
 // "aggregate" sample equals the end-of-run registry export modulo the
 // wall-clock exclusions (obs::is_wall_metric) and export-only extras —
 // the acceptance contract between World::write_timeline and --export.
+// `--diff` prints every counter, gauge and histogram count that differs
+// between two vsg-metrics-v1 exports, including entries only one side has,
+// and skips the wall-clock ones; it exits 1 when anything differs.
 //
-// Exit status: 0 clean, 1 validation/check failure, 2 usage/IO errors.
+// Exit status: 0 clean, 1 validation/check failure or a difference, 2
+// usage/IO errors.
 
 #include <algorithm>
 #include <cmath>
@@ -39,6 +44,7 @@ namespace {
 struct Options {
   bool validate = false;
   bool fingerprint = false;
+  bool diff = false;
   std::string check_final;  // vsg-metrics-v1 export to compare against
   std::string html_out;
   std::vector<std::string> metrics;  // extra timeline plot series
@@ -61,6 +67,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.validate = true;
     } else if (arg == "--fingerprint") {
       opt.fingerprint = true;
+    } else if (arg == "--diff") {
+      opt.diff = true;
     } else if (arg == "--check-final") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -579,6 +587,31 @@ int check_final(const Options& opt) {
   return 0;
 }
 
+int diff(const Options& opt) {
+  if (opt.files.size() != 2) {
+    std::fprintf(stderr, "--diff takes exactly two vsg-metrics-v1 files\n");
+    return 2;
+  }
+  std::vector<obs::MetricsSnapshot> snaps;
+  for (const auto& path : opt.files) {
+    const auto doc = load(path);
+    if (!doc.has_value()) return 2;
+    if (!doc->snapshot.has_value()) {
+      std::fprintf(stderr, "%s: not a vsg-metrics-v1 file\n", path.c_str());
+      return 2;
+    }
+    snaps.push_back(*doc->snapshot);
+  }
+  const auto lines = obs::diff_snapshots(snaps[0], snaps[1]);
+  for (const auto& line : lines) std::printf("%s\n", line.c_str());
+  if (lines.empty()) {
+    std::printf("exports match (wall-clock metrics skipped)\n");
+    return 0;
+  }
+  std::printf("%zu entr%s\n", lines.size(), lines.size() == 1 ? "y differs" : "ies differ");
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -586,10 +619,12 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, opt)) {
     std::fprintf(stderr,
                  "usage: %s [--validate | --fingerprint | --check-final EXPORT.json]\n"
-                 "          [--html PATH] [--metric NAME]... FILE...\n",
-                 argv[0]);
+                 "          [--html PATH] [--metric NAME]... FILE...\n"
+                 "       %s --diff A.json B.json\n",
+                 argv[0], argv[0]);
     return 2;
   }
+  if (opt.diff) return diff(opt);
   if (opt.validate) return validate(opt);
   if (opt.fingerprint) return fingerprint(opt);
   if (!opt.check_final.empty()) return check_final(opt);
