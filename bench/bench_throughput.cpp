@@ -29,9 +29,9 @@
 // offered rate against a deliberately capacity-limited ring, reporting
 // end-to-end latency percentiles, shed/deferred counts and
 // backlog_growth health events per rate. Compose with `--budget BYTES`
-// (per-pass boarding budget, enables the urgency lanes), `--gate
-// shed|defer` + `--backlog N` (sender-side admission gate), and
-// `--churn` (crash/rejoin cadence inside the load window). Spans are on,
+// (per-pass boarding budget), `--gate shed|defer` + `--backlog N`
+// (sender-side admission gate), and `--churn` (crash/rejoin cadence
+// inside the load window). Spans are on,
 // so the exported snapshot carries the per-phase to.phase_latency.*
 // histograms alongside to.brcv_latency.*.
 
@@ -242,12 +242,7 @@ RateCell run_rate(int rate, std::uint64_t budget, int gate /*0 off, 1 shed, 2 de
   cfg.backend = harness::Backend::kTokenRing;
   cfg.ring.pi = sim::msec(40);
   cfg.ring.max_entries_per_pass = 2;  // the per-ring capacity bound
-  if (budget > 0) {
-    // Budget and lanes travel together: under a byte bound the state
-    // exchange must preempt queued bulk (docs/FLOWCONTROL.md).
-    cfg.ring.board_budget_bytes = static_cast<std::size_t>(budget);
-    cfg.ring.lanes = true;
-  }
+  cfg.ring.board_budget_bytes = static_cast<std::size_t>(budget);
   if (gate != 0) cfg.ring.admission_max_backlog = static_cast<std::size_t>(max_backlog);
   cfg.seed = seed;
   cfg.sampler.enabled = true;  // the backlog_growth watchdog is the verdict
@@ -403,7 +398,7 @@ int main(int argc, char** argv) {
     std::printf("E10: latency vs offered load — capacity-limited ring (n=4, pi=40ms, "
                 "2 entries/pass)\n     budget=%llu bytes/pass%s, gate=%s",
                 static_cast<unsigned long long>(budget),
-                budget > 0 ? " (+lanes)" : " (unbounded)", gate_name);
+                budget > 0 ? "" : " (unbounded)", gate_name);
     if (gate != 0) std::printf(" (backlog limit %d)", backlog);
     std::printf("%s\n\n", churn ? ", crash/rejoin churn" : "");
     const std::vector<int> widths{8, 9, 11, 7, 10, 9, 9, 9, 8};

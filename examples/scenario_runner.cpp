@@ -160,12 +160,10 @@ int main(int argc, char** argv) {
                  *parsed.meta.wire);
     return 2;
   }
-  if (parsed.meta.budget.has_value()) {
-    // Budget pins replay with lanes on, same pairing as chaos_runner
-    // --budget (docs/FLOWCONTROL.md).
+  // Budget pins replay under the recorded bound, as chaos_runner --replay
+  // does (docs/FLOWCONTROL.md).
+  if (parsed.meta.budget.has_value())
     cfg.ring.board_budget_bytes = static_cast<std::size_t>(*parsed.meta.budget);
-    cfg.ring.lanes = true;
-  }
   std::optional<harness::World> world;
   try {
     world.emplace(cfg);

@@ -188,6 +188,20 @@ fi
 ./build/bench/bench_throughput --rate 100,200,400 --churn \
     --budget 64 --gate shed --backlog 8 | tee build/fc_rate.out
 grep -q '^backlog_growth events: 0$' build/fc_rate.out
+# Flow-controlled behaviour pin: the live code's budgeted, gated, churned
+# run is hashed with the canonical vsg-timeseries-v1 fingerprint, and the
+# committed golden timeline must be that same run. A change that moves
+# boarding, the gate or the metric set moves this value; update it (and
+# regenerate the goldens) only when that is intentional.
+./build/bench/bench_throughput --rate 400 --churn --budget 64 --gate shed --backlog 8 \
+    --timeline-out build/fc_timeline.json >/dev/null
+for tl in build/fc_timeline.json tests/golden/flowcontrol_timeline.json; do
+  fcfp=$(./build/tools/vsg_report --fingerprint "$tl" | cut -d' ' -f1)
+  if [ "$fcfp" != "d86f93c3a23e8a94" ]; then
+    echo "check.sh: flow-controlled timeline fingerprint drifted ($tl: $fcfp)" >&2
+    exit 1
+  fi
+done
 # Golden render: vsg_report over the committed flow-controlled timeline
 # must reproduce the committed report byte-for-byte, including the
 # to.admission_wait percentiles and the sends_shed flag. To regenerate
@@ -200,7 +214,7 @@ grep -q '^backlog_growth events: 0$' build/fc_rate.out
 diff -u tests/golden/flowcontrol_report.txt build/fc_report.out
 grep -q 'to.admission_wait' build/fc_report.out
 grep -q 'SHED at the admission gate' build/fc_report.out
-# Budgeted chaos smoke: 50 seeds under a boarding budget (+lanes) must run
+# Budgeted chaos smoke: 50 seeds under a boarding budget must run
 # clean — budget-found repros pinning `config budget` are unit-tested in
 # tests/chaos_test.cpp.
 ./build/tools/chaos_runner --seeds 50 --smoke --budget 256

@@ -49,9 +49,9 @@ struct ScenarioMeta {
   std::optional<int> shards;
   /// Per-pass boarding budget in bytes the scenario was recorded under
   /// (config budget <B>, docs/FLOWCONTROL.md). Replays apply it to
-  /// TokenRingConfig::board_budget_bytes and enable the urgency lanes —
-  /// the same pairing chaos_runner --budget uses — so a repro minimized
-  /// under a capacity bound replays under the same bound.
+  /// TokenRingConfig::board_budget_bytes, as chaos_runner --budget does,
+  /// so a repro minimized under a capacity bound replays under the same
+  /// bound.
   std::optional<std::uint64_t> budget;
   bool operator==(const ScenarioMeta&) const = default;
 };

@@ -54,16 +54,7 @@ void WorldConfig::validate() const {
           "WorldConfig: shard_rings[" + std::to_string(k) +
           "] timing parameters must be positive (delta=" + std::to_string(r.delta) +
           ", pi=" + std::to_string(r.pi) + ", mu=" + std::to_string(r.mu) + ")");
-    if (r.lanes && r.bulk_min_share == 0)
-      throw std::invalid_argument(
-          "WorldConfig: shard_rings[" + std::to_string(k) +
-          "] enables lanes with bulk_min_share=0 — urgent traffic could starve the "
-          "bulk lane (docs/FLOWCONTROL.md requires bulk_min_share >= 1)");
   }
-  if (ring.lanes && ring.bulk_min_share == 0)
-    throw std::invalid_argument(
-        "WorldConfig: ring enables lanes with bulk_min_share=0 — urgent traffic could "
-        "starve the bulk lane (docs/FLOWCONTROL.md requires bulk_min_share >= 1)");
 }
 
 namespace {

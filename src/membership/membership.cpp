@@ -9,6 +9,15 @@
 
 namespace vsg::membership {
 
+namespace {
+// Maximum extra processing delay at an `ugly` processor (ugly = runs at
+// nondeterministic speed; bad = stopped).
+constexpr sim::Time kUglyProcMaxDelay = sim::msec(50);
+// 1-round formation: a processor counts as connected if heard from within
+// this window.
+constexpr sim::Time kHeardWindow = sim::msec(600);
+}  // namespace
+
 Node::Node(ProcId me, TokenRingVS& parent, util::Rng rng)
     : me_(me),
       parent_(&parent),
@@ -39,13 +48,7 @@ void Node::start(bool in_initial_view, int n0) {
 
 void Node::submit(vs::Payload m) {
   if (!view_.has_value()) return;  // bottom view: silently lost (Figure 6)
-  // Urgency lanes (docs/FLOWCONTROL.md): a tag-byte peek — not a decode —
-  // routes state-exchange payloads to the urgent lane so they preempt bulk
-  // client values at the next boarding pass.
-  const bool urgent = parent_->config().lanes && !m.empty() &&
-                      (m[0] == wire::kPayloadSummary || m[0] == wire::kPayloadDigest ||
-                       m[0] == wire::kPayloadDelta);
-  (urgent ? outbox_urgent_ : outbox_).push_back(std::move(m));
+  outbox_.push_back(std::move(m));
   if (auto* g = parent_->obs().backlog_depth) {
     g->add(1);
     if (auto* peak = parent_->obs().backlog_peak) peak->max_of(g->value());
@@ -60,7 +63,7 @@ void Node::on_packet(ProcId src, const util::Buffer& packet) {
       // Nondeterministic speed: handle after a random extra delay (and
       // re-check status then — the processor may have stopped meanwhile).
       // Retaining the packet costs a refcount, not a byte copy.
-      const sim::Time extra = rng_.range(0, parent_->config().ugly_proc_max_delay);
+      const sim::Time extra = rng_.range(0, kUglyProcMaxDelay);
       parent_->simulator().after(extra, [this, src, packet] {
         if (!self_bad()) dispatch(src, packet);
       });
@@ -138,7 +141,6 @@ void Node::initiate_one_round() {
   // estimates (stale entries, processors it has not heard from yet) are
   // corrected by later proposals triggered by token timeouts and probes,
   // which is why this variant stabilizes less quickly.
-  const auto& cfg = parent_->config();
   const sim::Time now = parent_->simulator().now();
   ++max_epoch_;
   core::View v;
@@ -147,7 +149,7 @@ void Node::initiate_one_round() {
   for (ProcId q = 0; q < parent_->size(); ++q) {
     if (q == me_) continue;
     const sim::Time heard = last_heard_[static_cast<std::size_t>(q)];
-    if (heard >= 0 && now - heard <= cfg.heard_window) v.members.insert(q);
+    if (heard >= 0 && now - heard <= kHeardWindow) v.members.insert(q);
   }
   promised_ = v.id;
   last_propose_ = now;
@@ -219,7 +221,6 @@ void Node::install_view(const core::View& v, bool initial) {
     if (auto* g = parent_->obs().backlog_depth)
       g->add(-static_cast<std::int64_t>(stale));
   outbox_.clear();  // stale messages belonged to the previous view
-  outbox_urgent_.clear();
   token_ = Token{};
   token_.gid = v.id;
   for (ProcId r : v.members) token_.delivered[r] = 0;

@@ -50,10 +50,6 @@ struct TokenRingConfig {
   /// Minimum spacing between proposals initiated by one node.
   sim::Time proposal_cooldown() const { return formation_wait() + 6 * delta; }
 
-  /// Maximum extra processing delay at an `ugly` processor (ugly = runs at
-  /// nondeterministic speed; bad = stopped).
-  sim::Time ugly_proc_max_delay = sim::msec(50);
-
   /// Trim entries that are safe everywhere off the token (ablation knob:
   /// without trimming the token grows with the view's whole history).
   bool trim_token = true;
@@ -69,24 +65,11 @@ struct TokenRingConfig {
   /// each payload boards, so the first payload of a pass always boards
   /// even when it alone exceeds the budget (progress guarantee: a budget
   /// smaller than one payload still moves one payload per pass). The
-  /// remainder carries to the next pass in FIFO order.
+  /// remainder carries to the next pass in FIFO order. Under a budget, a
+  /// pass that has boarded no client value yet boards the value at the
+  /// head past the bound too (the value floor: exchange traffic never
+  /// takes a whole pass from the values queued behind it).
   std::size_t board_budget_bytes = 0;
-
-  /// Urgency lanes (docs/FLOWCONTROL.md): when set, state-exchange
-  /// payloads (summary/digest/delta VSTOTO tag bytes) queue in a separate
-  /// urgent lane that boards before bulk client values within a pass, so
-  /// view-change traffic is never stuck behind a bulk backlog. Off by
-  /// default; VStoTO's status gating already orders all exchange traffic
-  /// before all values per (view, sender), so enabling lanes never
-  /// reorders a real VStoTO stream — it bounds the exchange's queueing
-  /// delay when budgets leave a bulk backlog behind.
-  bool lanes = false;
-
-  /// Lanes only: bulk payloads guaranteed to board per pass even when
-  /// urgent traffic exhausted the byte budget or entry cap — the
-  /// starvation-freedom floor of the two-lane queue. Must be >= 1 when
-  /// lanes are on (WorldConfig::validate enforces this).
-  std::size_t bulk_min_share = 1;
 
   /// Sender-side backpressure threshold (docs/FLOWCONTROL.md): when > 0
   /// the harness arms to::Stack's admission gate — once a processor's
@@ -110,9 +93,6 @@ struct TokenRingConfig {
 
   /// Membership formation protocol.
   FormationMode formation = FormationMode::kThreeRound;
-  /// 1-round only: a processor counts as connected if heard from within
-  /// this window.
-  sim::Time heard_window = sim::msec(600);
 };
 
 struct NodeStats {
@@ -154,9 +134,9 @@ class Node {
   const std::optional<core::View>& view() const noexcept { return view_; }
   const NodeStats& stats() const noexcept { return stats_; }
 
-  /// Boarding backlog: submitted payloads (both lanes) waiting to board a
-  /// token. The admission gate's depth signal (docs/FLOWCONTROL.md).
-  std::size_t backlog() const noexcept { return outbox_.size() + outbox_urgent_.size(); }
+  /// Boarding backlog: submitted payloads waiting to board a token. The
+  /// admission gate's depth signal (docs/FLOWCONTROL.md).
+  std::size_t backlog() const noexcept { return outbox_.size(); }
 
  private:
   // --- membership.cpp -------------------------------------------------------
@@ -203,8 +183,7 @@ class Node {
   std::vector<std::pair<ProcId, util::Buffer>> log_;  // the view's common order
   std::size_t delivered_ = 0;                         // gprcv'd prefix (== log_.size())
   std::size_t safe_emitted_ = 0;                      // safe'd prefix
-  std::deque<util::Buffer> outbox_;                   // bulk lane: client values
-  std::deque<util::Buffer> outbox_urgent_;            // urgent lane (config.lanes)
+  std::deque<util::Buffer> outbox_;                   // submitted, not yet boarded
 
   // Leader token custody.
   Token token_;

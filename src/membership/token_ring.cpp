@@ -81,20 +81,34 @@ void Node::process_token(Token& t) {
   // The budget is checked before each payload boards, so the first payload
   // always boards — a budget smaller than one payload still moves one
   // payload per pass. The client's on_gprcv may submit more messages; the
-  // loops drain those too, within the same per-pass bounds.
+  // loop drains those too, within the same per-pass bounds.
   const TokenRingConfig& cfg = parent_->config();
   const std::size_t cap = cfg.max_entries_per_pass;
   const std::size_t budget = cfg.board_budget_bytes;
   std::size_t boarded = 0;
   std::int64_t boarded_bytes = 0;
-  const auto within_budget = [&] {
-    return (cap == 0 || boarded < cap) &&
-           (budget == 0 || static_cast<std::size_t>(boarded_bytes) < budget);
+  // One FIFO queue. VStoTO gpsnds its state exchange before any value in a
+  // view, and install_view clears the queue, so a node's exchange payloads
+  // always board ahead of its values. The value floor: under a budget, the
+  // first client value of a pass boards even past the bound. It fires when
+  // a node's own delta spends the budget and, delivered to itself,
+  // establishes the view, which queues values in this same pass. A client
+  // value is any payload without a state-exchange tag (a tag-byte peek,
+  // not a decode).
+  const auto client_value = [](const util::Buffer& m) {
+    return m.empty() || (m[0] != wire::kPayloadSummary && m[0] != wire::kPayloadDigest &&
+                         m[0] != wire::kPayloadDelta);
   };
-  const auto board_one = [&](std::deque<util::Buffer>& lane) {
+  bool value_boarded = false;
+  while (!outbox_.empty()) {
+    const bool within = (cap == 0 || boarded < cap) &&
+                        (budget == 0 || static_cast<std::size_t>(boarded_bytes) < budget);
+    const bool value = budget > 0 && client_value(outbox_.front());
+    if (!within && (!value || value_boarded)) break;
+    value_boarded = value_boarded || value;
     ++boarded;
-    util::Buffer payload = std::move(lane.front());
-    lane.pop_front();
+    util::Buffer payload = std::move(outbox_.front());
+    outbox_.pop_front();
     boarded_bytes += static_cast<std::int64_t>(payload.size());
     log_.emplace_back(me_, payload);  // shares storage with the submission
     // Boarding is an origin-side milestone: the payload still carries the
@@ -107,22 +121,7 @@ void Node::process_token(Token& t) {
     ++stats_.entries_delivered;
     obs::bump(parent_->obs().entries_delivered);
     parent_->emit_gprcv(me_, me_, log_.back().second);
-  };
-  // Urgent lane first: state-exchange traffic preempts bulk within a pass
-  // (empty unless config.lanes routed payloads there at submit).
-  while (!outbox_urgent_.empty() && within_budget()) board_one(outbox_urgent_);
-  // Bulk lane: within budget, plus a guaranteed minimum share per pass so
-  // sustained urgent traffic can never starve client values. With lanes
-  // off this floor is unreachable (the first bulk payload is always within
-  // budget), keeping the default path bit-identical to pre-lane boarding.
-  std::size_t bulk_boarded = 0;
-  while (!outbox_.empty() && (within_budget() || bulk_boarded < cfg.bulk_min_share)) {
-    board_one(outbox_);
-    ++bulk_boarded;
   }
-  // Urgent payloads submitted by on_gprcv reactions during bulk boarding
-  // still get this pass's remaining budget.
-  while (!outbox_urgent_.empty() && within_budget()) board_one(outbox_urgent_);
   // The batch is one same-source run: it becomes a single cold segment (one
   // splice build per pass; the rest of the cached entries section stays
   // warm).

@@ -78,8 +78,8 @@ class TokenRingVS final : public vs::Service {
   const Node& node(ProcId p) const { return *nodes_[static_cast<std::size_t>(p)]; }
   NodeStats total_stats() const;
 
-  /// Boarding backlog (payloads waiting to board a token, both lanes) at
-  /// processor p — the admission gate's depth signal (docs/FLOWCONTROL.md).
+  /// Boarding backlog (payloads waiting to board a token) at processor p —
+  /// the admission gate's depth signal (docs/FLOWCONTROL.md).
   std::size_t backlog(ProcId p) const { return nodes_[static_cast<std::size_t>(p)]->backlog(); }
 
   /// Hook fired with the processor id whenever that node's backlog shrank

@@ -5,48 +5,16 @@
 
 namespace vsg::sim {
 
-EventId EventQueue::schedule(Time at, std::function<void()> fn) {
-  const EventId id = next_id_++;
-  heap_.push(Entry{at, id, std::move(fn)});
-  in_heap_.insert(id);
-  return id;
-}
-
-void EventQueue::cancel(EventId id) {
-  // Only ids still in the heap are marked: cancelling an already-run,
-  // unknown, or doubly-cancelled id must not grow cancelled_ past the ids
-  // it can ever drain, or pending() underflows.
-  if (id != kNoEvent && in_heap_.count(id) != 0) cancelled_.insert(id);
-}
-
-void EventQueue::drop_cancelled_head() const {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.top().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    in_heap_.erase(heap_.top().id);
-    heap_.pop();
-  }
-}
-
-bool EventQueue::empty() const {
-  drop_cancelled_head();
-  return heap_.empty();
-}
-
-Time EventQueue::next_time() const {
-  drop_cancelled_head();
-  return heap_.empty() ? kForever : heap_.top().at;
+void EventQueue::schedule(Time at, std::function<void()> fn) {
+  heap_.push(Entry{at, next_id_++, std::move(fn)});
 }
 
 Time EventQueue::pop_and_run() {
-  drop_cancelled_head();
   assert(!heap_.empty());
   // priority_queue::top() is const; the entry is moved out via const_cast,
   // which is safe because we pop immediately and never reuse the slot.
   Entry entry = std::move(const_cast<Entry&>(heap_.top()));
   heap_.pop();
-  in_heap_.erase(entry.id);
   entry.fn();
   return entry.at;
 }

@@ -1,51 +1,38 @@
 #pragma once
 
 // Priority queue of timed events with stable FIFO ordering among events
-// scheduled for the same instant, and O(log n) lazy cancellation.
+// scheduled for the same instant. There is no cancellation: a timer that
+// may go stale carries its own guard (the ring's view_gen_ generation
+// counter) and returns early when it fires.
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace vsg::sim {
 
-using EventId = std::uint64_t;
-constexpr EventId kNoEvent = 0;
-
 class EventQueue {
  public:
   /// Schedule `fn` to run at absolute time `at`. Events at equal times run
-  /// in scheduling order. Returns a handle usable with cancel().
-  EventId schedule(Time at, std::function<void()> fn);
+  /// in scheduling order.
+  void schedule(Time at, std::function<void()> fn);
 
-  /// Cancel a pending event. Cancelling an already-run or unknown id is a
-  /// true no-op (timers race with the work they guard; that is expected):
-  /// only ids actually in the heap are marked, so pending() cannot
-  /// underflow from stray cancels.
-  void cancel(EventId id);
+  bool empty() const { return heap_.empty(); }
 
-  bool empty() const;
-
-  /// Time of the earliest pending (non-cancelled) event; kForever if none.
-  Time next_time() const;
+  /// Time of the earliest pending event; kForever if none.
+  Time next_time() const { return heap_.empty() ? kForever : heap_.top().at; }
 
   /// Pop the earliest event and run it. Requires !empty().
   /// Returns the time at which the event ran.
   Time pop_and_run();
 
-  /// Number of pending (non-cancelled) events. cancelled_ is always a
-  /// subset of the ids in heap_ (cancel() checks membership), so the
-  /// subtraction cannot underflow.
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
-
  private:
   struct Entry {
     Time at;
-    EventId id;
+    std::uint64_t id;  // scheduling order: the FIFO tie-break at equal times
     std::function<void()> fn;
   };
   struct Later {
@@ -55,12 +42,8 @@ class EventQueue {
     }
   };
 
-  void drop_cancelled_head() const;
-
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  mutable std::unordered_set<EventId> in_heap_;    // ids currently in heap_
-  mutable std::unordered_set<EventId> cancelled_;  // subset of in_heap_
-  EventId next_id_ = 1;
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::uint64_t next_id_ = 1;
 };
 
 }  // namespace vsg::sim

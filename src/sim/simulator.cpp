@@ -4,14 +4,14 @@
 
 namespace vsg::sim {
 
-EventId Simulator::at(Time t, std::function<void()> fn) {
+void Simulator::at(Time t, std::function<void()> fn) {
   assert(t >= now_);
-  return queue_.schedule(t < now_ ? now_ : t, std::move(fn));
+  queue_.schedule(t < now_ ? now_ : t, std::move(fn));
 }
 
-EventId Simulator::after(Time delay, std::function<void()> fn) {
+void Simulator::after(Time delay, std::function<void()> fn) {
   assert(delay >= 0);
-  return at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
+  at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
 }
 
 bool Simulator::step() {

@@ -22,12 +22,10 @@ class Simulator {
   Time now() const noexcept { return now_; }
 
   /// Schedule `fn` at absolute time `t` (must be >= now()).
-  EventId at(Time t, std::function<void()> fn);
+  void at(Time t, std::function<void()> fn);
 
   /// Schedule `fn` after `delay` from now (delay >= 0).
-  EventId after(Time delay, std::function<void()> fn);
-
-  void cancel(EventId id) { queue_.cancel(id); }
+  void after(Time delay, std::function<void()> fn);
 
   /// Run a single event if one is pending. Returns false if idle.
   bool step();

@@ -244,14 +244,13 @@ TEST(Campaign, ParallelJobsAreBitIdenticalToSequential) {
 
 TEST(Campaign, AdmissionGateCampaignIsJobsInvariant) {
   // Flow control under chaos (docs/FLOWCONTROL.md): a campaign with a
-  // per-pass boarding budget, urgency lanes AND the defer-policy admission
-  // gate armed is still a deterministic function of the seeds — the gate
-  // and the drain hook live entirely inside the simulated World.
+  // per-pass boarding budget AND the defer-policy admission gate armed is
+  // still a deterministic function of the seeds — the gate and the drain
+  // hook live entirely inside the simulated World.
   CampaignConfig base;
   base.schedule = small_schedule();
   base.seeds = 8;
   base.ring.board_budget_bytes = 64;
-  base.ring.lanes = true;
   base.ring.admission_max_backlog = 8;
 
   CampaignConfig seq = base;

@@ -1,21 +1,23 @@
 // Flow-control contract at the boarding site (docs/FLOWCONTROL.md): the
 // per-pass byte budget makes progress even when a single payload exceeds
-// it, cuts off exactly at the budget boundary, and the urgency lanes let
-// state-exchange traffic preempt bulk within a pass without ever starving
-// the bulk lane (bulk_min_share).
+// it, cuts off exactly at the budget boundary, and its value floor boards
+// one client value in a pass whose budget state-exchange traffic spent.
 //
 // Payloads are crafted raw VS messages with exact sizes: first byte 0x7f
-// (no VSTOTO tag — classified bulk, warn-dropped by the TO layer) or
-// wire::kPayloadSummary (classified urgent). The observable is the gprcv
-// trace: entries boarded in the same token pass deliver at the same
-// simulated instant, entries split across passes deliver at distinct ones.
-// Senders are non-leaders (the leader processes the token twice per lap —
-// launch and return-park — which would merge two passes into one delivery
-// batch at the observer).
+// (no VSTOTO tag — a client value to the ring, warn-dropped by the TO
+// layer) or wire::kPayloadSummary (state-exchange traffic). The observable
+// is the gprcv trace: entries boarded in the same token pass deliver at the
+// same simulated instant, entries split across passes deliver at distinct
+// ones. Senders are non-leaders (the leader processes the token twice per
+// lap — launch and return-park — which would merge two passes into one
+// delivery batch at the observer).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/codec.hpp"
@@ -112,58 +114,98 @@ TEST(FlowControl, BudgetBoundaryExactlyAtPayloadEdge) {
   }
 }
 
-TEST(FlowControl, UrgentLanePreemptsBulkWithinAPass) {
-  WorldConfig cfg = ring_cfg(3, 13);
-  cfg.ring.lanes = true;
+TEST(FlowControl, ValueFloorBoardsOneValuePerPass) {
+  // Budget of one payload per pass. The exchange payload spends the first
+  // pass's budget; the floor still boards the first value behind it, and
+  // every later pass boards one value within the budget.
+  WorldConfig cfg = ring_cfg(3, 14);
+  cfg.ring.board_budget_bytes = 8;
   World world(cfg);
-  // Bulk submitted BEFORE urgent, same instant: with lanes on, the urgent
-  // lane drains first, so the urgent payload boards (and delivers) ahead.
   world.simulator().at(sim::sec(1), [&] {
-    world.vs().gpsnd(2, payload(kBulkTag, 0, 8));
-    world.vs().gpsnd(2, payload(wire::kPayloadSummary, 1, 8));
+    world.vs().gpsnd(2, payload(wire::kPayloadSummary, 0, 8));
+    for (std::uint8_t i = 0; i < 3; ++i)
+      world.vs().gpsnd(2, payload(kBulkTag, static_cast<std::uint8_t>(100 + i), 8));
   });
   world.run_until(sim::sec(4));
 
   const auto got = crafted_rcvs(world, 2, 1, sim::sec(1));
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].tag, wire::kPayloadSummary) << "urgent first";
-  EXPECT_EQ(got[1].tag, kBulkTag);
-}
-
-TEST(FlowControl, BulkMinShareIsStarvationFree) {
-  // Budget of one payload per pass and a deep urgent backlog: without the
-  // bulk floor the urgent lane would own every pass. bulk_min_share=1
-  // guarantees each pass still boards one bulk entry, so all bulk clears
-  // while urgent traffic is still queued.
-  WorldConfig cfg = ring_cfg(3, 14);
-  cfg.ring.lanes = true;
-  cfg.ring.board_budget_bytes = 8;
-  World world(cfg);
-  world.simulator().at(sim::sec(1), [&] {
-    for (std::uint8_t i = 0; i < 10; ++i)
-      world.vs().gpsnd(2, payload(wire::kPayloadSummary, i, 8));
-    for (std::uint8_t i = 0; i < 3; ++i)
-      world.vs().gpsnd(2, payload(kBulkTag, static_cast<std::uint8_t>(100 + i), 8));
-  });
-  world.run_until(sim::sec(6));
-
-  const auto got = crafted_rcvs(world, 2, 1, sim::sec(1));
-  ASSERT_EQ(got.size(), 13u) << "everything eventually delivers";
+  ASSERT_EQ(got.size(), 4u) << "everything eventually delivers";
   // Group deliveries by pass (same timestamp = same token arrival).
   std::map<sim::Time, std::vector<std::uint8_t>> passes;
-  for (const auto& r : got) passes[r.at].push_back(r.tag);
-  std::size_t pass_index = 0, last_bulk_pass = 0, last_urgent_pass = 0;
-  for (const auto& [at, tags] : passes) {
-    ++pass_index;
-    for (const std::uint8_t tag : tags) {
-      if (tag == kBulkTag) last_bulk_pass = pass_index;
-      if (tag == wire::kPayloadSummary) last_urgent_pass = pass_index;
+  for (const auto& r : got) passes[r.at].push_back(r.id);
+  const std::vector<std::vector<std::uint8_t>> expected{{0, 100}, {101}, {102}};
+  std::vector<std::vector<std::uint8_t>> actual;
+  for (const auto& [at, ids] : passes) actual.push_back(ids);
+  EXPECT_EQ(actual, expected) << "exchange + one value, then one value per pass";
+}
+
+bool exchange_tagged(const util::Buffer& m) {
+  return !m.empty() && (m[0] == wire::kPayloadSummary || m[0] == wire::kPayloadDigest ||
+                        m[0] == wire::kPayloadDelta);
+}
+
+TEST(FlowControl, ExchangeNeverFollowsAValueInTheSameView) {
+  // The fact the single boarding queue relies on, under a budget and a
+  // rotating partition: in every view, a sender's state-exchange payloads
+  // come before its first client value. VStoTO gpsnds them first (the
+  // gpsnd half), and install_view clears the queue, so no value left over
+  // from an earlier view boards ahead of the next view's exchange (the
+  // gprcv half, read at every receiver).
+  for (const auto mode : {vstoto::ExchangeMode::kFullSummary, vstoto::ExchangeMode::kDigestDelta})
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << "exchange " << static_cast<int>(mode) << " seed " << seed);
+      WorldConfig cfg = ring_cfg(4, seed);
+      cfg.exchange = mode;
+      cfg.ring.board_budget_bytes = 64;
+      World world(cfg);
+      const int n = world.n();
+      for (sim::Time t = sim::msec(100); t < sim::sec(7); t += sim::msec(40))
+        for (ProcId p = 0; p < n; ++p) world.bcast_at(t, p, "v" + std::to_string(t / 1000));
+      int cycle = 0;
+      for (sim::Time t = sim::sec(1); t < sim::sec(7); t += sim::msec(1500)) {
+        const ProcId cut = static_cast<ProcId>(cycle++ % n);
+        std::set<ProcId> rest;
+        for (ProcId p = 0; p < n; ++p)
+          if (p != cut) rest.insert(p);
+        world.partition_at(t, {{cut}, rest});
+        world.heal_at(t + sim::msec(700));
+      }
+      world.run_until(sim::sec(10));
+
+      const auto un = static_cast<std::size_t>(n);
+      std::vector<bool> sent_value(un, false);       // [sender]
+      std::vector<bool> rcvd_value(un * un, false);  // [dst * n + src]
+      std::size_t views = 0, exchanges = 0, values = 0;
+      for (const auto& te : world.recorder().events()) {
+        if (const auto* e = trace::as<trace::NewViewEvent>(te)) {
+          ++views;
+          const auto dst = static_cast<std::size_t>(e->p);
+          sent_value[dst] = false;
+          std::fill_n(rcvd_value.begin() + static_cast<std::ptrdiff_t>(dst * un),
+                      static_cast<std::ptrdiff_t>(un), false);
+        } else if (const auto* e = trace::as<trace::GpsndEvent>(te)) {
+          const auto p = static_cast<std::size_t>(e->p);
+          if (exchange_tagged(e->m)) {
+            ++exchanges;
+            EXPECT_FALSE(sent_value[p]) << "p" << p << " gpsnd an exchange after a value";
+          } else {
+            ++values;
+            sent_value[p] = true;
+          }
+        } else if (const auto* e = trace::as<trace::GprcvEvent>(te)) {
+          const auto slot =
+              static_cast<std::size_t>(e->dst) * un + static_cast<std::size_t>(e->src);
+          if (exchange_tagged(e->m))
+            EXPECT_FALSE(rcvd_value[slot])
+                << "p" << e->dst << " gprcv an exchange from p" << e->src << " after its value";
+          else
+            rcvd_value[slot] = true;
+        }
+      }
+      EXPECT_GT(views, 2 * un) << "the partition must churn views";
+      EXPECT_GT(exchanges, 0u);
+      EXPECT_GT(values, 0u);
     }
-  }
-  // First three passes: one urgent (budget) + one bulk (min share) each;
-  // bulk is done by pass 3 while urgent keeps going to pass 10.
-  EXPECT_EQ(last_bulk_pass, 3u) << "bulk floor boards one per pass";
-  EXPECT_EQ(last_urgent_pass, 10u) << "urgent backlog drains after";
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Event queue: time ordering, FIFO tie-breaking, cancellation.
+// Event queue: time ordering, FIFO tie-breaking.
 
 #include <gtest/gtest.h>
 
@@ -37,82 +37,6 @@ TEST(EventQueue, PopReturnsEventTime) {
   EventQueue q;
   q.schedule(77, [] {});
   EXPECT_EQ(q.pop_and_run(), 77);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventId id = q.schedule(10, [&] { ran = true; });
-  q.cancel(id);
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelMiddleEventOnly) {
-  EventQueue q;
-  std::vector<int> ran;
-  q.schedule(10, [&] { ran.push_back(1); });
-  const EventId id = q.schedule(20, [&] { ran.push_back(2); });
-  q.schedule(30, [&] { ran.push_back(3); });
-  q.cancel(id);
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(ran, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, CancelUnknownOrSpentIdIsNoop) {
-  EventQueue q;
-  q.cancel(999);
-  const EventId id = q.schedule(1, [] {});
-  q.pop_and_run();
-  q.cancel(id);  // already ran
-  EXPECT_TRUE(q.empty());
-}
-
-// Regression: cancel() of an id not in the heap used to park the id in the
-// cancelled set forever, so pending() (heap size minus cancelled size)
-// underflowed to ~2^64 and empty()/next_time() disagreed with it.
-TEST(EventQueue, PendingSurvivesStrayCancels) {
-  EventQueue q;
-  q.cancel(kNoEvent);
-  q.cancel(12345);  // never scheduled
-  EXPECT_EQ(q.pending(), 0u);
-
-  const EventId spent = q.schedule(1, [] {});
-  q.pop_and_run();
-  q.cancel(spent);  // already ran
-  EXPECT_EQ(q.pending(), 0u);
-
-  q.schedule(10, [] {});
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, DoubleCancelCountsOnce) {
-  EventQueue q;
-  const EventId id = q.schedule(10, [] {});
-  q.schedule(20, [] {});
-  q.cancel(id);
-  q.cancel(id);  // idempotent: the set dedups, pending stays consistent
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.pop_and_run(), 20);
-  EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueue, CancelAfterLazyDropIsNoop) {
-  EventQueue q;
-  const EventId id = q.schedule(10, [] {});
-  q.cancel(id);
-  EXPECT_TRUE(q.empty());  // forces the lazy drop of the cancelled head
-  q.cancel(id);            // id has left the heap; must not re-mark
-  q.schedule(5, [] {});
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId id = q.schedule(10, [] {});
-  q.schedule(20, [] {});
-  q.cancel(id);
-  EXPECT_EQ(q.next_time(), 20);
 }
 
 TEST(EventQueue, EventsMayScheduleMoreEvents) {

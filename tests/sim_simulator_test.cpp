@@ -62,15 +62,6 @@ TEST(Simulator, EventsAtSameTimeRunInScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(Simulator, CancelWorksThroughSimulator) {
-  Simulator s;
-  bool ran = false;
-  const EventId id = s.at(msec(1), [&] { ran = true; });
-  s.cancel(id);
-  s.run();
-  EXPECT_FALSE(ran);
-}
-
 TEST(Simulator, RunGuardStopsRunawayLoops) {
   Simulator s;
   // Self-perpetuating zero-delay event chain.

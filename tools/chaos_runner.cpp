@@ -47,9 +47,8 @@ struct Options {
   bool shrink = true;
   bool inject_unchecked_decode = false;
   bool cross_check = false;  // run each seed under both exchange modes, compare
-  // Per-pass boarding budget in bytes (0: unbounded). Pairs with the
-  // urgency lanes (docs/FLOWCONTROL.md) so state exchange stays prompt
-  // while the campaign squeezes client traffic through a capacity bound.
+  // Per-pass boarding budget in bytes (0: unbounded): the campaign squeezes
+  // client traffic through a capacity bound (docs/FLOWCONTROL.md).
   std::uint64_t budget = 0;
   double corrupt = 0.25;
   std::string replay_file;
@@ -203,13 +202,7 @@ chaos::CampaignConfig campaign_config(const Options& opt) {
   cfg.jobs = opt.jobs;
   cfg.shrink = opt.shrink;
   if (opt.pi_ms > 0) cfg.ring.pi = sim::msec(opt.pi_ms);
-  if (opt.budget > 0) {
-    // Budgeted campaigns always run with lanes: under a capacity bound the
-    // state exchange must preempt queued bulk or view recovery inherits the
-    // whole backlog's drain time (docs/FLOWCONTROL.md).
-    cfg.ring.board_budget_bytes = static_cast<std::size_t>(opt.budget);
-    cfg.ring.lanes = true;
-  }
+  cfg.ring.board_budget_bytes = static_cast<std::size_t>(opt.budget);
   // --health-oracle implies sampling (the watchdogs evaluate samples).
   if (!opt.timeline_out.empty() || opt.health_oracle) cfg.sampler.enabled = true;
   if (opt.stall_ms > 0) cfg.sampler.health.stall_after = sim::msec(opt.stall_ms);
@@ -271,12 +264,9 @@ int replay(const Options& opt) {
                  opt.replay_file.c_str(), *parsed.meta.wire);
     return 2;
   }
-  if (parsed.meta.budget.has_value()) {
-    // Same pairing as --budget: a repro minimized under a capacity bound
-    // replays with the bound and the lanes that came with it.
+  // A repro minimized under a capacity bound replays under the same bound.
+  if (parsed.meta.budget.has_value())
     cfg.ring.board_budget_bytes = static_cast<std::size_t>(*parsed.meta.budget);
-    cfg.ring.lanes = true;
-  }
   // Hand-written scenarios may not deliver every bcast everywhere (e.g. a
   // final partition); only order agreement is enforced on replay.
   const bool trace = !opt.trace_out.empty();
