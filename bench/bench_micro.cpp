@@ -128,6 +128,37 @@ void BM_LabeledValueWire(benchmark::State& state) {
 }
 BENCHMARK(BM_LabeledValueWire);
 
+// --- Digest and delta at history N -------------------------------------------
+
+// One view, 8 origins and N labels dealt round-robin, all confirmed. Each
+// iteration takes the summary's digest plus its delta against the digest of
+// a peer 8 labels behind (one label short in every stream). Both read con a
+// stream at a time, so the time should stay near flat in N.
+void BM_DigestDeltaAtHistory(benchmark::State& state) {
+  constexpr int n = 8;
+  const auto history = static_cast<std::size_t>(state.range(0));
+  const core::ViewId g{1, 0};
+  core::Summary x, behind;
+  for (std::size_t i = 0; i < history; ++i) {
+    const core::Label l{g, static_cast<std::uint32_t>(i / n + 1), static_cast<ProcId>(i % n)};
+    x.con.emplace(l, "value-" + std::to_string(i));
+    x.ord.push_back(l);
+    if (i + n < history) {
+      behind.con.emplace(l, "value-" + std::to_string(i));
+      behind.ord.push_back(l);
+    }
+  }
+  x.next = static_cast<std::uint32_t>(x.ord.size() + 1);
+  behind.next = static_cast<std::uint32_t>(behind.ord.size() + 1);
+  const core::SummaryDigest peer = core::digest(behind);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::digest(x));
+    benchmark::DoNotOptimize(core::delta(x, peer));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_DigestDeltaAtHistory)->RangeMultiplier(4)->Range(64, 16384)->Complexity();
+
 // --- One digest/delta state exchange at history H --------------------------
 
 // A VS service driven by hand: it only collects what each processor sends.

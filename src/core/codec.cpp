@@ -1,5 +1,8 @@
 #include "core/codec.hpp"
 
+#include <algorithm>
+#include <functional>
+
 namespace vsg::wire {
 
 // --- LabelChain (delta-coded label lists) -----------------------------------
@@ -214,7 +217,17 @@ core::SummaryDigest Codec<core::SummaryDigest>::decode(util::Decoder& d) {
   StreamChain chain;
   for (std::uint64_t i = 0; i < n && d.ok(); ++i) {
     const core::LabelStream s = chain.decode(d);
-    g.marks[s] = static_cast<std::uint32_t>(d.uvarint());
+    g.marks.emplace_back(s, static_cast<std::uint32_t>(d.uvarint()));
+  }
+  const auto before = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (std::adjacent_find(g.marks.begin(), g.marks.end(), std::not_fn(before)) != g.marks.end()) {
+    // Only malformed input lists a stream twice or out of order. Sort it,
+    // keeping the last mark given for a stream, as a map assignment would.
+    std::reverse(g.marks.begin(), g.marks.end());
+    std::stable_sort(g.marks.begin(), g.marks.end(), before);
+    g.marks.erase(std::unique(g.marks.begin(), g.marks.end(),
+                              [](const auto& a, const auto& b) { return a.first == b.first; }),
+                  g.marks.end());
   }
   return g;
 }

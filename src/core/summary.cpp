@@ -10,47 +10,30 @@
 namespace vsg::core {
 namespace {
 
-// Watermark lookups for a walk over labels in label order, without a map
-// find per label. Labels order by (view, seqno, origin) and streams by
-// (view, origin), so the streams of the current label's view are one run
-// of the flat copy, and that run only moves forward; the origin is found
-// inside it by a binary search over at most one entry per member.
-class Watermarks {
- public:
-  explicit Watermarks(const std::map<LabelStream, std::uint32_t>& marks)
-      : flat_(marks.begin(), marks.end()) {}
-
-  /// The watermark of l's stream (0 if absent). Successive calls (of
-  /// either lookup) must pass labels in nondecreasing order.
-  std::uint32_t at(const Label& l) {
-    const auto* e = find(l);
-    return e == nullptr ? 0 : e->second;
+// One seqno window per stream of c, window_of(the watermark `marks` gives
+// it, or nullopt), by one merge walk: both are sorted by stream.
+template <typename F>
+std::vector<Content::Window> windows(const Content& c, const StreamMarks& marks, F window_of) {
+  std::vector<Content::Window> out;
+  out.reserve(c.streams().size());
+  auto m = marks.begin();
+  for (const Content::Stream& st : c.streams()) {
+    while (m != marks.end() && m->first < st.key()) ++m;
+    out.push_back(window_of(m != marks.end() && m->first == st.key()
+                                ? std::optional(m->second)
+                                : std::nullopt));
   }
+  return out;
+}
 
-  /// True iff l's stream is present and l's seqno lies under its watermark.
-  bool covers(const Label& l) {
-    const auto* e = find(l);
-    return e != nullptr && l.seqno <= e->second;
-  }
-
- private:
-  using Entry = std::pair<LabelStream, std::uint32_t>;
-
-  const Entry* find(const Label& l) {
-    while (lo_ < flat_.size() && flat_[lo_].first.first < l.id) ++lo_;
-    hi_ = std::max(hi_, lo_);
-    while (hi_ < flat_.size() && flat_[hi_].first.first == l.id) ++hi_;
-    const auto end = flat_.begin() + static_cast<std::ptrdiff_t>(hi_);
-    const auto it = std::partition_point(
-        flat_.begin() + static_cast<std::ptrdiff_t>(lo_), end,
-        [&](const Entry& e) { return e.first.second < l.origin; });
-    return it != end && it->first.second == l.origin ? &*it : nullptr;
-  }
-
-  std::vector<Entry> flat_;
-  std::size_t lo_ = 0;  // first stream of the current label's view
-  std::size_t hi_ = 0;  // one past its last
-};
+// The seqnos of each stream of c that `own` covers: 0..w under a present
+// watermark w (so a zero watermark covers seqno 0), none in an absent
+// stream.
+std::vector<Content::Window> covered(const Content& c, const SummaryDigest& own) {
+  return windows(c, own.marks, [](std::optional<std::uint32_t> w) {
+    return w ? Content::Window{0, *w} : Content::Window{1, 0};
+  });
+}
 
 }  // namespace
 
@@ -60,9 +43,9 @@ std::vector<Label> confirmed_prefix(const Summary& x) {
   return util::prefix_of(x.ord, len);
 }
 
-std::map<Label, Value> knowncontent(const SummaryMap& y) {
-  std::map<Label, Value> all;
-  for (const auto& [q, x] : y) all.insert(x.con.begin(), x.con.end());
+Content knowncontent(const SummaryMap& y) {
+  Content all;
+  for (const auto& [q, x] : y) all.merge(x.con);
   return all;
 }
 
@@ -101,12 +84,14 @@ std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
   std::vector<Label> order = shortorder(y);
   // Append every known label not already in the short order, in label order.
   // Only dom(knowncontent(Y)) matters, so collect labels straight from each
-  // con instead of copying the values. Each con is sorted, so the labels of
-  // the stored entries are a running sorted union.
-  std::vector<Label> stored, merged;
+  // con instead of copying the values. Each con iterates in label order, so
+  // the labels of the stored entries are a running sorted union.
+  std::vector<Label> stored, merged, labels;
   for (const auto& [q, x] : y) {
+    labels.clear();
+    for (const auto& [l, a] : x.con) labels.push_back(l);
     merged.clear();
-    std::ranges::set_union(stored, std::views::keys(x.con), std::back_inserter(merged));
+    std::ranges::set_union(stored, labels, std::back_inserter(merged));
     stored.swap(merged);
   }
   std::vector<Label> in_short = order;
@@ -121,9 +106,11 @@ std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
   // keeps the representative's ordering, exactly as Figure 8 specifies.
   auto s = stored.begin();
   if (!own.marks.empty()) {
-    Watermarks wm(own.marks);
-    for (const auto& [l, a] : base.con) {
-      if (!wm.covers(l)) continue;
+    const std::vector<Content::Window> cover = covered(base.con, own);
+    for (auto it = base.con.begin(); it != base.con.end(); ++it) {
+      const Label l = it->first;
+      const Content::Window& w = cover[it.stream_index()];
+      if (l.seqno < w.lo || l.seqno > w.hi) continue;
       for (; s != stored.end() && *s <= l; ++s)
         if (*s != l) append_if_new(*s);
       append_if_new(l);
@@ -144,27 +131,21 @@ SummaryDigest digest(const Summary& x) {
   g.next = x.next;
   g.ord_len = static_cast<std::uint32_t>(x.ord.size());
   g.high = x.high;
-  // One pass over con (sorted by label = (view, seqno, origin), so each
-  // stream's labels appear in increasing seqno order even though streams
-  // interleave): extend a stream's watermark only while the prefix is dense.
-  for (const auto& [l, a] : x.con) {
-    const LabelStream s{l.id, l.origin};
-    auto [it, inserted] = g.marks.try_emplace(s, 0);
-    if (l.seqno == it->second + 1) it->second = l.seqno;
-  }
-  // Streams with no dense prefix (first held seqno > 1) carry watermark 0 —
-  // the same as absent. Drop them so equal knowledge yields equal digests.
-  for (auto it = g.marks.begin(); it != g.marks.end();)
-    it = it->second == 0 ? g.marks.erase(it) : std::next(it);
+  // One read per stream. A stream without seqno 1 has watermark 0, the
+  // same as absent; it is left out so equal knowledge yields equal digests.
+  g.marks.reserve(x.con.streams().size());
+  for (const Content::Stream& st : x.con.streams())
+    if (const std::uint32_t w = st.prefix(); w > 0) g.marks.emplace_back(st.key(), w);
   return g;
 }
 
 SummaryDigest meet(std::span<const SummaryDigest* const> ds) {
   assert(!ds.empty());
   SummaryDigest m{ds[0]->next, ds[0]->ord_len, ds[0]->high, {}};
-  using It = std::map<LabelStream, std::uint32_t>::const_iterator;
+  using It = StreamMarks::const_iterator;
   std::vector<It> at;
   at.reserve(ds.size());
+  m.marks.reserve(ds[0]->marks.size());
   for (const SummaryDigest* d : ds) {
     m.next = std::min(m.next, d->next);
     m.ord_len = std::min(m.ord_len, d->ord_len);
@@ -182,7 +163,7 @@ SummaryDigest meet(std::span<const SummaryDigest* const> ds) {
       everywhere = at[k] != ds[k]->marks.end() && at[k]->first == s;
       if (everywhere) low = std::min(low, at[k]->second);
     }
-    if (everywhere) m.marks.emplace_hint(m.marks.end(), s, low);
+    if (everywhere) m.marks.emplace_back(s, low);
   }
   return m;
 }
@@ -202,9 +183,11 @@ SummaryDelta delta(const Summary& a, const SummaryDigest& d) {
        static_cast<std::size_t>(d.ord_len), a.ord.size()});
   dl.ord_prefix = static_cast<std::uint32_t>(shared);
   dl.ord_suffix.assign(a.ord.begin() + static_cast<std::ptrdiff_t>(shared), a.ord.end());
-  Watermarks wm(d.marks);
-  for (const auto& [l, v] : a.con)
-    if (l.seqno > wm.at(l)) dl.con.emplace_hint(dl.con.end(), l, v);
+  // Each stream's suffix above d's watermark (an absent stream reads as 0,
+  // so seqno 0 is never shipped).
+  dl.con.merge(a.con, windows(a.con, d.marks, [](std::optional<std::uint32_t> w) {
+                 return Content::Window{std::uint64_t{w.value_or(0)} + 1};
+               }));
   return dl;
 }
 
@@ -220,16 +203,19 @@ std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base) 
   // omitted only entries under the *meet* watermark, which is <= ours, and
   // label -> value is a function (Lemma 6.5), so every omitted entry is
   // restored bit-identically; extras beyond the sender's con are entries we
-  // hold anyway (union-equivalent for every consumer of gotstate).
+  // hold anyway (union-equivalent for every consumer of gotstate). One
+  // label at a time, apart from with_base's stream merge, so the tests can
+  // hold the shared-base form against this one.
   const SummaryDigest own = digest(base);
   for (const auto& [l, v] : base.con) {
-    const auto it = own.marks.find(LabelStream{l.id, l.origin});
-    if (it != own.marks.end() && l.seqno <= it->second) x.con.emplace(l, v);
+    const LabelStream s{l.id, l.origin};
+    const auto m = std::ranges::lower_bound(own.marks, s, {}, &StreamMarks::value_type::first);
+    if (m != own.marks.end() && m->first == s && l.seqno <= m->second) x.con.emplace(l, v);
   }
   return x;
 }
 
-std::optional<Summary> delta_entry(const SummaryDelta& dl, const Summary& base) {
+std::optional<Summary> delta_entry(SummaryDelta dl, const Summary& base) {
   if (dl.ord_prefix > base.ord.size()) return std::nullopt;
   Summary x;
   x.next = dl.next;
@@ -237,21 +223,12 @@ std::optional<Summary> delta_entry(const SummaryDelta& dl, const Summary& base) 
   x.ord.reserve(dl.ord_prefix + dl.ord_suffix.size());
   x.ord.assign(base.ord.begin(), base.ord.begin() + dl.ord_prefix);
   x.ord.insert(x.ord.end(), dl.ord_suffix.begin(), dl.ord_suffix.end());
-  x.con = dl.con;
+  x.con = std::move(dl.con);
   return x;
 }
 
 Summary with_base(Summary x, const Summary& base, const SummaryDigest& own) {
-  if (own.marks.empty()) return x;
-  // Merge walk: `pos` trails each base label's place in x.con, so every
-  // insertion is hinted and x's own entries win.
-  Watermarks wm(own.marks);
-  auto pos = x.con.begin();
-  for (const auto& [l, v] : base.con) {
-    if (!wm.covers(l)) continue;
-    while (pos != x.con.end() && pos->first < l) ++pos;
-    if (pos == x.con.end() || pos->first != l) x.con.emplace_hint(pos, l, v);
-  }
+  if (!own.marks.empty()) x.con.merge(base.con, covered(base.con, own));
   return x;
 }
 

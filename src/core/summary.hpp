@@ -13,15 +13,17 @@
 #include <span>
 #include <vector>
 
+#include "core/content.hpp"
 #include "core/label.hpp"
 #include "core/types.hpp"
 
 namespace vsg::core {
 
 struct Summary {
-  /// con: the (label, value) pairs known to the sender. Kept as a map —
-  /// Lemma 6.5 proves `con` is a partial function from labels to values.
-  std::map<Label, Value> con;
+  /// con: the (label, value) pairs known to the sender, kept per label
+  /// stream — Lemma 6.5 proves `con` is a partial function from labels to
+  /// values.
+  Content con;
   /// ord: the sender's tentative total order of labels.
   std::vector<Label> ord;
   /// next: the sender's nextconfirm (1-based; labels ord[0..next-2] are
@@ -44,7 +46,7 @@ using SummaryMap = std::map<ProcId, Summary>;
 
 /// knowncontent(Y): union of all con components. Later entries never
 /// contradict earlier ones (allcontent is a function — Lemma 6.5).
-std::map<Label, Value> knowncontent(const SummaryMap& y);
+Content knowncontent(const SummaryMap& y);
 
 /// maxprimary(Y): greatest `high` among the summaries (nullopt if all are
 /// bottom). Requires y to be nonempty.
@@ -78,19 +80,19 @@ std::uint32_t maxnextconfirm(const SummaryMap& y);
 // the receiver already holds, which union-style consumers such as
 // knowncontent/fullorder cannot distinguish.
 
-/// A label stream: all labels minted by one processor in one view. Within a
-/// stream, seqnos are dense from 1, so "I hold the full prefix up to w" is
-/// one integer per stream.
-using LabelStream = std::pair<ViewId, ProcId>;
+/// Per-stream watermarks, sorted by stream, each stream at most once. A
+/// label stream's seqnos are dense from 1 (core/content.hpp), so "I hold the
+/// full prefix up to w" is one integer per stream.
+using StreamMarks = std::vector<std::pair<LabelStream, std::uint32_t>>;
 
 /// Compact advertisement of a Summary: cursors plus one prefix watermark
-/// per label stream. marks[s] = w means the sender holds con entries for
+/// per label stream. A mark (s, w) means the sender holds con entries for
 /// every seqno 1..w of stream s (w >= 1; absent streams mean 0).
 struct SummaryDigest {
   std::uint32_t next = 1;
   std::uint32_t ord_len = 0;
   std::optional<ViewId> high;
-  std::map<LabelStream, std::uint32_t> marks;
+  StreamMarks marks;
 
   bool operator==(const SummaryDigest&) const = default;
 };
@@ -104,12 +106,13 @@ struct SummaryDelta {
   /// The receiver keeps base.ord[0 .. ord_prefix) and appends ord_suffix.
   std::uint32_t ord_prefix = 0;
   std::vector<Label> ord_suffix;
-  std::map<Label, Value> con;
+  Content con;
 
   bool operator==(const SummaryDelta&) const = default;
 };
 
-/// The digest of x: cursors plus per-stream prefix watermarks over x.con.
+/// The digest of x: cursors plus per-stream prefix watermarks over x.con,
+/// one read per stream.
 SummaryDigest digest(const Summary& x);
 
 /// Pointwise weakest of the digests (min cursors, min/intersected marks):
@@ -123,7 +126,8 @@ SummaryDigest meet(const SummaryDigest& a, const SummaryDigest& b);
 /// split point is the provably shared confirmed prefix:
 /// min(a.next - 1, d.next - 1, d.ord_len, |a.ord|) — total-order safety
 /// makes confirmed prefixes agree across processes, so the receiver's own
-/// base.ord supplies those labels verbatim.
+/// base.ord supplies those labels verbatim. con is each stream's suffix
+/// above d's watermark, copied a stream at a time.
 SummaryDelta delta(const Summary& a, const SummaryDigest& d);
 
 /// Reconstruct the sender's summary from `dl` and the receiver's own frozen
@@ -133,7 +137,7 @@ SummaryDelta delta(const Summary& a, const SummaryDigest& d);
 /// entries — a superset of the sender's con whose extras the receiver
 /// already holds (union-equivalent; see the header comment). VStoTO keeps
 /// deltas in the shared-base form below; this is the reference that form
-/// is tested against.
+/// is tested against, built one label at a time.
 std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base);
 
 // --- Shared-base gotstate ----------------------------------------------------
@@ -147,16 +151,17 @@ std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base);
 
 /// The stored form of `dl`: apply_delta(dl, base) without base's covered
 /// con entries. nullopt exactly when apply_delta is.
-std::optional<Summary> delta_entry(const SummaryDelta& dl, const Summary& base);
+std::optional<Summary> delta_entry(SummaryDelta dl, const Summary& base);
 
-/// x plus the entries of base.con that `own` covers (x's own entries win).
-/// With own = digest(base):
-/// with_base(*delta_entry(dl, base), base, own) == *apply_delta(dl, base).
-/// An `own` without marks covers nothing and returns x unchanged.
+/// x plus the entries of base.con that `own` covers (x's own entries win),
+/// merged a stream at a time: a present watermark w covers seqnos 0..w of
+/// its stream, an absent one nothing. An `own` without marks covers nothing
+/// and returns x unchanged.
 Summary with_base(Summary x, const Summary& base, const SummaryDigest& own);
 
 /// fullorder of y with every entry read through with_base(., base, own),
-/// from one pass over base.con plus each entry's stored con.
+/// from one label-order pass over base.con, reading coverage by stream,
+/// plus each entry's stored con.
 std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
                              const SummaryDigest& own);
 

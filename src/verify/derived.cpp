@@ -81,7 +81,7 @@ std::vector<core::Summary> allstate(const GlobalState& s) {
 std::map<core::Label, core::Value> allcontent(const GlobalState& s,
                                               std::vector<std::string>* violations) {
   std::map<core::Label, core::Value> all;
-  auto merge = [&](const std::map<core::Label, core::Value>& con) {
+  auto merge = [&](const core::Content& con) {
     for (const auto& [l, a] : con) {
       auto [it, inserted] = all.emplace(l, a);
       if (!inserted && it->second != a && violations != nullptr)

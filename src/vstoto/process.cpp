@@ -2,30 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <ranges>
 
 #include "util/logging.hpp"
 #include "util/sequence.hpp"
 
 namespace vsg::vstoto {
-
-namespace {
-
-// Brings a frozen exchange base up to `content` in one merge walk. content
-// only grows and never rebinds a label (Lemma 6.5), so a base frozen from
-// an earlier content is a subset of it: the walk only inserts the missing
-// entries, each at a hinted position.
-void refreeze(std::map<core::Label, core::Value>& base,
-              const std::map<core::Label, core::Value>& content) {
-  auto at = base.begin();
-  for (const auto& [l, v] : content) {
-    if (at != base.end() && at->first == l)
-      ++at;
-    else
-      base.emplace_hint(at, l, v);
-  }
-}
-
-}  // namespace
 
 const char* to_string(PStatus s) noexcept {
   switch (s) {
@@ -132,7 +114,9 @@ void Process::bcast(core::Value a) {
   st_.delay.push_back(std::move(a));
   obs::bump(obs_.payload_moves);
   if (obs_.pending_labels != nullptr) obs_.pending_labels->add(1);
-  run_to_quiescence();
+  // Re-entered from deliver_, a nested loop would deliver the current value
+  // again (nextreport has not advanced) and could grow content under `a`.
+  if (!delivering_) run_to_quiescence();
 }
 
 // --- Internal label(a)_p -----------------------------------------------------
@@ -155,9 +139,9 @@ bool Process::try_label() {
 bool Process::try_gpsnd_value() {
   if (st_.status != PStatus::kNormal || st_.buffer.empty()) return false;
   const core::Label l = st_.buffer.front();
-  const auto it = st_.content.find(l);
-  assert(it != st_.content.end());  // Lemma 6.6
-  util::Buffer m = encode_message(Message{LabeledValue{l, it->second}});
+  const core::Value* a = st_.content.get(l);
+  assert(a != nullptr);  // Lemma 6.6
+  util::Buffer m = encode_message(Message{LabeledValue{l, *a}});
   // The storage uid of this buffer is the tracer's origin-side correlation
   // key: the outbox, the token entry and the self-delivery all share it.
   if (tracer_ != nullptr) tracer_->msg_sent(p_, l, m.id(), recorder_->now());
@@ -196,15 +180,19 @@ bool Process::try_brcv() {
   // the oracles rather than becoming undefined behavior.
   if (st_.nextreport > st_.order.size()) return false;
   const core::Label& l = st_.order[st_.nextreport - 1];
-  const auto it = st_.content.find(l);
-  if (it == st_.content.end()) return false;
+  const core::Value* a = st_.content.get(l);
+  if (a == nullptr) return false;
   const ProcId origin = l.origin;
   if (tracer_ != nullptr) tracer_->msg_delivered(p_, l, recorder_->now());
   // Two deliberate copies: the trace event and the delivered() accessor.
-  recorder_->record(trace::BrcvEvent{origin, p_, it->second});
-  delivered_.emplace_back(origin, it->second);
+  recorder_->record(trace::BrcvEvent{origin, p_, *a});
+  delivered_.emplace_back(origin, *a);
   obs::bump(obs_.payload_copies, 2);
-  if (deliver_) deliver_(origin, it->second);
+  if (deliver_) {
+    delivering_ = true;
+    deliver_(origin, *a);
+    delivering_ = false;
+  }
   ++st_.nextreport;
   return true;
 }
@@ -251,9 +239,10 @@ void Process::on_newview(const core::View& v) {
   // Both modes freeze the exchange base here; delta mode advertises its
   // digest instead of shipping the whole summary (phase 1 of the
   // anti-entropy exchange — the delta follows in maybe_send_delta). The
-  // base is local_summary() without a copy of content: the previous base
-  // is brought up to it instead.
-  refreeze(st_.exch_base.con, st_.content);
+  // base is local_summary() without a copy of content: content only grows
+  // and never rebinds a label (Lemma 6.5), so the previous base is brought
+  // up to it by appending each stream's new suffix.
+  st_.exch_base.con.merge(st_.content);
   st_.exch_base.ord = st_.order;
   st_.exch_base.next = st_.nextconfirm;
   st_.exch_base.high = st_.highprimary;
@@ -288,7 +277,7 @@ void Process::on_gprcv(ProcId src, const vs::Payload& payload) {
   else if (const auto* g = std::get_if<core::SummaryDigest>(&m))
     handle_digest(src, *g);
   else
-    handle_delta(src, std::get<core::SummaryDelta>(m));
+    handle_delta(src, std::move(std::get<core::SummaryDelta>(m)));
   run_to_quiescence();
 }
 
@@ -304,14 +293,14 @@ void Process::handle_labeled(LabeledValue lv) {
 
 void Process::handle_summary(ProcId src, core::Summary x) {
   obs::bump(obs_.summaries_received);
-  st_.content.insert(x.con.begin(), x.con.end());
+  st_.content.merge(x.con);
   st_.gotstate.insert_or_assign(src, std::move(x));
 
   if (!st_.current.has_value()) return;
   // Establishment: all members' summaries collected.
-  std::set<ProcId> have;
-  for (const auto& [q, xs] : st_.gotstate) have.insert(q);
-  if (have != st_.current->members || st_.status != PStatus::kCollect) return;
+  if (st_.status != PStatus::kCollect ||
+      !std::ranges::equal(std::views::keys(st_.gotstate), st_.current->members))
+    return;
 
   const std::uint32_t prevconfirm = st_.nextconfirm;
   st_.nextconfirm = core::maxnextconfirm(st_.gotstate);
@@ -363,14 +352,14 @@ void Process::maybe_send_delta() {
   obs::bump(obs_.deltas_sent);
 }
 
-void Process::handle_delta(ProcId src, const core::SummaryDelta& dl) {
+void Process::handle_delta(ProcId src, core::SummaryDelta dl) {
   obs::bump(obs_.deltas_received);
   // Store only what the delta carried: the rest of the sender's summary is
   // the covered part of our frozen base, shared by every entry (see
   // got_summary). content already holds that part, so merging dl.con is
   // enough. delta_entry only fails on input no correct sender produces (an
   // ord prefix beyond our digest).
-  auto x = core::delta_entry(dl, st_.exch_base);
+  auto x = core::delta_entry(std::move(dl), st_.exch_base);
   if (!x.has_value()) {
     VSG_WARN << "process " << p_ << ": delta from " << src
              << " overruns the local exchange base; dropped";

@@ -87,7 +87,7 @@ const char* to_string(ExchangeMode m) noexcept;
 struct ProcessState {
   std::optional<core::View> current;        // current (views_bot)
   PStatus status = PStatus::kNormal;        // status
-  std::map<core::Label, core::Value> content;
+  core::Content content;
   std::uint32_t nextseqno = 1;
   std::deque<core::Label> buffer;
   std::vector<core::Label> order;
@@ -145,7 +145,9 @@ std::optional<core::Summary> got_summary(const ProcessState& st, ProcId q);
 
 class Process final : public vs::Client {
  public:
-  /// Called on each brcv(a)_{origin, p} output.
+  /// Called on each brcv(a)_{origin, p} output. `a` refers into content
+  /// and is valid for the call. The callback may bcast at p: that input
+  /// only queues its value, and the running step labels it afterwards.
   using DeliveryFn = std::function<void(ProcId origin, const core::Value& a)>;
 
   /// `n0` is |P0|; processors 0..n0-1 start in the initial view with
@@ -158,7 +160,9 @@ class Process final : public vs::Client {
 
   ProcId id() const noexcept { return p_; }
 
-  /// Input bcast(a)_p. Records the trace event and runs to quiescence.
+  /// Input bcast(a)_p. Records the trace event and runs to quiescence,
+  /// unless it comes from inside a delivery callback at p, where the
+  /// running loop picks the value up once the callback returns.
   void bcast(core::Value a);
 
   void set_delivery(DeliveryFn fn) { deliver_ = std::move(fn); }
@@ -224,7 +228,7 @@ class Process final : public vs::Client {
   /// view once every member's entry is in.
   void handle_summary(ProcId src, core::Summary x);
   void handle_digest(ProcId src, const core::SummaryDigest& g);
-  void handle_delta(ProcId src, const core::SummaryDelta& dl);
+  void handle_delta(ProcId src, core::SummaryDelta dl);
   /// Delta mode: once every member's digest is in, broadcast the one delta
   /// against their meet (VS has no point-to-point send).
   void maybe_send_delta();
@@ -243,6 +247,7 @@ class Process final : public vs::Client {
   vs::Service* service_;
   trace::Recorder* recorder_;
   DeliveryFn deliver_;
+  bool delivering_ = false;  // inside deliver_: bcast must not re-enter
   ExchangeMode exchange_mode_ = ExchangeMode::kFullSummary;
   ProcessObs obs_;
   obs::SpanTracer* tracer_ = nullptr;

@@ -41,10 +41,8 @@ TEST(SummaryDigest, WatermarkIsLargestDensePrefixPerStream) {
   x.con.emplace(lab(1, 3, 1), value_of(lab(1, 3, 1)));
   x.con.emplace(lab(2, 2, 0), value_of(lab(2, 2, 0)));
   const SummaryDigest d = digest(x);
-  ASSERT_EQ(d.marks.size(), 2u);  // zero-watermark streams are absent
-  EXPECT_EQ(d.marks.at({ViewId{1, 0}, 0}), 3u);
-  EXPECT_EQ(d.marks.at({ViewId{1, 0}, 1}), 1u);
-  EXPECT_EQ(d.marks.count({ViewId{2, 0}, 0}), 0u);
+  // Zero-watermark streams, such as (2,0), are absent.
+  EXPECT_EQ(d.marks, (StreamMarks{{{ViewId{1, 0}, 0}, 3u}, {{ViewId{1, 0}, 1}, 1u}}));
 }
 
 TEST(SummaryDigest, MeetIsPointwiseWeakest) {
@@ -64,8 +62,7 @@ TEST(SummaryDigest, MeetIsPointwiseWeakest) {
   // high is engaged only when both sides hold a primary: bottom is the
   // minimum of the paper's G_bot order.
   EXPECT_FALSE(m.high.has_value());
-  ASSERT_EQ(m.marks.size(), 1u);
-  EXPECT_EQ(m.marks.at({ViewId{1, 0}, 0}), 4u);
+  EXPECT_EQ(m.marks, (StreamMarks{{{ViewId{1, 0}, 0}, 4u}}));
 
   // Commutative and idempotent.
   EXPECT_EQ(meet(a, b), meet(b, a));

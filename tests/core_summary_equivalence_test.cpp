@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include "core/summary.hpp"
@@ -17,14 +19,20 @@ namespace {
 
 // --- Reference formulations ------------------------------------------------
 
+const std::uint32_t* ref_mark(const SummaryDigest& d, const LabelStream& s) {
+  const auto it = std::find_if(d.marks.begin(), d.marks.end(),
+                               [&](const auto& m) { return m.first == s; });
+  return it == d.marks.end() ? nullptr : &it->second;
+}
+
 std::uint32_t ref_watermark(const SummaryDigest& d, const Label& l) {
-  const auto it = d.marks.find(LabelStream{l.id, l.origin});
-  return it == d.marks.end() ? 0 : it->second;
+  const std::uint32_t* w = ref_mark(d, LabelStream{l.id, l.origin});
+  return w == nullptr ? 0 : *w;
 }
 
 bool ref_covers(const SummaryDigest& own, const Label& l) {
-  const auto it = own.marks.find(LabelStream{l.id, l.origin});
-  return it != own.marks.end() && l.seqno <= it->second;
+  const std::uint32_t* w = ref_mark(own, LabelStream{l.id, l.origin});
+  return w != nullptr && l.seqno <= *w;
 }
 
 SummaryDigest ref_meet(const SummaryDigest& a, const SummaryDigest& b) {
@@ -32,10 +40,8 @@ SummaryDigest ref_meet(const SummaryDigest& a, const SummaryDigest& b) {
   m.next = std::min(a.next, b.next);
   m.ord_len = std::min(a.ord_len, b.ord_len);
   if (a.high && b.high) m.high = std::min(*a.high, *b.high);
-  for (const auto& [s, w] : a.marks) {
-    const auto it = b.marks.find(s);
-    if (it != b.marks.end()) m.marks[s] = std::min(w, it->second);
-  }
+  for (const auto& [s, w] : a.marks)
+    if (const std::uint32_t* wb = ref_mark(b, s)) m.marks.emplace_back(s, std::min(w, *wb));
   return m;
 }
 
@@ -88,8 +94,8 @@ Value value_of(const Label& l) { return "v" + to_string(l); }
 
 // A con with gappy streams: each stream keeps a dense prefix, then a random
 // scatter past it (or nothing at all).
-std::map<Label, Value> random_con(util::Rng& rng) {
-  std::map<Label, Value> con;
+Content random_con(util::Rng& rng) {
+  Content con;
   for (std::uint64_t epoch = 1; epoch <= 2; ++epoch)
     for (ProcId vo = 0; vo < 2; ++vo)
       for (ProcId origin = 0; origin < 3; ++origin) {
@@ -126,10 +132,12 @@ SummaryDigest random_digest(util::Rng& rng) {
   d.ord_len = static_cast<std::uint32_t>(rng.below(6));
   if (rng.chance(0.6)) d.high = ViewId{rng.below(3), static_cast<ProcId>(rng.below(2))};
   if (rng.chance(0.2)) return d;  // no marks
+  std::map<LabelStream, std::uint32_t> marks;
   for (std::uint64_t k = rng.below(10); k > 0; --k) {
     const Label l = random_label(rng);
-    d.marks[LabelStream{l.id, l.origin}] = static_cast<std::uint32_t>(rng.below(6));
+    marks[LabelStream{l.id, l.origin}] = static_cast<std::uint32_t>(rng.below(6));
   }
+  d.marks.assign(marks.begin(), marks.end());
   return d;
 }
 
@@ -169,10 +177,14 @@ TEST(SummaryEquivalence, WithBaseAndFullorderMatchTheSetBasedReference) {
     SummaryMap y;
     for (ProcId q = 0, n = 1 + static_cast<ProcId>(rng.below(4)); q < n; ++q) {
       Summary x = random_summary(rng);
-      // Stored entries often carry only a delta's worth of content.
-      if (rng.chance(0.5))
-        for (auto it = x.con.begin(); it != x.con.end();)
-          it = rng.chance(0.7) ? x.con.erase(it) : std::next(it);
+      // Stored entries often carry only a delta's worth of content: keep
+      // each entry with probability 0.3, one draw per entry in label order.
+      if (rng.chance(0.5)) {
+        const std::map<Label, Value> model(x.con.begin(), x.con.end());
+        x.con = {};
+        for (const auto& [l, v] : model)
+          if (!rng.chance(0.7)) x.con.emplace(l, v);
+      }
       y.emplace(q, std::move(x));
     }
     const Summary base = random_summary(rng);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,6 +141,36 @@ TEST(ToClient, LatencyHistogramMatchesDeliveries) {
     per += h->count();
   }
   EXPECT_EQ(per, all->count());
+}
+
+// A client may bcast at its own processor from inside a delivery: the value
+// is queued and labelled once the delivery returns, so nothing is delivered
+// twice, and the value the legacy callback then reads (a reference into
+// the content the nested bcast grows) is still the delivered one.
+TEST(ToClient, ClientMayBcastFromInsideItsDelivery) {
+  harness::World world(ring_cfg(3, 17));
+  std::vector<std::string> seen_by_client;
+  to::CallbackClient client([&](ProcId, const core::Value& a) {
+    seen_by_client.push_back(a);
+    if (a.rfind("re:", 0) == 0) return;
+    for (int k = 0; k < 3; ++k) world.stack().bcast(1, "re:" + a + ":" + std::to_string(k));
+  });
+  world.stack().attach(1, client);
+  std::vector<std::vector<std::string>> got(3);
+  world.stack().set_delivery([&](ProcId dest, ProcId, const core::Value& a) {
+    got[static_cast<std::size_t>(dest)].push_back(a);
+  });
+  drive(world, 3);
+
+  EXPECT_TRUE(world.check_to_safety().empty());
+  EXPECT_EQ(got[1], seen_by_client);
+  // 6 driven values, each answered with 3 replies, at every processor.
+  for (const auto& seq : got) {
+    EXPECT_EQ(seq, got[0]);
+    EXPECT_EQ(seq.size(), 24u);
+    EXPECT_EQ(std::set<std::string>(seq.begin(), seq.end()).size(), seq.size())
+        << "a value was delivered twice";
+  }
 }
 
 // The legacy shim keeps pre-Client code working without edits (the

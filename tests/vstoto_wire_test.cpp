@@ -88,6 +88,83 @@ TEST(Wire, TrailingGarbageRejected) {
   EXPECT_FALSE(decode_message_ex(bytes).ok());
 }
 
+// --- Frozen exchange payloads -------------------------------------------------
+//
+// Literal bytes of one payload of each exchange kind. Their cons interleave
+// three origins over two views, with a gap in one stream and a seqno-0
+// entry, so the literals pin the label-order walk the codec makes over con.
+
+std::string hex(const util::Buffer& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t byte : b.to_bytes()) {
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xF];
+  }
+  return out;
+}
+
+core::Label vlab(std::uint64_t epoch, ProcId view_origin, std::uint32_t seqno, ProcId origin) {
+  return core::Label{core::ViewId{epoch, view_origin}, seqno, origin};
+}
+
+core::Summary frozen_summary() {
+  core::Summary x;
+  for (const core::Label& l :
+       {vlab(1, 0, 1, 0), vlab(1, 0, 2, 0), vlab(1, 0, 3, 0), vlab(1, 0, 1, 1),
+        vlab(1, 0, 2, 1), vlab(1, 0, 0, 2), vlab(1, 0, 1, 2), vlab(2, 1, 1, 0),
+        vlab(2, 1, 3, 0), vlab(2, 1, 4, 0), vlab(2, 1, 1, 2), vlab(2, 1, 2, 2)})
+    x.con.emplace(l, core::to_string(l));
+  x.ord = {vlab(1, 0, 1, 0), vlab(1, 0, 1, 1), vlab(1, 0, 2, 0), vlab(2, 1, 1, 2)};
+  x.next = 3;
+  x.high = core::ViewId{1, 0};
+  return x;
+}
+
+template <typename T>
+void expect_frozen(const T& x, const std::string& bytes) {
+  const util::Buffer b = encode_message(Message{x});
+  EXPECT_EQ(hex(b), bytes);
+  const auto back = decode_message_ex(b.view()).value;
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(std::get<T>(*back), x);
+}
+
+TEST(Wire, FrozenSummaryBytes) {
+  expect_frozen(frozen_summary(),
+                "020c020001040c3c6728312e3029233040323e000002030c3c6728312e302923"
+                "3140303e000000020c3c6728312e3029233140313e000000020c3c6728312e30"
+                "29233140323e000002030c3c6728312e3029233240303e000000020c3c672831"
+                "2e3029233240313e000002010c3c6728312e3029233340303e020203000c3c67"
+                "28322e3129233140303e000000040c3c6728322e3129233140323e000002000c"
+                "3c6728322e3129233240323e000002030c3c6728322e3129233340303e000002"
+                "000c3c6728322e3129233440303e040200000000000002000002010202010403"
+                "010100");
+}
+
+TEST(Wire, FrozenDigestBytes) {
+  expect_frozen(core::digest(frozen_summary()),
+                "030304010100050200000300000202000002010202030100000402");
+}
+
+TEST(Wire, FrozenDeltaBytes) {
+  core::SummaryDelta dl;
+  dl.next = 2;
+  dl.high = core::ViewId{2, 1};
+  dl.ord_prefix = 1;
+  dl.ord_suffix = {vlab(1, 0, 2, 1), vlab(2, 1, 0, 1)};
+  for (const core::Label& l : {vlab(1, 0, 3, 0), vlab(1, 0, 2, 1), vlab(1, 0, 0, 2),
+                               vlab(2, 1, 1, 0), vlab(2, 1, 4, 0), vlab(2, 1, 0, 1),
+                               vlab(2, 1, 2, 2), vlab(2, 1, 5, 2)})
+    dl.con.emplace(l, core::to_string(l));
+  expect_frozen(dl,
+                "04020102010102020002020202030008020001040c3c6728312e302923304032"
+                "3e000004010c3c6728312e3029233240313e000002010c3c6728312e30292333"
+                "40303e020205020c3c6728322e3129233040313e000002010c3c6728322e3129"
+                "233140303e000002040c3c6728322e3129233240323e000004030c3c6728322e"
+                "3129233440303e000002040c3c6728322e3129233540323e");
+}
+
 class WireFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WireFuzz, RandomBytesNeverCrash) {
