@@ -119,6 +119,22 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Range(64, 4096);
 
+// The hold model at pending depth N: each pop schedules one event at a
+// random later time, so the queue stays N deep.
+void BM_EventQueueHold(benchmark::State& state) {
+  sim::EventQueue q;
+  util::Rng rng(42);
+  for (int i = 0; i < state.range(0); ++i)
+    q.schedule(static_cast<sim::Time>(rng.below(1000)), [] {});
+  for (auto _ : state) {
+    const sim::Time now = q.pop_and_run();
+    benchmark::DoNotOptimize(now);
+    q.schedule(now + 1 + static_cast<sim::Time>(rng.below(1000)), [] {});
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold)->RangeMultiplier(8)->Range(8, 32768);
+
 void BM_LabeledValueWire(benchmark::State& state) {
   const vstoto::LabeledValue lv{make_label(7), std::string(128, 'x')};
   for (auto _ : state) {

@@ -74,6 +74,11 @@ fi
 grep -q '"net.packets_sent": 247105' build/CHAOS_smoke.json
 grep -q '"ring.entries_delivered": 46179' build/CHAOS_smoke.json
 grep -q '"ring.token_rotations": 267240' build/CHAOS_smoke.json
+# Simulator event pins: the events the smoke executed and the most that were
+# ever pending at once. They move only when what is scheduled moves, so a
+# change to the event queue's representation must leave them put.
+grep -q ', 1244810 sim events, peak 58 pending)' build/chaos_smoke_jobs1.out
+grep -q ', 1244810 sim events, peak 58 pending)' build/chaos_smoke_jobs4.out
 
 # Sharded smoke (docs/SHARDING.md): a four-shard campaign with correlated
 # failure-domain faults must run clean under the per-shard oracle set, and

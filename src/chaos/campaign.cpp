@@ -1,5 +1,6 @@
 #include "chaos/campaign.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "chaos/oracles.hpp"
@@ -123,6 +124,8 @@ RunResult run_one(const CampaignConfig& cfg, const harness::Scenario& scenario, 
     return result;
   }
   world.run_until(run_until);
+  result.sim_events = world.simulator().events_processed();
+  result.sim_peak_pending = world.simulator().peak_pending();
   oracles.finalize();
   result.violations = oracles.violations();
 
@@ -241,6 +244,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     count_ops(schedule.scenario, *metrics);
     metrics->merge_from(run.world_metrics);
     result.ops += schedule.scenario.ops.size();
+    result.sim_events += run.sim_events;
+    result.sim_peak_pending = std::max(result.sim_peak_pending, run.sim_peak_pending);
     ++result.runs;
     if (cfg.sampler.enabled) result.seed_timelines.push_back(std::move(run.timeline));
 

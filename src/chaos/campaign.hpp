@@ -90,6 +90,11 @@ struct RunResult {
   /// Total values delivered across all processors (context for fingerprint
   /// mismatches).
   std::uint64_t delivered_total = 0;
+  /// Simulator events the run executed, and the most that were pending at
+  /// once. Plain fields, not registry entries, so the registry and the
+  /// timelines stay as they were; check.sh pins the campaign's totals.
+  std::uint64_t sim_events = 0;
+  std::uint64_t sim_peak_pending = 0;
   /// Snapshot of the run's own World registry (net.*, ring.*, to.*, ...).
   /// run_campaign folds these into the campaign registry in seed order via
   /// obs::MetricsRegistry::merge_from, so the exported campaign snapshot
@@ -164,6 +169,10 @@ struct CampaignResult {
   /// differs. chaos_runner prints it so two campaign invocations (e.g.
   /// different --jobs) can be compared from their logs alone.
   std::uint64_t campaign_fingerprint = 0;
+  /// Sum of every seed's RunResult::sim_events, and the largest
+  /// RunResult::sim_peak_pending.
+  std::uint64_t sim_events = 0;
+  std::uint64_t sim_peak_pending = 0;
   bool ok() const { return failures.empty(); }
 };
 

@@ -172,6 +172,23 @@ struct BodyEncoder {
   }
 };
 
+/// Frame one body: version byte, checksum (back-patched) and body length,
+/// then whatever `enc` writes through BodyEncoder's overload for `body`.
+template <class Body>
+util::Buffer encode_framed(const Body& body, BodyEncoder& enc) {
+  const std::size_t body_size = BodySize{}(body);
+  util::Encoder& e = enc.e;
+  e.reserve(kFrameHeaderSize + body_size);
+  e.u8(kVersionByte);
+  e.u32(0);  // checksum: back-patched below
+  e.u32(static_cast<std::uint32_t>(body_size));
+  enc(body);
+  e.patch_u32(1, frame_checksum(kVersionByte,
+                                util::BufferView(e.bytes().data() + kFrameHeaderSize,
+                                                 e.size() - kFrameHeaderSize)));
+  return e.finish();
+}
+
 }  // namespace
 
 void Token::note_boarded(std::size_t n) {
@@ -212,33 +229,29 @@ std::size_t encoded_packet_size(const Packet& pkt) {
   return kFrameHeaderSize + std::visit(BodySize{}, pkt);
 }
 
-util::Buffer encode_packet(const Packet& pkt, WireEncodeStats* stats) {
-  const std::size_t body_size = std::visit(BodySize{}, pkt);
+util::Buffer encode_packet(const Token& t, WireEncodeStats* stats) {
   util::Encoder e;
-  e.reserve(kFrameHeaderSize + body_size);
-  e.u8(kVersionByte);
-  e.u32(0);  // checksum: back-patched below
-  e.u32(static_cast<std::uint32_t>(body_size));
   BodyEncoder enc{e, stats, 0, 0, false, {}};
-  std::visit(enc, pkt);
-  e.patch_u32(1, frame_checksum(kVersionByte,
-                                util::BufferView(e.bytes().data() + kFrameHeaderSize,
-                                                 e.size() - kFrameHeaderSize)));
-  util::Buffer packet = e.finish();
-  if (const Token* t = std::get_if<Token>(&pkt); t != nullptr) {
-    // Warm whatever was rebuilt, as zero-copy slices of the packet.
-    if (enc.rebuilt_whole) {
-      t->entries_segs.clear();
-      if (!t->entries.empty())
-        t->entries_segs.push_back(
-            TokenSeg{static_cast<std::uint32_t>(t->entries.size()),
-                     packet.slice(enc.entries_begin, enc.entries_end - enc.entries_begin)});
-    } else {
-      for (const auto& [seg_index, span] : enc.cold_spans)
-        t->entries_segs[seg_index].wire = packet.slice(span.first, span.second - span.first);
-    }
+  util::Buffer packet = encode_framed(t, enc);
+  // Warm whatever was rebuilt, as zero-copy slices of the packet.
+  if (enc.rebuilt_whole) {
+    t.entries_segs.clear();
+    if (!t.entries.empty())
+      t.entries_segs.push_back(
+          TokenSeg{static_cast<std::uint32_t>(t.entries.size()),
+                   packet.slice(enc.entries_begin, enc.entries_end - enc.entries_begin)});
+  } else {
+    for (const auto& [seg_index, span] : enc.cold_spans)
+      t.entries_segs[seg_index].wire = packet.slice(span.first, span.second - span.first);
   }
   return packet;
+}
+
+util::Buffer encode_packet(const Packet& pkt, WireEncodeStats* stats) {
+  if (const Token* t = std::get_if<Token>(&pkt); t != nullptr) return encode_packet(*t, stats);
+  util::Encoder e;
+  BodyEncoder enc{e, stats, 0, 0, false, {}};
+  return std::visit([&enc](const auto& body) { return encode_framed(body, enc); }, pkt);
 }
 
 namespace {

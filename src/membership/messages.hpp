@@ -129,6 +129,11 @@ std::size_t encoded_packet_size(const Packet& pkt);
 /// encode.
 util::Buffer encode_packet(const Packet& pkt, WireEncodeStats* stats = nullptr);
 
+/// encode_packet(Packet{t}) without the copy: the same bytes and the same
+/// stats, and it warms `t`'s own entries cache in place. The token hop
+/// (Node::forward_token) encodes through this.
+util::Buffer encode_packet(const Token& t, WireEncodeStats* stats = nullptr);
+
 /// The packet decode entry point (docs/WIRE.md, "Decode outcome contract"):
 /// `error` is non-empty iff `packet` is disengaged, and names the reject
 /// reason (unknown wire version, checksum mismatch, truncation, ...).

@@ -173,14 +173,11 @@ void Node::process_token(Token& t) {
 }
 
 void Node::forward_token(const Token& t, ProcId to) {
-  // The variant copy shares entry storage with t (refcounts, not bytes).
-  // Encoding warms the copy's entries-section wire cache; propagate it back
-  // to t so the next forward of an unmutated token splices instead of
-  // re-encoding (the cache is mutable — cache state, not data).
-  Packet pkt{t};
+  // Encoding warms t's own entries-section wire cache (mutable: cache
+  // state, not data), so the next forward of an unmutated token splices
+  // instead of re-encoding.
   WireEncodeStats wire_stats;
-  util::Buffer packet = encode_packet(pkt, &wire_stats);
-  t.entries_segs = std::get<Token>(pkt).entries_segs;
+  util::Buffer packet = encode_packet(t, &wire_stats);
   stats_.entries_rebuilt += wire_stats.entries_rebuilt;
   stats_.entries_spliced += wire_stats.entries_spliced;
   obs::bump(parent_->obs().entries_rebuilds, wire_stats.entries_rebuilt);

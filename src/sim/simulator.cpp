@@ -7,6 +7,7 @@ namespace vsg::sim {
 void Simulator::at(Time t, std::function<void()> fn) {
   assert(t >= now_);
   queue_.schedule(t < now_ ? now_ : t, std::move(fn));
+  if (queue_.size() > peak_pending_) peak_pending_ = queue_.size();
 }
 
 void Simulator::after(Time delay, std::function<void()> fn) {

@@ -38,12 +38,15 @@ class Simulator {
   std::size_t run(std::size_t max_events = 50'000'000);
 
   std::size_t events_processed() const noexcept { return processed_; }
+  /// The most events that were ever pending at once.
+  std::size_t peak_pending() const noexcept { return peak_pending_; }
   bool idle() const { return queue_.empty(); }
 
  private:
   EventQueue queue_;
   Time now_ = kTimeZero;
   std::size_t processed_ = 0;
+  std::size_t peak_pending_ = 0;
 };
 
 }  // namespace vsg::sim

@@ -20,8 +20,10 @@
 // The checker also exposes the cause mapping it builds, which is the
 // existence half of Lemma 4.2.
 
+#include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -62,12 +64,19 @@ class VSTraceChecker {
   const std::optional<core::View>& current_view(ProcId p) const;
 
  private:
-  using ViewProc = std::pair<core::ViewId, ProcId>;
-  struct PairKey {
-    core::ViewId g;
-    ProcId src;
-    ProcId dst;
-    auto operator<=>(const PairKey&) const = default;
+  /// Everything the checker knows about one view id, flat and indexed by
+  /// processor: a gprcv or safe reaches it through cur_state_ and does no
+  /// map lookup.
+  struct ViewState {
+    ViewState(std::set<ProcId> m, int n);
+    std::set<ProcId> members;  // the first membership announced under this id
+    /// gpsnd events per sender: (event index, payload).
+    std::vector<std::vector<std::pair<std::size_t, util::Buffer>>> sent;
+    std::vector<std::uint32_t> gprcv_count;  // [src * n + dst]
+    std::vector<std::uint32_t> safe_count;   // [src * n + dst]
+    std::vector<std::pair<ProcId, util::Buffer>> order;  // the view's common order
+    std::vector<std::size_t> recv_idx;       // per receiver: prefix delivered
+    std::vector<std::size_t> safe_idx;       // per receiver: prefix safe
   };
 
   void complain(const std::string& what);
@@ -78,14 +87,8 @@ class VSTraceChecker {
 
   int n_;
   std::vector<std::optional<core::View>> current_;
-  std::map<core::ViewId, std::set<ProcId>> views_by_id_;
-  // gpsnd events per (view, sender): (event index, payload)
-  std::map<ViewProc, std::vector<std::pair<std::size_t, util::Buffer>>> sent_;
-  std::map<PairKey, std::size_t> gprcv_count_;
-  std::map<PairKey, std::size_t> safe_count_;
-  std::map<core::ViewId, std::vector<std::pair<ProcId, util::Buffer>>> order_;
-  std::map<ViewProc, std::size_t> recv_idx_;  // (g, q) -> prefix delivered at q
-  std::map<ViewProc, std::size_t> safe_idx_;  // (g, q) -> prefix safe at q
+  std::map<core::ViewId, ViewState> views_;  // node-based: cur_state_ stays valid
+  std::vector<ViewState*> cur_state_;        // per processor; null before any view
   std::map<std::size_t, std::size_t> gprcv_cause_;
   std::map<std::size_t, std::size_t> safe_cause_;
   std::vector<std::string> violations_;

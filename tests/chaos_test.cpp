@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chaos/campaign.hpp"
 #include "chaos/schedule_gen.hpp"
 #include "chaos/shrink.hpp"
@@ -240,6 +242,35 @@ TEST(Campaign, ParallelJobsAreBitIdenticalToSequential) {
   EXPECT_EQ(seq_metrics->snapshot(), par_metrics->snapshot());
   EXPECT_GT(seq_metrics->counter("net.packets_sent").value(), 0u)
       << "per-World protocol counters were not merged into the campaign registry";
+}
+
+TEST(Campaign, SumsSimEventsAndTakesThePeakPending) {
+  CampaignConfig cfg;
+  cfg.schedule = small_schedule();
+  cfg.seeds = 3;
+  cfg.shrink = false;
+  const auto result = run_campaign(cfg);
+  std::uint64_t events = 0;
+  std::uint64_t peak = 0;
+  for (int i = 0; i < cfg.seeds; ++i) {
+    const auto seed = cfg.first_seed + static_cast<std::uint64_t>(i);
+    const auto g = generate_schedule(cfg.schedule, seed);
+    const RunResult run = run_one(cfg, g.scenario, cfg.schedule.n, seed, g.run_until, g.bcasts);
+    EXPECT_GT(run.sim_events, 0u);
+    EXPECT_GT(run.sim_peak_pending, 0u);
+    EXPECT_LE(run.sim_peak_pending, run.sim_events);
+    events += run.sim_events;
+    peak = std::max(peak, run.sim_peak_pending);
+  }
+  EXPECT_EQ(result.sim_events, events);
+  EXPECT_EQ(result.sim_peak_pending, peak);
+
+  // Plain fields: jobs change neither.
+  CampaignConfig par = cfg;
+  par.jobs = 3;
+  const auto r3 = run_campaign(par);
+  EXPECT_EQ(r3.sim_events, result.sim_events);
+  EXPECT_EQ(r3.sim_peak_pending, result.sim_peak_pending);
 }
 
 TEST(Campaign, AdmissionGateCampaignIsJobsInvariant) {

@@ -560,9 +560,11 @@ int campaign(const Options& opt) {
   std::printf("campaign fingerprint %016llx (%d jobs, %.2fs wall)\n",
               static_cast<unsigned long long>(result.campaign_fingerprint), jobs,
               static_cast<double>(wall_us) / 1e6);
-  std::printf("%d/%d runs clean (%llu ops scheduled)\n",
+  std::printf("%d/%d runs clean (%llu ops scheduled, %llu sim events, peak %llu pending)\n",
               result.runs - static_cast<int>(result.failures.size()), result.runs,
-              static_cast<unsigned long long>(result.ops));
+              static_cast<unsigned long long>(result.ops),
+              static_cast<unsigned long long>(result.sim_events),
+              static_cast<unsigned long long>(result.sim_peak_pending));
   return result.ok() ? 0 : 1;
 }
 
