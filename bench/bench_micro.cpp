@@ -62,15 +62,19 @@ void BM_RngNext(benchmark::State& state) {
 }
 BENCHMARK(BM_RngNext);
 
+// The stored-form fullorder establishment runs, with the index it builds,
+// over three whole summaries (the full-summary exchange: no shared base).
 void BM_FullOrder(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
-  core::SummaryMap y;
+  core::StoredMap y;
   for (ProcId p = 0; p < 3; ++p) {
     auto x = make_summary(size);
     x.high = core::ViewId{static_cast<std::uint64_t>(p), p};
-    y[p] = std::move(x);
+    y[p] = core::full_entry(std::move(x));
   }
-  for (auto _ : state) benchmark::DoNotOptimize(core::fullorder(y));
+  const core::Summary base;
+  const core::SummaryDigest own;
+  for (auto _ : state) benchmark::DoNotOptimize(core::fullorder(y, base, own));
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_FullOrder)->Range(8, 2048)->Complexity();

@@ -22,6 +22,20 @@ grep -q '"net.packets_sent"' build/BENCH_throughput.json
 grep -q '"ring.formation_rounds"' build/BENCH_throughput.json
 grep -q '"to.brcv_latency.all"' build/BENCH_throughput.json
 
+# State-exchange microbench smoke (bench/results/README.md): one pass of
+# the exchange benchmarks at the shortest run time the library accepts.
+# BM_StateExchange reports a view that did not establish through
+# SkipWithError, which google-benchmark prints as "ERROR OCCURRED" while
+# still exiting 0, so the output is searched for it. Wall time is not gated.
+./build/bench/bench_micro --benchmark_filter='BM_StateExchange|BM_DigestDeltaAtHistory' \
+    --benchmark_min_time=0 > build/bench_micro_exchange.out 2>&1
+grep -q '^BM_StateExchange/4096 ' build/bench_micro_exchange.out
+if grep -q 'ERROR OCCURRED' build/bench_micro_exchange.out; then
+  echo "check.sh: a state-exchange microbenchmark reported an error" >&2
+  grep 'ERROR OCCURRED' build/bench_micro_exchange.out >&2
+  exit 1
+fi
+
 # Host-cost benchmark smoke (benchmark/README.md): every workload runs twice
 # untraced and twice traced with one seed. The "det" lines must repeat, the
 # result must name exactly BENCHMARK.json's metrics, and every --export

@@ -1,16 +1,16 @@
-#include "vstoto/order_index.hpp"
+#include "core/order_index.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <utility>
 
-namespace vsg::vstoto {
+namespace vsg::core {
 namespace {
 
 constexpr std::size_t kMinCapacity = 16;
 
 // Mixes every field of the label into the low bits the table masks.
-std::uint64_t hash(const core::Label& l) {
+std::uint64_t hash(const Label& l) {
   std::uint64_t h = l.id.epoch * 0x9E3779B97F4A7C15ull;
   h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(l.id.origin)) << 32) | l.seqno;
   h *= 0xBF58476D1CE4E5B9ull;
@@ -21,7 +21,7 @@ std::uint64_t hash(const core::Label& l) {
 
 }  // namespace
 
-void OrderIndex::assign(const std::vector<core::Label>& order) {
+void OrderIndex::assign(const std::vector<Label>& order) {
   std::size_t capacity = kMinCapacity;
   while (capacity < 2 * order.size()) capacity *= 2;
   slots_.assign(capacity, 0);
@@ -29,7 +29,7 @@ void OrderIndex::assign(const std::vector<core::Label>& order) {
   for (std::size_t i = 0; i < order.size(); ++i) insert(order, order[i], i);
 }
 
-bool OrderIndex::insert(const std::vector<core::Label>& order, const core::Label& l,
+bool OrderIndex::insert(const std::vector<Label>& order, const Label& l,
                         std::size_t pos) {
   assert(pos < UINT32_MAX);
   if (2 * (size_ + 1) > slots_.size())
@@ -45,7 +45,7 @@ bool OrderIndex::insert(const std::vector<core::Label>& order, const core::Label
   }
 }
 
-std::size_t OrderIndex::find(const std::vector<core::Label>& order, const core::Label& l) const {
+std::size_t OrderIndex::find(const std::vector<Label>& order, const Label& l) const {
   if (slots_.empty()) return npos;
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t s = hash(l) & mask;; s = (s + 1) & mask) {
@@ -54,7 +54,7 @@ std::size_t OrderIndex::find(const std::vector<core::Label>& order, const core::
   }
 }
 
-void OrderIndex::rehash(const std::vector<core::Label>& order, std::size_t capacity) {
+void OrderIndex::rehash(const std::vector<Label>& order, std::size_t capacity) {
   std::vector<std::uint32_t> old = std::exchange(slots_, std::vector<std::uint32_t>(capacity, 0));
   const std::size_t mask = capacity - 1;
   for (const std::uint32_t p : old) {
@@ -65,4 +65,4 @@ void OrderIndex::rehash(const std::vector<core::Label>& order, std::size_t capac
   }
 }
 
-}  // namespace vsg::vstoto
+}  // namespace vsg::core

@@ -1,8 +1,9 @@
 #pragma once
 
 // First-position index over VStoTO's `order`: the duplicate guard of the
-// append path and the lookup behind the safe-prefix watermark
-// (Process::is_safe).
+// append path, the lookup behind the safe bits (vstoto::Process::is_safe),
+// and the dedupe of fullorder, which builds the index together with the
+// order it places so that establishment does not index that order again.
 //
 // A flat open-addressing hash table (linear probing, at most half full)
 // that stores only positions, 4 bytes a slot; a slot's key is the label at
@@ -17,28 +18,28 @@
 
 #include "core/label.hpp"
 
-namespace vsg::vstoto {
+namespace vsg::core {
 
 class OrderIndex {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   /// Index `order` from scratch; a repeated label keeps its first position.
-  void assign(const std::vector<core::Label>& order);
+  void assign(const std::vector<Label>& order);
 
   /// Index l at position `pos` unless l is indexed already; returns whether
   /// it was. `order` must hold every indexed position; `pos` may be
   /// order.size(), for a label the caller appends next.
-  bool insert(const std::vector<core::Label>& order, const core::Label& l, std::size_t pos);
+  bool insert(const std::vector<Label>& order, const Label& l, std::size_t pos);
 
   /// The first position of l in the indexed `order`, or npos.
-  std::size_t find(const std::vector<core::Label>& order, const core::Label& l) const;
+  std::size_t find(const std::vector<Label>& order, const Label& l) const;
 
  private:
-  void rehash(const std::vector<core::Label>& order, std::size_t capacity);
+  void rehash(const std::vector<Label>& order, std::size_t capacity);
 
   std::vector<std::uint32_t> slots_;  // position + 1; 0 is an empty slot
   std::size_t size_ = 0;
 };
 
-}  // namespace vsg::vstoto
+}  // namespace vsg::core

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <iterator>
 #include <ranges>
+#include <set>
 
 #include "util/sequence.hpp"
 
@@ -35,6 +36,45 @@ std::vector<Content::Window> covered(const Content& c, const SummaryDigest& own)
   });
 }
 
+// An entry's ord: the shared prefix of base.ord, then its own suffix.
+std::vector<Label> ord_of(const SummaryDelta& x, const Summary& base) {
+  assert(x.ord_prefix <= base.ord.size());
+  std::vector<Label> ord;
+  ord.reserve(x.ord_prefix + x.ord_suffix.size());
+  ord.assign(base.ord.begin(), base.ord.begin() + x.ord_prefix);
+  ord.insert(ord.end(), x.ord_suffix.begin(), x.ord_suffix.end());
+  return ord;
+}
+
+// The cursor selectors read only high and next, which a Summary and a
+// stored entry both carry.
+template <typename Map>
+std::optional<ViewId> maxprimary_of(const Map& y) {
+  assert(!y.empty());
+  std::optional<ViewId> best;
+  for (const auto& [q, x] : y)
+    if (x.high && (!best || *x.high > *best)) best = x.high;
+  return best;
+}
+
+// The highest id among the members attaining maxprimary: the last one, as
+// the map is sorted by id.
+template <typename Map>
+ProcId chosenrep_of(const Map& y) {
+  const auto best = maxprimary_of(y);
+  ProcId rep = kNoProc;
+  for (const auto& [q, x] : y)
+    if (x.high == best) rep = q;
+  return rep;
+}
+
+template <typename Map>
+std::uint32_t maxnextconfirm_of(const Map& y) {
+  std::uint32_t best = 1;
+  for (const auto& [q, x] : y) best = std::max(best, x.next);
+  return best;
+}
+
 }  // namespace
 
 std::vector<Label> confirmed_prefix(const Summary& x) {
@@ -49,13 +89,8 @@ Content knowncontent(const SummaryMap& y) {
   return all;
 }
 
-std::optional<ViewId> maxprimary(const SummaryMap& y) {
-  assert(!y.empty());
-  std::optional<ViewId> best;
-  for (const auto& [q, x] : y)
-    if (x.high && (!best || *x.high > *best)) best = x.high;
-  return best;
-}
+std::optional<ViewId> maxprimary(const SummaryMap& y) { return maxprimary_of(y); }
+std::optional<ViewId> maxprimary(const StoredMap& y) { return maxprimary_of(y); }
 
 std::vector<ProcId> reps(const SummaryMap& y) {
   const auto best = maxprimary(y);
@@ -65,26 +100,37 @@ std::vector<ProcId> reps(const SummaryMap& y) {
   return out;
 }
 
-ProcId chosenrep(const SummaryMap& y) {
-  const auto r = reps(y);
-  assert(!r.empty());
-  return *std::max_element(r.begin(), r.end());
-}
+ProcId chosenrep(const SummaryMap& y) { return chosenrep_of(y); }
+ProcId chosenrep(const StoredMap& y) { return chosenrep_of(y); }
 
 std::vector<Label> shortorder(const SummaryMap& y) {
   return y.at(chosenrep(y)).ord;
 }
 
-std::vector<Label> fullorder(const SummaryMap& y) {
-  return fullorder(y, Summary{}, SummaryDigest{});
+std::vector<Label> shortorder(const StoredMap& y, const Summary& base) {
+  return ord_of(y.at(chosenrep(y)), base);
 }
 
-std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
-                             const SummaryDigest& own) {
+std::vector<Label> fullorder(const SummaryMap& y) {
   std::vector<Label> order = shortorder(y);
-  // Append every known label not already in the short order, in label order.
-  // Only dom(knowncontent(Y)) matters, so collect labels straight from each
-  // con instead of copying the values. Each con iterates in label order, so
+  const std::set<Label> placed(order.begin(), order.end());
+  std::set<Label> rest;
+  for (const auto& [q, x] : y)
+    for (const auto& [l, a] : x.con)
+      if (!placed.contains(l)) rest.insert(l);
+  order.insert(order.end(), rest.begin(), rest.end());
+  return order;
+}
+
+IndexedOrder fullorder(const StoredMap& y, const Summary& base, const SummaryDigest& own) {
+  IndexedOrder out{shortorder(y, base), {}};
+  out.index.assign(out.labels);
+  const auto append_if_new = [&](const Label& l) {
+    if (out.index.insert(out.labels, l, out.labels.size())) out.labels.push_back(l);
+  };
+  // Append every known label not already placed, in label order. Only
+  // dom(knowncontent(Y)) matters, so collect labels straight from each con
+  // instead of copying the values. Each con iterates in label order, so
   // the labels of the stored entries are a running sorted union.
   std::vector<Label> stored, merged, labels;
   for (const auto& [q, x] : y) {
@@ -94,16 +140,9 @@ std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
     std::ranges::set_union(stored, labels, std::back_inserter(merged));
     stored.swap(merged);
   }
-  std::vector<Label> in_short = order;
-  std::sort(in_short.begin(), in_short.end());
-  auto sh = in_short.begin();
-  const auto append_if_new = [&](const Label& l) {  // called in label order
-    while (sh != in_short.end() && *sh < l) ++sh;
-    if (sh == in_short.end() || *sh != l) order.push_back(l);
-  };
   // The covered part of base.con belongs to every entry, so one pass over
-  // it, merged with the stored labels, stands for all of them. The prefix
-  // keeps the representative's ordering, exactly as Figure 8 specifies.
+  // it, merged with the stored labels, stands for all of them. A label in
+  // both is offered twice, and the index turns the second offer away.
   auto s = stored.begin();
   if (!own.marks.empty()) {
     const std::vector<Content::Window> cover = covered(base.con, own);
@@ -111,20 +150,16 @@ std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
       const Label l = it->first;
       const Content::Window& w = cover[it.stream_index()];
       if (l.seqno < w.lo || l.seqno > w.hi) continue;
-      for (; s != stored.end() && *s <= l; ++s)
-        if (*s != l) append_if_new(*s);
+      for (; s != stored.end() && *s < l; ++s) append_if_new(*s);
       append_if_new(l);
     }
   }
   for (; s != stored.end(); ++s) append_if_new(*s);
-  return order;
+  return out;
 }
 
-std::uint32_t maxnextconfirm(const SummaryMap& y) {
-  std::uint32_t best = 1;
-  for (const auto& [q, x] : y) best = std::max(best, x.next);
-  return best;
-}
+std::uint32_t maxnextconfirm(const SummaryMap& y) { return maxnextconfirm_of(y); }
+std::uint32_t maxnextconfirm(const StoredMap& y) { return maxnextconfirm_of(y); }
 
 SummaryDigest digest(const Summary& x) {
   SummaryDigest g;
@@ -215,21 +250,23 @@ std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base) 
   return x;
 }
 
-std::optional<Summary> delta_entry(SummaryDelta dl, const Summary& base) {
+std::optional<SummaryDelta> delta_entry(SummaryDelta dl, const Summary& base) {
   if (dl.ord_prefix > base.ord.size()) return std::nullopt;
-  Summary x;
-  x.next = dl.next;
-  x.high = dl.high;
-  x.ord.reserve(dl.ord_prefix + dl.ord_suffix.size());
-  x.ord.assign(base.ord.begin(), base.ord.begin() + dl.ord_prefix);
-  x.ord.insert(x.ord.end(), dl.ord_suffix.begin(), dl.ord_suffix.end());
-  x.con = std::move(dl.con);
-  return x;
+  return std::optional(std::move(dl));
 }
 
-Summary with_base(Summary x, const Summary& base, const SummaryDigest& own) {
-  if (!own.marks.empty()) x.con.merge(base.con, covered(base.con, own));
-  return x;
+SummaryDelta full_entry(Summary x) {
+  return SummaryDelta{x.next, x.high, 0, std::move(x.ord), std::move(x.con)};
+}
+
+Summary with_base(const SummaryDelta& x, const Summary& base, const SummaryDigest& own) {
+  Summary out;
+  out.con = x.con;
+  if (!own.marks.empty()) out.con.merge(base.con, covered(base.con, own));
+  out.ord = ord_of(x, base);
+  out.next = x.next;
+  out.high = x.high;
+  return out;
 }
 
 }  // namespace vsg::core

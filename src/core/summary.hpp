@@ -15,6 +15,7 @@
 
 #include "core/content.hpp"
 #include "core/label.hpp"
+#include "core/order_index.hpp"
 #include "core/types.hpp"
 
 namespace vsg::core {
@@ -64,7 +65,9 @@ ProcId chosenrep(const SummaryMap& y);
 std::vector<Label> shortorder(const SummaryMap& y);
 
 /// fullorder(Y): shortorder(Y) followed by the remaining labels of
-/// dom(knowncontent(Y)) in label order (adopted by primary views).
+/// dom(knowncontent(Y)) in label order (adopted by primary views). This is
+/// the literal set-based formulation, kept as the oracle that the
+/// stored-form fullorder below is tested against.
 std::vector<Label> fullorder(const SummaryMap& y);
 
 /// maxnextconfirm(Y): the highest reported nextconfirm.
@@ -142,27 +145,55 @@ std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base);
 
 // --- Shared-base gotstate ----------------------------------------------------
 //
-// apply_delta fills every reconstructed summary with the same thing: the
-// receiver's base entries under its own digest's watermarks. A receiver
-// therefore stores per sender only what the delta carried (delta_entry:
-// exact ord/next/high plus dl.con) and keeps the covered part once, in the
-// frozen base. with_base() materializes one entry; fullorder(y, base, own)
-// orders the materialized map without building it.
+// apply_delta fills every reconstructed summary from the receiver's frozen
+// base twice over: the shared ord prefix, and the base entries under the
+// receiver's own digest's watermarks. A receiver therefore stores per
+// sender the delta as it arrived (StoredMap) and reads both parts through
+// the base, which must not change while entries refer to it. with_base()
+// materializes one entry; shortorder and fullorder over the stored map read
+// only the representative's entry, through the base, and the rest of the
+// known labels from one pass over the covered base.
 
-/// The stored form of `dl`: apply_delta(dl, base) without base's covered
-/// con entries. nullopt exactly when apply_delta is.
-std::optional<Summary> delta_entry(SummaryDelta dl, const Summary& base);
+/// gotstate as a receiver stores it: per sender, its delta's next, high,
+/// ord_prefix, ord_suffix and con. An entry's ord is base.ord[0,
+/// ord_prefix) followed by ord_suffix, so it cannot be read without the
+/// base. A whole summary is stored as full_entry(x), with ord_prefix 0.
+using StoredMap = std::map<ProcId, SummaryDelta>;
 
-/// x plus the entries of base.con that `own` covers (x's own entries win),
-/// merged a stream at a time: a present watermark w covers seqnos 0..w of
-/// its stream, an absent one nothing. An `own` without marks covers nothing
-/// and returns x unchanged.
-Summary with_base(Summary x, const Summary& base, const SummaryDigest& own);
+/// The stored form of `dl`: dl itself, or nullopt exactly when apply_delta
+/// rejects it (an ord_prefix beyond base.ord).
+std::optional<SummaryDelta> delta_entry(SummaryDelta dl, const Summary& base);
+
+/// The stored form of a whole summary: ord_prefix 0 and ord_suffix x.ord.
+SummaryDelta full_entry(Summary x);
+
+/// The summary the stored entry x stands for: its ord read through
+/// base.ord, and its con plus the entries of base.con that `own` covers
+/// (x's own entries win), merged a stream at a time. A present watermark w
+/// covers seqnos 0..w of its stream, an absent one nothing, so an `own`
+/// without marks adds nothing. Requires x.ord_prefix <= base.ord.size().
+Summary with_base(const SummaryDelta& x, const Summary& base, const SummaryDigest& own);
+
+/// maxprimary, chosenrep and maxnextconfirm of the stored map; they read
+/// only each entry's cursors.
+std::optional<ViewId> maxprimary(const StoredMap& y);
+ProcId chosenrep(const StoredMap& y);
+std::uint32_t maxnextconfirm(const StoredMap& y);
+
+/// shortorder of y with every entry read through base.
+std::vector<Label> shortorder(const StoredMap& y, const Summary& base);
+
+/// An order together with the first-position index of its labels.
+struct IndexedOrder {
+  std::vector<Label> labels;
+  OrderIndex index;
+};
 
 /// fullorder of y with every entry read through with_base(., base, own),
-/// from one label-order pass over base.con, reading coverage by stream,
-/// plus each entry's stored con.
-std::vector<Label> fullorder(const SummaryMap& y, const Summary& base,
-                             const SummaryDigest& own);
+/// and its index. The index is built with the order: it is what decides
+/// whether a known label is already placed. The known labels come from one
+/// label-order pass over base.con, reading coverage by stream, merged with
+/// each entry's stored con.
+IndexedOrder fullorder(const StoredMap& y, const Summary& base, const SummaryDigest& own);
 
 }  // namespace vsg::core

@@ -82,19 +82,20 @@ core::Summary Process::local_summary() const {
   return x;
 }
 
-void Process::assign_order(std::vector<core::Label> order) {
+void Process::assign_order(core::IndexedOrder placed) {
   // Only establishment reorders, and no bit is set between newview and
   // establishment, so no bit can name a position of the old order.
   assert(std::find(st_.safe_bits.begin(), st_.safe_bits.end(), true) == st_.safe_bits.end());
   if (obs_.order_depth != nullptr)
-    obs_.order_depth->add(static_cast<std::int64_t>(order.size()) -
+    obs_.order_depth->add(static_cast<std::int64_t>(placed.labels.size()) -
                           static_cast<std::int64_t>(st_.order.size()));
+  // The old index still describes the old order here.
   if (tracer_ != nullptr)
-    for (const core::Label& l : order)
-      if (order_index_.find(st_.order, l) == OrderIndex::npos)
+    for (const core::Label& l : placed.labels)
+      if (order_index_.find(st_.order, l) == core::OrderIndex::npos)
         tracer_->msg_tentative(p_, l, recorder_->now());
-  st_.order = std::move(order);
-  order_index_.assign(st_.order);
+  st_.order = std::move(placed.labels);
+  order_index_ = std::move(placed.index);
   if (st_.current.has_value()) st_.builds_current = true;
 }
 
@@ -273,7 +274,7 @@ void Process::on_gprcv(ProcId src, const vs::Payload& payload) {
   if (auto* lv = std::get_if<LabeledValue>(&m))
     handle_labeled(std::move(*lv));
   else if (auto* x = std::get_if<core::Summary>(&m))
-    handle_summary(src, std::move(*x));
+    handle_summary(src, core::full_entry(std::move(*x)));
   else if (const auto* g = std::get_if<core::SummaryDigest>(&m))
     handle_digest(src, *g);
   else
@@ -291,7 +292,7 @@ void Process::handle_labeled(LabeledValue lv) {
   if (primary()) append_order(lv.label);
 }
 
-void Process::handle_summary(ProcId src, core::Summary x) {
+void Process::handle_summary(ProcId src, core::SummaryDelta x) {
   obs::bump(obs_.summaries_received);
   st_.content.merge(x.con);
   st_.gotstate.insert_or_assign(src, std::move(x));
@@ -311,7 +312,9 @@ void Process::handle_summary(ProcId src, core::Summary x) {
     assign_order(core::fullorder(st_.gotstate, st_.exch_base, st_.exch_digest));
     st_.highprimary = st_.current->id;
   } else {
-    assign_order(core::shortorder(st_.gotstate));
+    core::IndexedOrder placed{core::shortorder(st_.gotstate, st_.exch_base), {}};
+    placed.index.assign(placed.labels);
+    assign_order(std::move(placed));
     st_.highprimary = core::maxprimary(st_.gotstate);
   }
   st_.exch_placed = st_.order.size();
@@ -354,11 +357,11 @@ void Process::maybe_send_delta() {
 
 void Process::handle_delta(ProcId src, core::SummaryDelta dl) {
   obs::bump(obs_.deltas_received);
-  // Store only what the delta carried: the rest of the sender's summary is
-  // the covered part of our frozen base, shared by every entry (see
-  // got_summary). content already holds that part, so merging dl.con is
-  // enough. delta_entry only fails on input no correct sender produces (an
-  // ord prefix beyond our digest).
+  // Store the delta as it came: the rest of the sender's summary is the
+  // shared ord prefix and the covered part of our frozen base, shared by
+  // every entry (see got_summary). content already holds that part, so
+  // merging dl.con is enough. delta_entry only fails on input no correct
+  // sender produces (an ord prefix beyond our digest).
   auto x = core::delta_entry(std::move(dl), st_.exch_base);
   if (!x.has_value()) {
     VSG_WARN << "process " << p_ << ": delta from " << src
@@ -401,8 +404,8 @@ void Process::handle_safe_labeled(const core::Label& l) {
   // position; before establishment, or if l missed order, it is kept
   // explicitly.
   const std::size_t pos =
-      st_.status == PStatus::kNormal ? order_index_.find(st_.order, l) : OrderIndex::npos;
-  if (pos == OrderIndex::npos) {
+      st_.status == PStatus::kNormal ? order_index_.find(st_.order, l) : core::OrderIndex::npos;
+  if (pos == core::OrderIndex::npos) {
     st_.safe_labels.insert(l);
     return;
   }
@@ -425,7 +428,8 @@ void Process::handle_safe_exchange(ProcId src) {
       if (st_.safe_bits.size() < st_.exch_placed) st_.safe_bits.resize(st_.exch_placed);
       std::fill_n(st_.safe_bits.begin(), st_.exch_placed, true);
     } else {
-      for (const auto& l : core::fullorder(st_.gotstate, st_.exch_base, st_.exch_digest))
+      for (const auto& l :
+           core::fullorder(st_.gotstate, st_.exch_base, st_.exch_digest).labels)
         st_.safe_labels.insert(l);
     }
   }

@@ -32,13 +32,13 @@
 #include <set>
 #include <vector>
 
+#include "core/order_index.hpp"
 #include "core/quorum.hpp"
 #include "core/summary.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "trace/recorder.hpp"
 #include "vs/service.hpp"
-#include "vstoto/order_index.hpp"
 #include "vstoto/wire.hpp"
 
 namespace vsg::vstoto {
@@ -95,7 +95,7 @@ struct ProcessState {
   std::uint32_t nextreport = 1;
   std::optional<core::ViewId> highprimary;  // G_bot
   std::deque<core::Value> delay;
-  core::SummaryMap gotstate;
+  core::StoredMap gotstate;
   std::set<ProcId> safe_exch;
   // Figure 9's safe-labels, stored in two parts and read through
   // Process::is_safe:
@@ -111,11 +111,13 @@ struct ProcessState {
   // Exchange state. exch_base is the local summary frozen at newview (both
   // modes). In delta mode it is also the state our digest and delta
   // describe, and exch_digest = digest(exch_base), computed once at
-  // newview, is what we advertised. gotstate then stores per sender only
-  // what its delta carried; the rest of that sender's summary is the part
-  // of exch_base.con that exch_digest covers, shared by every entry and
-  // read through got_summary(). Under kFullSummary exch_digest has no marks
-  // and gotstate entries are whole summaries.
+  // newview, is what we advertised. gotstate stores per sender its delta as
+  // it arrived: the ord prefix it shares with us is a length into
+  // exch_base.ord, and the rest of its con is the part of exch_base.con
+  // that exch_digest covers, shared by every entry and read through
+  // got_summary(). Under kFullSummary exch_digest has no marks and every
+  // entry is a whole summary (ord_prefix 0). exch_base changes only at
+  // newview, which also clears gotstate.
   core::Summary exch_base;
   core::SummaryDigest exch_digest;
   std::map<ProcId, core::SummaryDigest> gotdigest;
@@ -137,10 +139,11 @@ struct ProcessState {
 
 /// gotstate(q) as Figure 9 defines it: the summary q sent in the current
 /// view's state exchange, or nullopt if it has not arrived. The stored
-/// entry read through core::with_base against exch_base and exch_digest,
-/// so under delta exchange it equals core::apply_delta(delta_q, exch_base).
-/// Only `con` can differ from the stored entry; verify/ reads whole
-/// gotstate summaries only through this accessor.
+/// entry read through core::with_base against exch_base and exch_digest:
+/// its ord is exch_base.ord[0, ord_prefix) then ord_suffix, and its con
+/// gains the covered base entries. Under delta exchange it equals
+/// core::apply_delta(delta_q, exch_base). verify/ reads whole gotstate
+/// summaries only through this accessor.
 std::optional<core::Summary> got_summary(const ProcessState& st, ProcId q);
 
 class Process final : public vs::Client {
@@ -224,9 +227,9 @@ class Process final : public vs::Client {
   void run_to_quiescence();
 
   void handle_labeled(LabeledValue lv);
-  /// Merge x.con into content and store x as gotstate[src]; establish the
-  /// view once every member's entry is in.
-  void handle_summary(ProcId src, core::Summary x);
+  /// Merge x.con into content and store the entry x as gotstate[src];
+  /// establish the view once every member's entry is in.
+  void handle_summary(ProcId src, core::SummaryDelta x);
   void handle_digest(ProcId src, const core::SummaryDigest& g);
   void handle_delta(ProcId src, core::SummaryDelta dl);
   /// Delta mode: once every member's digest is in, broadcast the one delta
@@ -237,7 +240,8 @@ class Process final : public vs::Client {
   /// safe at every member; digests carry no labels and do not count.
   void handle_safe_exchange(ProcId src);
 
-  void assign_order(std::vector<core::Label> order);
+  /// Replace order and its index with the ones establishment placed.
+  void assign_order(core::IndexedOrder placed);
   /// Append l to order unless it is already there (the duplicate guard of
   /// the header comment).
   void append_order(const core::Label& l);
@@ -252,7 +256,7 @@ class Process final : public vs::Client {
   ProcessObs obs_;
   obs::SpanTracer* tracer_ = nullptr;
   ProcessState st_;
-  OrderIndex order_index_;  // first position of each label in st_.order
+  core::OrderIndex order_index_;  // first position of each label in st_.order
   std::vector<std::pair<ProcId, core::Value>> delivered_;
 };
 

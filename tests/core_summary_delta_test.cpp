@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/summary.hpp"
 #include "util/rng.hpp"
 
@@ -195,12 +197,17 @@ TEST(SummaryDelta, MeetOfDigestsIsSoundForEveryPeer) {
   }
 }
 
-// The shared-base representation of gotstate: delta_entry keeps only what
-// the delta carried, with_base adds the receiver's covered base entries
-// back, and fullorder over the stored map with the base equals fullorder
-// over the apply_delta-reconstructed map (the reference representation).
+// The shared-base representation of gotstate: an entry is the delta as it
+// came (or, from the full-summary exchange, a whole summary with
+// ord_prefix 0), with_base reads its ord prefix and the receiver's covered
+// base entries back through the base, and shortorder/fullorder over the
+// stored map equal the one-argument oracles over the materialized map and
+// over the apply_delta-reconstructed one (the reference representation).
+// Entries carry different ord prefixes: deltas against the weakest digest,
+// against a weaker one, and whole summaries.
 TEST(SharedBase, StoredEntriesMaterializeToApplyDeltaAndOrderAlike) {
   util::Rng rng(41);
+  int rep_shorter = 0, rep_longest = 0, with_full = 0, full_mode = 0;
   for (int round = 0; round < 1000; ++round) {
     std::vector<Label> pool;
     for (std::uint64_t epoch : {1u, 2u})
@@ -223,32 +230,80 @@ TEST(SharedBase, StoredEntriesMaterializeToApplyDeltaAndOrderAlike) {
       }
       return x;
     };
-    // Member 0 is the receiver; its own summary is the frozen base.
+    // Member 0 is the receiver; its own summary is the frozen base. In a
+    // full-summary round (as under ExchangeMode::kFullSummary) every entry
+    // is a whole summary and the receiver's digest has no marks.
     std::vector<Summary> members;
     for (int i = 0; i < 4; ++i) members.push_back(make());
     const Summary& base = members[0];
-    const SummaryDigest own = digest(base);
-    SummaryDigest weakest = own;
+    const bool all_full = rng.chance(0.2);
+    const SummaryDigest own = all_full ? SummaryDigest{} : digest(base);
+    SummaryDigest weakest = digest(base);
     for (const auto& x : members) weakest = meet(weakest, digest(x));
+    // A laggard's digest: fewer confirmed labels, so a shorter shared prefix.
+    SummaryDigest weaker = weakest;
+    weaker.next = 1 + static_cast<std::uint32_t>(rng.below(weakest.next));
 
-    SummaryMap stored, rebuilt;
+    StoredMap stored;
+    SummaryMap materialized, rebuilt;
     std::size_t delta_con = 0;
+    bool some_full = false;
     for (ProcId q = 0; q < static_cast<ProcId>(members.size()); ++q) {
-      const SummaryDelta dl = delta(members[static_cast<std::size_t>(q)], weakest);
-      const auto entry = delta_entry(dl, base);
-      const auto reference = apply_delta(dl, base);
-      ASSERT_TRUE(entry.has_value() && reference.has_value()) << "round " << round;
-      EXPECT_EQ(entry->con, dl.con) << "round " << round;
-      EXPECT_EQ(with_base(*entry, base, own), *reference) << "round " << round;
-      delta_con += dl.con.size();
-      stored.emplace(q, *entry);
-      rebuilt.emplace(q, *reference);
+      const Summary& x = members[static_cast<std::size_t>(q)];
+      if (all_full || rng.chance(0.2)) {
+        const SummaryDelta entry = full_entry(x);
+        EXPECT_EQ(entry.ord_prefix, 0u);
+        const auto reference = all_full ? std::optional(x) : apply_delta(entry, base);
+        ASSERT_TRUE(reference.has_value());
+        EXPECT_EQ(with_base(entry, base, own), *reference) << "round " << round;
+        delta_con += x.con.size();
+        some_full = true;
+        stored.emplace(q, entry);
+        rebuilt.emplace(q, *reference);
+      } else {
+        const SummaryDelta dl = delta(x, rng.chance(0.5) ? weakest : weaker);
+        const auto entry = delta_entry(dl, base);
+        const auto reference = apply_delta(dl, base);
+        ASSERT_TRUE(entry.has_value() && reference.has_value()) << "round " << round;
+        EXPECT_EQ(*entry, dl) << "stored as it came, round " << round;
+        EXPECT_EQ(with_base(*entry, base, own), *reference) << "round " << round;
+        delta_con += dl.con.size();
+        stored.emplace(q, *entry);
+        rebuilt.emplace(q, *reference);
+      }
+      materialized.emplace(q, with_base(stored.at(q), base, own));
     }
     std::size_t stored_con = 0;
     for (const auto& [q, x] : stored) stored_con += x.con.size();
     EXPECT_EQ(stored_con, delta_con) << "round " << round;
-    EXPECT_EQ(fullorder(stored, base, own), fullorder(rebuilt)) << "round " << round;
+
+    EXPECT_EQ(chosenrep(stored), chosenrep(materialized)) << "round " << round;
+    EXPECT_EQ(maxprimary(stored), maxprimary(materialized)) << "round " << round;
+    EXPECT_EQ(maxnextconfirm(stored), maxnextconfirm(materialized)) << "round " << round;
+    EXPECT_EQ(shortorder(stored, base), shortorder(materialized)) << "round " << round;
+    EXPECT_EQ(shortorder(stored, base), shortorder(rebuilt)) << "round " << round;
+    const IndexedOrder placed = fullorder(stored, base, own);
+    EXPECT_EQ(placed.labels, fullorder(materialized)) << "round " << round;
+    EXPECT_EQ(placed.labels, fullorder(rebuilt)) << "round " << round;
+    for (std::size_t i = 0; i < placed.labels.size(); ++i) {
+      const auto first = std::find(placed.labels.begin(), placed.labels.end(), placed.labels[i]);
+      EXPECT_EQ(placed.index.find(placed.labels, placed.labels[i]),
+                static_cast<std::size_t>(first - placed.labels.begin()))
+          << "round " << round;
+    }
+
+    std::uint32_t longest = 0;
+    for (const auto& [q, x] : stored) longest = std::max(longest, x.ord_prefix);
+    const std::uint32_t rep_prefix = stored.at(chosenrep(stored)).ord_prefix;
+    rep_shorter += rep_prefix < longest;
+    rep_longest += rep_prefix == longest && rep_prefix > 0;
+    with_full += some_full && !all_full;
+    full_mode += all_full;
   }
+  EXPECT_GT(rep_shorter, 0) << "a representative with a shorter prefix than another entry";
+  EXPECT_GT(rep_longest, 0) << "a representative with the longest prefix";
+  EXPECT_GT(with_full, 0) << "whole summaries beside deltas";
+  EXPECT_GT(full_mode, 0) << "rounds of whole summaries only";
 }
 
 TEST(SharedBase, DigestWithoutMarksCoversNothing) {
@@ -257,11 +312,12 @@ TEST(SharedBase, DigestWithoutMarksCoversNothing) {
   Summary x;
   x.ord = {lab(1, 2, 0)};
   x.con.emplace(lab(1, 2, 0), value_of(lab(1, 2, 0)));
-  EXPECT_EQ(with_base(x, base, SummaryDigest{}), x);
-  EXPECT_EQ(with_base(x, base, digest(base)).con.size(), 2u);
+  EXPECT_EQ(with_base(full_entry(x), base, SummaryDigest{}), x);
+  EXPECT_EQ(with_base(full_entry(x), base, digest(base)).con.size(), 2u);
   const SummaryMap y{{0, x}};
-  EXPECT_EQ(fullorder(y, base, SummaryDigest{}), fullorder(y));
-  EXPECT_EQ(fullorder(y, base, digest(base)),
+  const StoredMap stored{{0, full_entry(x)}};
+  EXPECT_EQ(fullorder(stored, base, SummaryDigest{}).labels, fullorder(y));
+  EXPECT_EQ(fullorder(stored, base, digest(base)).labels,
             (std::vector<Label>{lab(1, 2, 0), lab(1, 1, 0)}));
 }
 
@@ -269,10 +325,15 @@ TEST(SharedBase, DeltaEntryRejectsExactlyWhatApplyDeltaRejects) {
   SummaryDelta dl;
   dl.ord_prefix = 2;
   EXPECT_FALSE(delta_entry(dl, Summary{}).has_value());
+  EXPECT_FALSE(apply_delta(dl, Summary{}).has_value());
   Summary base;
   base.ord = {lab(1, 1, 0), lab(1, 2, 0)};
-  ASSERT_TRUE(delta_entry(dl, base).has_value());
-  EXPECT_EQ(delta_entry(dl, base)->ord, base.ord);
+  const auto entry = delta_entry(dl, base);
+  ASSERT_TRUE(entry.has_value());
+  ASSERT_TRUE(apply_delta(dl, base).has_value());
+  EXPECT_EQ(*entry, dl) << "the entry keeps the prefix as a length";
+  EXPECT_EQ(with_base(*entry, base, digest(base)).ord, base.ord);
+  EXPECT_EQ(with_base(*entry, base, SummaryDigest{}).ord, base.ord);
 }
 
 }  // namespace

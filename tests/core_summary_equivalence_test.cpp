@@ -174,6 +174,11 @@ TEST(SummaryEquivalence, DeltaMatchesTheFindBasedReference) {
 TEST(SummaryEquivalence, WithBaseAndFullorderMatchTheSetBasedReference) {
   util::Rng rng(1503);
   for (int round = 0; round < kRounds; ++round) {
+    const Summary base = random_summary(rng);
+    const SummaryDigest own = rng.chance(0.5) ? digest(base) : random_digest(rng);
+    // Stored entries share a random prefix of base.ord; y holds the same
+    // entries with that prefix written out.
+    StoredMap stored;
     SummaryMap y;
     for (ProcId q = 0, n = 1 + static_cast<ProcId>(rng.below(4)); q < n; ++q) {
       Summary x = random_summary(rng);
@@ -185,14 +190,23 @@ TEST(SummaryEquivalence, WithBaseAndFullorderMatchTheSetBasedReference) {
         for (const auto& [l, v] : model)
           if (!rng.chance(0.7)) x.con.emplace(l, v);
       }
+      SummaryDelta entry = full_entry(x);
+      entry.ord_prefix = static_cast<std::uint32_t>(rng.below(base.ord.size() + 1));
+      x.ord.insert(x.ord.begin(), base.ord.begin(), base.ord.begin() + entry.ord_prefix);
+      stored.emplace(q, std::move(entry));
       y.emplace(q, std::move(x));
     }
-    const Summary base = random_summary(rng);
-    const SummaryDigest own = rng.chance(0.5) ? digest(base) : random_digest(rng);
-    EXPECT_EQ(fullorder(y, base, own), ref_fullorder(y, base, own)) << "round " << round;
+    const IndexedOrder placed = fullorder(stored, base, own);
+    EXPECT_EQ(placed.labels, ref_fullorder(y, base, own)) << "round " << round;
+    for (const Label& l : placed.labels)
+      EXPECT_EQ(placed.index.find(placed.labels, l),
+                static_cast<std::size_t>(std::find(placed.labels.begin(), placed.labels.end(), l) -
+                                         placed.labels.begin()))
+          << "round " << round;
+    EXPECT_EQ(shortorder(stored, base), shortorder(y)) << "round " << round;
     EXPECT_EQ(fullorder(y), ref_fullorder(y, Summary{}, SummaryDigest{})) << "round " << round;
-    for (const auto& [q, x] : y)
-      EXPECT_EQ(with_base(x, base, own), ref_with_base(x, base, own)) << "round " << round;
+    for (const auto& [q, x] : stored)
+      EXPECT_EQ(with_base(x, base, own), ref_with_base(y.at(q), base, own)) << "round " << round;
   }
 }
 

@@ -1,14 +1,14 @@
-// vstoto::OrderIndex against a first-occurrence scan of the same sequence,
+// core::OrderIndex against a first-occurrence scan of the same sequence,
 // through growth, rebuilds and repeated labels.
 
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "core/order_index.hpp"
 #include "util/rng.hpp"
-#include "vstoto/order_index.hpp"
 
-namespace vsg::vstoto {
+namespace vsg::core {
 namespace {
 
 core::Label random_label(util::Rng& rng) {
@@ -75,4 +75,4 @@ TEST(OrderIndex, AssignKeepsTheFirstOfRepeatedLabels) {
 }
 
 }  // namespace
-}  // namespace vsg::vstoto
+}  // namespace vsg::core

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "harness/world.hpp"
@@ -68,10 +69,10 @@ struct Fixture {
   FakeVS fake{3};
   std::vector<std::unique_ptr<Process>> procs;
 
-  explicit Fixture(int n0 = 3) {
+  explicit Fixture(int n0 = 3,
+                   std::shared_ptr<const core::QuorumSystem> quorums = core::majorities(3)) {
     for (ProcId p = 0; p < 3; ++p) {
-      procs.push_back(
-          std::make_unique<Process>(p, n0, core::majorities(3), fake, recorder));
+      procs.push_back(std::make_unique<Process>(p, n0, quorums, fake, recorder));
       fake.attach(p, *procs[static_cast<std::size_t>(p)]);
     }
   }
@@ -658,6 +659,74 @@ TEST(Process, CheckpointRestoreRoundTripsExchangeState) {
   EXPECT_EQ(f.at(0).state().exch_base, cp.st.exch_base);
   EXPECT_EQ(f.at(0).state().gotstate, cp.st.gotstate);
   EXPECT_EQ(got_summary(f.at(0).state(), 1), got);
+}
+
+// At an establishment, primary or not, the tracer hears msg_tentative once
+// for each label the new order holds and the previous order lacked, and
+// for no other label: assign_order must read the old index against the old
+// order before the index establishment built replaces it. The tracer keeps
+// one tentative span per label and processor, so it is attached afresh just
+// before each exchange, where no earlier milestone can hide a wrong call.
+TEST(Process, EstablishmentReportsTentativeExactlyForNewlyPlacedLabels) {
+  for (const ExchangeMode mode : {ExchangeMode::kFullSummary, ExchangeMode::kDigestDelta}) {
+    SCOPED_TRACE(to_string(mode));
+    // Only all three together are a quorum, so {0, 1} is a non-primary view.
+    Fixture f(3, std::make_shared<core::ExplicitQuorums>(
+                     std::vector<std::set<ProcId>>{{0, 1, 2}}));
+    for (ProcId p = 0; p < 3; ++p) f.at(p).set_exchange_mode(mode);
+    // Initial view: a reaches everyone, b only 1 and 2, c only 2.
+    f.at(0).bcast("a");
+    f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+    f.at(1).bcast("b");
+    f.fake.deliver_all(1, f.fake.sent[1].back(), {1, 2});
+    f.at(2).bcast("c");
+    f.fake.deliver_all(2, f.fake.sent[2].back(), {2});
+
+    // Runs the exchange of v under a fresh tracer; returns how many
+    // tentative spans it reported.
+    const auto establish = [&](const core::View& v) {
+      obs::SpanTracer tracer(obs::TraceConfig{true, 1024, ""});
+      std::set<core::Label> known;
+      std::map<ProcId, std::vector<core::Label>> before;
+      for (const ProcId p : v.members) {
+        for (const auto& [l, a] : f.at(p).state().content) known.insert(l);
+        before[p] = f.at(p).state().order;
+        f.at(p).set_tracer(&tracer);
+      }
+      for (const core::Label& l : known) tracer.msg_labeled(l.origin, l, 0);
+      exchange_all(f, v);
+      std::size_t reported_total = 0;
+      for (const ProcId p : v.members) {
+        f.at(p).set_tracer(nullptr);
+        const auto& st = f.at(p).state();
+        EXPECT_EQ(st.status, PStatus::kNormal) << "at " << p;
+        std::vector<std::string> expected, reported;
+        for (const core::Label& l : st.order)
+          if (std::find(before[p].begin(), before[p].end(), l) == before[p].end())
+            expected.push_back(core::to_string(l));
+        for (const obs::Span& sp : tracer.spans())
+          if (sp.name == "tentative" && sp.proc == p) reported.push_back(sp.arg);
+        EXPECT_EQ(reported, expected) << "at " << p;
+        reported_total += reported.size();
+      }
+      return reported_total;
+    };
+
+    // Non-primary {0, 1}: shortorder is 1's order [a, b], new to 0 in b.
+    const core::View duo{core::ViewId{1, 0}, {0, 1}};
+    EXPECT_EQ(establish(duo), 1u);
+    ASSERT_FALSE(f.at(0).primary());
+    EXPECT_EQ(f.at(0).state().order.size(), 2u);
+    // d is labeled in the non-primary view: content only, in no order.
+    f.at(0).bcast("d");
+    f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1});
+    // Primary {0, 1, 2}: the representative is 2, with [a, b, c], and
+    // fullorder appends d. New to 0 and 1: c and d; new to 2: d.
+    const core::View all{core::ViewId{2, 0}, {0, 1, 2}};
+    EXPECT_EQ(establish(all), 5u);
+    ASSERT_TRUE(f.at(0).primary());
+    for (ProcId p = 0; p < 3; ++p) EXPECT_EQ(f.at(p).state().order.size(), 4u) << "at " << p;
+  }
 }
 
 // The partition-and-heal scenario on the VS-machine back end, stepped one
