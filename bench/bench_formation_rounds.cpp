@@ -33,7 +33,9 @@ Result run_one(membership::FormationMode mode, int n, std::uint64_t seed,
   cfg.backend = harness::Backend::kTokenRing;
   cfg.ring.formation = mode;
   cfg.seed = seed;
-  cfg.metrics = metrics;  // all sweep runs accumulate into one registry
+  // Each run counts into its own registry, so the cell reads this run's
+  // values; the sweep registry then folds it in (gauges add).
+  cfg.metrics = std::make_shared<obs::MetricsRegistry>();
   harness::World world(cfg);
 
   std::set<ProcId> left, right, all;
@@ -50,10 +52,14 @@ Result run_one(membership::FormationMode mode, int n, std::uint64_t seed,
   Result r;
   const auto report = world.vs_report(all, 3 * (cfg.ring.pi + n * cfg.ring.delta));
   if (report.required_lprime.has_value()) r.merge_lprime = *report.required_lprime;
-  const auto stats = world.token_ring()->total_stats();
-  r.views = stats.views_installed;
-  r.proposals = stats.proposals;
+  const auto count = [&](const char* name) {
+    const obs::Counter* c = world.metrics().find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  r.views = count("ring.views_installed");
+  r.proposals = count("ring.formation_rounds");
   r.safe = world.check_vs_safety().empty();
+  metrics->merge_from(world.metrics());
   return r;
 }
 

@@ -46,7 +46,9 @@ Result run_one(int n, int backlog, std::uint64_t seed,
                    "x" + std::to_string(k));
   }
   world.run_until(sim::sec(3));
-  const std::uint64_t bytes_before = world.network()->stats().bytes_sent;
+  // The sweep registry is shared, so the run's bytes are a difference.
+  const obs::Counter* bytes_sent = world.metrics().find_counter("net.bytes_sent");
+  const std::uint64_t bytes_before = bytes_sent->value();
   const sim::Time heal_at = world.simulator().now();
   world.heal_at(heal_at);
 
@@ -64,7 +66,7 @@ Result run_one(int n, int backlog, std::uint64_t seed,
     }
     if (!world.simulator().step()) break;
   }
-  result.bytes = world.network()->stats().bytes_sent - bytes_before;
+  result.bytes = bytes_sent->value() - bytes_before;
   result.ok = result.merge_time >= 0 && world.check_to_safety().empty();
   return result;
 }

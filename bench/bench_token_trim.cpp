@@ -31,22 +31,31 @@ Result run_one(bool trim, int messages, std::uint64_t seed,
   cfg.backend = harness::Backend::kTokenRing;
   cfg.ring.trim_token = trim;
   cfg.seed = seed;
-  cfg.metrics = metrics;  // all sweep runs accumulate into one registry
+  // Each run counts into its own registry, so the cell reads this run's
+  // values; the sweep registry then folds it in (gauges add).
+  cfg.metrics = std::make_shared<obs::MetricsRegistry>();
   harness::World world(cfg);
 
   harness::steady_traffic({0, 1, 2, 3}, messages, sim::msec(100), sim::msec(10))
       .apply(world);
   world.run_until(sim::msec(100) + messages * sim::msec(10) + sim::sec(3));
 
-  const auto stats = world.token_ring()->total_stats();
+  const obs::MetricsRegistry& reg = world.metrics();
+  const auto count = [&](const char* name) {
+    const obs::Counter* c = reg.find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  const obs::Gauge* max_entries = reg.find_gauge("ring.max_token_entries");
+  const std::uint64_t token_bytes = count("ring.state_exchange_bytes");
   Result r;
-  r.max_entries = stats.max_token_entries;
+  r.max_entries =
+      max_entries == nullptr ? 0 : static_cast<std::uint64_t>(max_entries->value());
   const std::uint64_t forwards =
-      stats.tokens_processed;  // ~one forward per processing step
+      count("ring.token_rotations");  // ~one forward per processing step
   r.mean_token_kb =
-      forwards == 0 ? 0.0
-                    : static_cast<double>(stats.token_bytes_sent) / 1024.0 / forwards;
-  r.total_mb = stats.token_bytes_sent / (1024 * 1024);
+      forwards == 0 ? 0.0 : static_cast<double>(token_bytes) / 1024.0 / forwards;
+  r.total_mb = token_bytes / (1024 * 1024);
+  metrics->merge_from(reg);
   return r;
 }
 

@@ -225,11 +225,14 @@ int main(int argc, char** argv) {
     std::printf("%sVS safety: %s\n", tag.c_str(),
                 vs_violations.empty() ? "OK" : vs_violations.front().c_str());
     if (world->token_ring(k) != nullptr) {
-      const auto stats = world->token_ring(k)->total_stats();
+      const obs::MetricsRegistry& reg = world->shard_metrics(k);
+      const auto count = [&reg](const char* name) {
+        const obs::Counter* c = reg.find_counter(name);
+        return static_cast<unsigned long long>(c == nullptr ? 0 : c->value());
+      };
       std::printf("%sprotocol: %llu proposals, %llu views, %llu token passes\n",
-                  tag.c_str(), static_cast<unsigned long long>(stats.proposals),
-                  static_cast<unsigned long long>(stats.views_installed),
-                  static_cast<unsigned long long>(stats.tokens_processed));
+                  tag.c_str(), count("ring.formation_rounds"), count("ring.views_installed"),
+                  count("ring.token_rotations"));
     }
   }
   return clean ? 0 : 1;

@@ -19,7 +19,6 @@ int main() {
   cfg.backend = harness::Backend::kTokenRing;
   cfg.seed = 5;
   harness::World world(cfg);
-  const auto& ring = *world.token_ring();
 
   std::printf("token ring parameters: delta=%s pi=%s mu=%s\n",
               harness::fmt_time(cfg.ring.delta).c_str(),
@@ -44,26 +43,20 @@ int main() {
   world.heal_at(sim::msec(3500));
   world.run_until(sim::sec(7));
 
-  const auto stats = ring.total_stats();
+  // Every layer counts into the World's registry.
+  const auto count = [&world](const char* name) {
+    const obs::Counter* c = world.metrics().find_counter(name);
+    return static_cast<unsigned long long>(c == nullptr ? 0 : c->value());
+  };
   std::printf("\nprotocol statistics:\n");
-  std::printf("  proposals initiated : %llu\n",
-              static_cast<unsigned long long>(stats.proposals));
-  std::printf("  views installed     : %llu\n",
-              static_cast<unsigned long long>(stats.views_installed));
-  std::printf("  token passes        : %llu\n",
-              static_cast<unsigned long long>(stats.tokens_processed));
-  std::printf("  entries delivered   : %llu\n",
-              static_cast<unsigned long long>(stats.entries_delivered));
-  std::printf("  safes emitted       : %llu\n",
-              static_cast<unsigned long long>(stats.safes_emitted));
-  if (world.network() != nullptr) {
-    const auto& ns = world.network()->stats();
-    std::printf("  packets sent=%llu delivered=%llu dropped=%llu, bytes=%llu\n",
-                static_cast<unsigned long long>(ns.packets_sent),
-                static_cast<unsigned long long>(ns.packets_delivered),
-                static_cast<unsigned long long>(ns.packets_dropped),
-                static_cast<unsigned long long>(ns.bytes_sent));
-  }
+  std::printf("  proposals initiated : %llu\n", count("ring.formation_rounds"));
+  std::printf("  views installed     : %llu\n", count("ring.views_installed"));
+  std::printf("  token passes        : %llu\n", count("ring.token_rotations"));
+  std::printf("  entries delivered   : %llu\n", count("ring.entries_delivered"));
+  std::printf("  safes emitted       : %llu\n", count("ring.safes_emitted"));
+  std::printf("  packets sent=%llu delivered=%llu dropped=%llu, bytes=%llu\n",
+              count("net.packets_sent"), count("net.packets_delivered"),
+              count("net.packets_dropped"), count("net.bytes_sent"));
 
   // Measured stabilization after the heal vs the paper's b.
   const int n = 4;

@@ -101,6 +101,14 @@ grep -q ', 1244810 sim events, peak 58 pending)' build/chaos_smoke_jobs4.out
 ./build/tools/chaos_runner --replay examples/scenarios/sharded_two_rings.scn
 ./build/examples/scenario_runner examples/scenarios/sharded_two_rings.scn >/dev/null
 
+# Token-ring demo: exits nonzero on a VS safety violation. Its protocol
+# statistics are read from the World's metrics registry (the layers keep no
+# other count), so a misnamed lookup would print 0; two of its lines are
+# pinned to the fixed-seed run's values.
+./build/examples/token_ring_demo > build/token_ring_demo.out
+grep -q '^  token passes        : 922$' build/token_ring_demo.out
+grep -q '^  packets sent=789 delivered=724 dropped=65, bytes=18040$' build/token_ring_demo.out
+
 # Cross-shard consistency demo (docs/SHARDING.md, "The anomaly"): phase 1
 # must FIND the crafted cross-shard seq-cst violation, phase 2 (per-shard
 # barriers) must come back clean — the demo exits 0 only when both hold.

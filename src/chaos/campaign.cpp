@@ -378,15 +378,11 @@ std::string repro_manifest_json(const std::vector<ManifestEntry>& entries,
 std::optional<Manifest> parse_repro_manifest(const std::string& json) {
   obs::json::Reader r(json);
   Manifest m;
+  bool schema = false;
   r.object([&](const std::string& key) {
     if (key == "schema") {
-      const std::string tag = r.string();
-      if (tag == "vsg-repro-manifest-v1")
-        m.version = 1;
-      else if (tag == "vsg-repro-manifest-v2")
-        m.version = 2;
-      else
-        r.fail();
+      schema = r.string() == "vsg-repro-manifest-v2";
+      if (!schema) r.fail();
     } else if (key == "metrics_export") {
       m.metrics_export = r.string();
     } else if (key == "failures") {
@@ -415,7 +411,7 @@ std::optional<Manifest> parse_repro_manifest(const std::string& json) {
       r.skip_value();
     }
   });
-  if (!r.ok() || !r.at_end() || m.version == 0) return std::nullopt;
+  if (!r.ok() || !r.at_end() || !schema) return std::nullopt;
   return m;
 }
 

@@ -198,21 +198,19 @@ struct ManifestEntry {
 /// The vsg-repro-manifest-v2 document chaos_runner writes into --repro-dir:
 /// which artifacts exist for each failure and where, so an operator (or a
 /// later tool) never has to guess filenames. v2 adds per-failure "timeline"
-/// and "health_events" next to the auto-captured trace; parse_repro_manifest
-/// still reads v1 documents (whose entries simply lack both).
+/// and "health_events" next to the auto-captured trace.
 /// `metrics_export_path` is "" when the campaign ran without --export.
 std::string repro_manifest_json(const std::vector<ManifestEntry>& entries,
                                 const std::string& metrics_export_path);
 
-/// A parsed repro manifest, either schema version.
+/// A parsed vsg-repro-manifest-v2 document.
 struct Manifest {
-  int version = 0;  // 1 or 2
   std::string metrics_export;
   std::vector<ManifestEntry> entries;
 };
 
-/// Versioned reader: accepts vsg-repro-manifest-v1 and -v2; nullopt on
-/// malformed JSON or an unknown schema tag.
+/// Reader for vsg-repro-manifest-v2; nullopt on malformed JSON or any other
+/// schema tag (the pre-timeline v1 tag included).
 std::optional<Manifest> parse_repro_manifest(const std::string& json);
 
 }  // namespace vsg::chaos

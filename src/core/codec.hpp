@@ -53,9 +53,7 @@ template <typename T>
 struct Codec;
 
 /// Outcome of a non-throwing decode: engaged value or a reject reason.
-/// The packet-layer instance (membership::DecodeOutcome) predates this
-/// template and keeps its `packet` member name; vstoto::decode_message_ex
-/// uses this shape.
+/// membership::decode_packet_ex and vstoto::decode_message_ex return it.
 template <typename T>
 struct DecodeOutcome {
   std::optional<T> value;

@@ -84,7 +84,7 @@ void Node::dispatch(ProcId src, const util::Buffer& packet) {
              << decoded.error;
     return;
   }
-  auto& pkt = decoded.packet;
+  auto& pkt = decoded.value;
   if (const auto* c = std::get_if<Call>(&*pkt))
     handle_call(src, *c);
   else if (const auto* r = std::get_if<CallReply>(&*pkt))
@@ -125,7 +125,6 @@ void Node::initiate_proposal() {
   promised_ = prop_gid_;  // proposing counts as accepting one's own call
   prop_accepted_ = {me_};
   last_propose_ = parent_->simulator().now();
-  ++stats_.proposals;
   obs::bump(parent_->obs().proposals);
   if (auto* tracer = parent_->tracer())
     tracer->view_proposed(me_, prop_gid_, last_propose_);
@@ -153,7 +152,6 @@ void Node::initiate_one_round() {
   }
   promised_ = v.id;
   last_propose_ = now;
-  ++stats_.proposals;
   obs::bump(parent_->obs().proposals);
   if (auto* tracer = parent_->tracer()) tracer->view_proposed(me_, v.id, now);
   VSG_DEBUG << "node " << me_ << " one-round announces " << core::to_string(v);
@@ -209,7 +207,6 @@ void Node::install_view(const core::View& v, bool initial) {
   const auto& cfg = parent_->config();
   view_ = v;
   ++view_gen_;
-  ++stats_.views_installed;
   obs::bump(parent_->obs().views_installed);
   if (auto* tracer = parent_->tracer())
     tracer->view_installed(me_, v.id, parent_->simulator().now());
@@ -270,7 +267,6 @@ void Node::probe_tick() {
         if (q != me_ && !view_->contains(q)) dests.push_back(q);
       if (!dests.empty()) {
         parent_->network().multicast(me_, dests, encode_packet(Packet{Probe{view_->id}}));
-        stats_.probes_sent += dests.size();
         obs::bump(parent_->obs().probes_sent, dests.size());
       }
     }

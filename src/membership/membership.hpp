@@ -95,21 +95,6 @@ struct TokenRingConfig {
   FormationMode formation = FormationMode::kThreeRound;
 };
 
-struct NodeStats {
-  std::uint64_t proposals = 0;
-  std::uint64_t views_installed = 0;
-  std::uint64_t tokens_processed = 0;
-  std::uint64_t entries_delivered = 0;
-  std::uint64_t safes_emitted = 0;
-  std::uint64_t probes_sent = 0;
-  std::uint64_t token_bytes_sent = 0;   // encoded size of forwarded tokens
-  std::uint64_t max_token_entries = 0;  // peak entry count seen on a token
-  // Entries-cache effectiveness when encoding tokens (see WireEncodeStats):
-  // serialized-from-structs vs carried by verbatim splice of a warm cache.
-  std::uint64_t entries_rebuilt = 0;
-  std::uint64_t entries_spliced = 0;
-};
-
 class TokenRingVS;
 
 class Node {
@@ -132,7 +117,6 @@ class Node {
   void submit(vs::Payload m);
 
   const std::optional<core::View>& view() const noexcept { return view_; }
-  const NodeStats& stats() const noexcept { return stats_; }
 
   /// Boarding backlog: submitted payloads waiting to board a token. The
   /// admission gate's depth signal (docs/FLOWCONTROL.md).
@@ -189,8 +173,6 @@ class Node {
   Token token_;
   bool token_out_ = false;
   sim::Time last_token_seen_ = 0;
-
-  NodeStats stats_;
 };
 
 }  // namespace vsg::membership

@@ -345,19 +345,19 @@ DecodeOutcome decode_packet_ex(const util::Buffer& packet) {
     case kTagCall: {
       Call p{wire::Codec<core::ViewId>::decode(d)};
       if (reject_incomplete("call")) return out;
-      out.packet = Packet{p};
+      out.value = Packet{p};
       return out;
     }
     case kTagCallReply: {
       CallReply p{wire::Codec<core::ViewId>::decode(d)};
       if (reject_incomplete("call-reply")) return out;
-      out.packet = Packet{p};
+      out.value = Packet{p};
       return out;
     }
     case kTagViewAnnounce: {
       ViewAnnounce p{wire::Codec<core::View>::decode(d)};
       if (reject_incomplete("view-announce")) return out;
-      out.packet = Packet{p};
+      out.value = Packet{p};
       return out;
     }
     case kTagToken: {
@@ -367,14 +367,14 @@ DecodeOutcome decode_packet_ex(const util::Buffer& packet) {
         return out;
       }
       if (reject_incomplete("token")) return out;
-      out.packet = Packet{std::move(p)};
+      out.value = Packet{std::move(p)};
       return out;
     }
     case kTagProbe: {
       Probe p;
       if (d.boolean()) p.gid = wire::Codec<core::ViewId>::decode(d);
       if (reject_incomplete("probe")) return out;
-      out.packet = Packet{p};
+      out.value = Packet{p};
       return out;
     }
     default:

@@ -135,17 +135,12 @@ util::Buffer encode_packet(const Packet& pkt, WireEncodeStats* stats = nullptr);
 util::Buffer encode_packet(const Token& t, WireEncodeStats* stats = nullptr);
 
 /// The packet decode entry point (docs/WIRE.md, "Decode outcome contract"):
-/// `error` is non-empty iff `packet` is disengaged, and names the reject
+/// `error` is non-empty iff `value` is disengaged, and names the reject
 /// reason (unknown wire version, checksum mismatch, truncation, ...).
 /// Unknown version bytes are rejected even when the chaos unchecked-decode
 /// injection is active. Token entry payloads and the wire cache come out as
-/// slices of the input (no payload copies). It predates
-/// wire::DecodeOutcome<T> and keeps its `packet` member name.
-struct DecodeOutcome {
-  std::optional<Packet> packet;
-  std::string error;
-  bool ok() const noexcept { return packet.has_value(); }
-};
+/// slices of the input (no payload copies).
+using DecodeOutcome = wire::DecodeOutcome<Packet>;
 
 DecodeOutcome decode_packet_ex(const util::Buffer& packet);
 

@@ -51,7 +51,6 @@ void Node::handle_token(ProcId src, Token t) {
 }
 
 void Node::process_token(Token& t) {
-  ++stats_.tokens_processed;
   obs::bump(parent_->obs().tokens_processed);
 
   // 1. Absorb entries we have not seen (the token is authoritative for the
@@ -70,7 +69,6 @@ void Node::process_token(Token& t) {
   while (delivered_ < log_.size()) {
     const auto& [src, payload] = log_[delivered_];
     ++delivered_;
-    ++stats_.entries_delivered;
     obs::bump(parent_->obs().entries_delivered);
     parent_->emit_gprcv(me_, src, payload);
   }
@@ -118,7 +116,6 @@ void Node::process_token(Token& t) {
       tracer->msg_boarded(me_, payload.id(), parent_->simulator().now());
     t.entries.emplace_back(me_, std::move(payload));
     ++delivered_;
-    ++stats_.entries_delivered;
     obs::bump(parent_->obs().entries_delivered);
     parent_->emit_gprcv(me_, me_, log_.back().second);
   }
@@ -145,13 +142,10 @@ void Node::process_token(Token& t) {
   while (safe_emitted_ < threshold) {
     const auto& [src, payload] = log_[safe_emitted_];
     ++safe_emitted_;
-    ++stats_.safes_emitted;
     obs::bump(parent_->obs().safes_emitted);
     parent_->emit_safe(me_, src, payload);
   }
 
-  if (t.entries.size() > stats_.max_token_entries)
-    stats_.max_token_entries = t.entries.size();
   if (parent_->obs().max_token_entries != nullptr)
     parent_->obs().max_token_entries->max_of(static_cast<std::int64_t>(t.entries.size()));
 
@@ -178,11 +172,8 @@ void Node::forward_token(const Token& t, ProcId to) {
   // instead of re-encoding.
   WireEncodeStats wire_stats;
   util::Buffer packet = encode_packet(t, &wire_stats);
-  stats_.entries_rebuilt += wire_stats.entries_rebuilt;
-  stats_.entries_spliced += wire_stats.entries_spliced;
   obs::bump(parent_->obs().entries_rebuilds, wire_stats.entries_rebuilt);
   obs::bump(parent_->obs().entries_spliced, wire_stats.entries_spliced);
-  stats_.token_bytes_sent += packet.size();
   obs::bump(parent_->obs().token_bytes_sent, packet.size());
   parent_->network().send(me_, to, std::move(packet));
 }

@@ -1,6 +1,5 @@
 #include "membership/token_ring_vs.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace vsg::membership {
@@ -87,24 +86,6 @@ void TokenRingVS::bind_metrics(obs::MetricsRegistry& registry) {
   obs_.gprcv = &registry.counter("vs.gprcv");
   obs_.safe = &registry.counter("vs.safe");
   obs_.newview = &registry.counter("vs.newview");
-}
-
-NodeStats TokenRingVS::total_stats() const {
-  NodeStats total;
-  for (const auto& node : nodes_) {
-    const NodeStats& s = node->stats();
-    total.proposals += s.proposals;
-    total.views_installed += s.views_installed;
-    total.tokens_processed += s.tokens_processed;
-    total.entries_delivered += s.entries_delivered;
-    total.safes_emitted += s.safes_emitted;
-    total.probes_sent += s.probes_sent;
-    total.token_bytes_sent += s.token_bytes_sent;
-    total.entries_rebuilt += s.entries_rebuilt;
-    total.entries_spliced += s.entries_spliced;
-    total.max_token_entries = std::max(total.max_token_entries, s.max_token_entries);
-  }
-  return total;
 }
 
 void TokenRingVS::emit_gprcv(ProcId dst, ProcId src, const util::Buffer& m) {

@@ -28,7 +28,8 @@ namespace vsg::membership {
 
 /// Shared counters the ring reports into when metrics are bound (names:
 /// ring.* and vs.*). All pointers null until bind_metrics; Node checks one
-/// pointer per event.
+/// pointer per event. The registry is the ring's only count: read it with
+/// MetricsRegistry::find_counter / find_gauge.
 struct RingObs {
   obs::Counter* proposals = nullptr;         // view-formation rounds initiated
   obs::Counter* views_installed = nullptr;   // newview installations (all nodes)
@@ -36,7 +37,9 @@ struct RingObs {
   obs::Counter* entries_delivered = nullptr;
   obs::Counter* safes_emitted = nullptr;
   obs::Counter* probes_sent = nullptr;
-  obs::Counter* token_bytes_sent = nullptr;  // state-exchange bytes on the wire
+  // Every forwarded token byte, client values included (the name is
+  // historical); the exchange's own cost is the exch_*_bytes split below.
+  obs::Counter* token_bytes_sent = nullptr;
   obs::Counter* entries_rebuilds = nullptr;  // token entries serialized from structs
   obs::Counter* entries_spliced = nullptr;   // token entries spliced from a warm cache
   // Exchange payload census at gpsnd, classified by the VSTOTO tag byte
@@ -76,7 +79,6 @@ class TokenRingVS final : public vs::Service {
   void gpsnd(ProcId p, vs::Payload m) override;
 
   const Node& node(ProcId p) const { return *nodes_[static_cast<std::size_t>(p)]; }
-  NodeStats total_stats() const;
 
   /// Boarding backlog (payloads waiting to board a token) at processor p —
   /// the admission gate's depth signal (docs/FLOWCONTROL.md).

@@ -42,19 +42,14 @@ void Network::bind_metrics(obs::MetricsRegistry& registry) {
 }
 
 void Network::send(ProcId p, ProcId q, util::Buffer packet, Port port) {
-  ++stats_.buffer_allocs;
   obs::bump(obs_.buffer_allocs);
   send_one(p, q, std::move(packet), port);
 }
 
 void Network::send_one(ProcId p, ProcId q, util::Buffer packet, Port port) {
   assert(p >= 0 && p < size() && q >= 0 && q < size());
-  ++stats_.packets_sent;
-  stats_.bytes_sent += packet.size();
-  if (obs_.packets_sent != nullptr) {
-    obs_.packets_sent->inc();
-    obs_.bytes_sent->inc(packet.size());
-  }
+  obs::bump(obs_.packets_sent);
+  obs::bump(obs_.bytes_sent, packet.size());
 
   if (p == q) {
     if (auto* tr = tracer_for(port)) tr->packet_sent(p, q, packet.id(), sim_->now());
@@ -67,8 +62,7 @@ void Network::send_one(ProcId p, ProcId q, util::Buffer packet, Port port) {
   const sim::Status status = failures_->link(p, q);
   const auto fate = model_.decide(status, rng_);
   if (!fate) {
-    ++stats_.packets_dropped;
-    if (obs_.packets_dropped != nullptr) obs_.packets_dropped->inc();
+    obs::bump(obs_.packets_dropped);
     return;
   }
   // Ugly links may also corrupt what they deliver. Copy-on-corrupt: the
@@ -80,15 +74,10 @@ void Network::send_one(ProcId p, ProcId q, util::Buffer packet, Port port) {
     const std::size_t flips = 1 + rng_.below(3);
     for (std::size_t i = 0; i < flips; ++i)
       mut[rng_.below(mut.size())] ^= static_cast<std::uint8_t>(1 + rng_.below(255));
-    stats_.bytes_copied += mut.size();
-    ++stats_.buffer_allocs;
+    obs::bump(obs_.packets_corrupted);
+    obs::bump(obs_.bytes_copied, mut.size());
+    obs::bump(obs_.buffer_allocs);
     packet = util::Buffer(std::move(mut));
-    ++stats_.packets_corrupted;
-    if (obs_.packets_corrupted != nullptr) {
-      obs_.packets_corrupted->inc();
-      obs_.bytes_copied->inc(packet.size());
-      obs_.buffer_allocs->inc();
-    }
   }
   // Span hook after copy-on-corrupt so the uid matches what deliver() sees.
   if (auto* tr = tracer_for(port)) tr->packet_sent(p, q, packet.id(), sim_->now());
@@ -100,16 +89,11 @@ void Network::send_one(ProcId p, ProcId q, util::Buffer packet, Port port) {
 void Network::deliver(ProcId src, ProcId dst, util::Buffer packet, Port port) {
   // A link that went bad while the packet was in flight loses it.
   if (src != dst && failures_->link(src, dst) == sim::Status::kBad) {
-    ++stats_.packets_dropped;
-    if (obs_.packets_dropped != nullptr) obs_.packets_dropped->inc();
+    obs::bump(obs_.packets_dropped);
     return;
   }
-  ++stats_.packets_delivered;
-  stats_.bytes_delivered += packet.size();
-  if (obs_.packets_delivered != nullptr) {
-    obs_.packets_delivered->inc();
-    obs_.bytes_delivered->inc(packet.size());
-  }
+  obs::bump(obs_.packets_delivered);
+  obs::bump(obs_.bytes_delivered, packet.size());
   if (auto* tr = tracer_for(port)) tr->packet_delivered(src, dst, packet.id(), sim_->now());
   if (static_cast<std::size_t>(port) >= handlers_.size()) return;
   auto& handler = handlers_[static_cast<std::size_t>(port)][static_cast<std::size_t>(dst)];
@@ -118,29 +102,21 @@ void Network::deliver(ProcId src, ProcId dst, util::Buffer packet, Port port) {
 
 void Network::multicast(ProcId p, const std::vector<ProcId>& dests, const util::Buffer& packet,
                         Port port) {
-  ++stats_.buffer_allocs;
   obs::bump(obs_.buffer_allocs);
   bool first = true;
   for (ProcId q : dests) {
-    if (!first) {
-      ++stats_.buffer_shares;
-      obs::bump(obs_.buffer_shares);
-    }
+    if (!first) obs::bump(obs_.buffer_shares);
     first = false;
     send_one(p, q, packet, port);  // refcount bump, not a payload copy
   }
 }
 
 void Network::broadcast(ProcId p, const util::Buffer& packet, Port port) {
-  ++stats_.buffer_allocs;
   obs::bump(obs_.buffer_allocs);
   bool first = true;
   for (ProcId q = 0; q < size(); ++q) {
     if (q == p) continue;
-    if (!first) {
-      ++stats_.buffer_shares;
-      obs::bump(obs_.buffer_shares);
-    }
+    if (!first) obs::bump(obs_.buffer_shares);
     first = false;
     send_one(p, q, packet, port);
   }

@@ -36,19 +36,6 @@ class SpanTracer;
 
 namespace vsg::net {
 
-struct NetStats {
-  std::uint64_t packets_sent = 0;
-  std::uint64_t packets_delivered = 0;
-  std::uint64_t packets_dropped = 0;
-  std::uint64_t packets_corrupted = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_delivered = 0;
-  // Zero-copy accounting.
-  std::uint64_t bytes_copied = 0;    // payload bytes physically copied
-  std::uint64_t buffer_allocs = 0;   // logical packet buffers entering the plane
-  std::uint64_t buffer_shares = 0;   // extra zero-copy references (fan-out)
-};
-
 /// Logical port on the shared substrate. Each protocol stack instance
 /// (shard) claims one port; traffic is routed by (port, destination), so a
 /// frame sent on one port can never reach — let alone cross-decode in —
@@ -84,11 +71,11 @@ class Network {
   /// Send from p to all n processors except p (shared buffer, as above).
   void broadcast(ProcId p, const util::Buffer& packet, Port port = 0);
 
-  const NetStats& stats() const noexcept { return stats_; }
   const LinkModel& model() const noexcept { return model_; }
 
   /// Publish packet/byte counters into `registry` (names: net.*). Counter
   /// references are cached, so binding costs nothing on the send path.
+  /// The registry is the only count: an unbound Network counts nothing.
   void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Attach a causal span tracer (null detaches): every delivered packet
@@ -114,9 +101,10 @@ class Network {
     obs::Counter* packets_corrupted = nullptr;
     obs::Counter* bytes_sent = nullptr;
     obs::Counter* bytes_delivered = nullptr;
-    obs::Counter* bytes_copied = nullptr;
-    obs::Counter* buffer_allocs = nullptr;
-    obs::Counter* buffer_shares = nullptr;
+    // Zero-copy accounting.
+    obs::Counter* bytes_copied = nullptr;   // payload bytes physically copied
+    obs::Counter* buffer_allocs = nullptr;  // logical packet buffers entering the plane
+    obs::Counter* buffer_shares = nullptr;  // extra zero-copy references (fan-out)
   };
 
   sim::Simulator* sim_;
@@ -125,7 +113,6 @@ class Network {
   util::Rng rng_;
   /// handlers_[port][proc]; ports are created lazily by attach().
   std::vector<std::vector<Handler>> handlers_;
-  NetStats stats_;
   Obs obs_;
   /// tracers_[port]; grown lazily by set_tracer().
   std::vector<obs::SpanTracer*> tracers_;
@@ -154,7 +141,6 @@ class Endpoint {
   }
   void broadcast(ProcId p, const util::Buffer& packet) { net_->broadcast(p, packet, port_); }
 
-  const NetStats& stats() const noexcept { return net_->stats(); }
   const LinkModel& model() const noexcept { return net_->model(); }
 
  private:

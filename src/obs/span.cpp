@@ -37,12 +37,10 @@ void SpanTracer::push(Span span) {
     span.cat.insert(0, config_.name_prefix);
     if (!span.id.empty()) span.id.insert(0, config_.name_prefix);
   }
-  ++emitted_;
   bump(spans_total_);
   ring_.push_back(std::move(span));
   while (ring_.size() > config_.capacity) {
     ring_.pop_front();
-    ++dropped_;
     bump(spans_dropped_);
   }
 }
@@ -65,7 +63,6 @@ void SpanTracer::evict_chains() {
   while (chains_.size() > config_.capacity && !chain_fifo_.empty()) {
     chains_.erase(chain_fifo_.front());
     chain_fifo_.pop_front();
-    ++dropped_;
     bump(spans_dropped_);
   }
   while (uid_to_label_.size() > config_.capacity && !uid_fifo_.empty()) {

@@ -136,9 +136,9 @@ class SpanTracer {
 
   // --- flight recorder ------------------------------------------------------
   /// Completed spans, oldest first (at most config().capacity of them).
+  /// Emitted and dropped spans are counted in the bound registry only
+  /// (obs.trace.spans, obs.trace.dropped_spans).
   const std::deque<Span>& spans() const noexcept { return ring_; }
-  std::uint64_t emitted() const noexcept { return emitted_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
   /// Delivery-side milestones, tracked per (chain, destination).
@@ -169,8 +169,6 @@ class SpanTracer {
 
   TraceConfig config_;
   std::deque<Span> ring_;
-  std::uint64_t emitted_ = 0;
-  std::uint64_t dropped_ = 0;
 
   // Pending correlation state, all FIFO-bounded by config_.capacity.
   std::map<core::Label, MsgChain> chains_;

@@ -469,9 +469,10 @@ TEST(Manifest, RoundTripsThroughVersionedParser) {
   e.flight_recorder_path = "chaos_seed12_trace.json";
   e.timeline_path = "chaos_seed12_timeline.json";
   e.health_verdicts = e.violations;
-  const auto m = parse_repro_manifest(repro_manifest_json({e}, "CHAOS.json"));
+  const std::string json = repro_manifest_json({e}, "CHAOS.json");
+  EXPECT_NE(json.find("\"schema\": \"vsg-repro-manifest-v2\""), std::string::npos);
+  const auto m = parse_repro_manifest(json);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->version, 2);
   EXPECT_EQ(m->metrics_export, "CHAOS.json");
   ASSERT_EQ(m->entries.size(), 1u);
   EXPECT_EQ(m->entries[0].seed, 12u);
@@ -480,9 +481,9 @@ TEST(Manifest, RoundTripsThroughVersionedParser) {
   EXPECT_EQ(m->entries[0].scenario_path, e.scenario_path);
 }
 
-TEST(Manifest, V1DocumentsStillParse) {
-  // A pre-timeline manifest (no "timeline"/"health_events" fields) from an
-  // older campaign must stay readable; the parser reports version 1.
+TEST(Manifest, V1DocumentsAreRejected) {
+  // chaos_runner writes only v2, so the reader accepts only v2: a
+  // pre-timeline v1 document is refused like any other schema tag.
   const std::string v1 =
       "{\n  \"schema\": \"vsg-repro-manifest-v1\",\n  \"metrics_export\": \"M.json\",\n"
       "  \"failures\": [\n    {\n      \"seed\": 75,\n"
@@ -490,9 +491,12 @@ TEST(Manifest, V1DocumentsStillParse) {
       "      \"scenario\": \"chaos_seed75.scn\",\n"
       "      \"flight_recorder\": \"chaos_seed75_trace.json\"\n    }\n  ],\n"
       "  \"failure_count\": 1\n}\n";
-  const auto m = parse_repro_manifest(v1);
+  EXPECT_FALSE(parse_repro_manifest(v1).has_value());
+  // The same document under the v2 tag parses: only the tag is refused.
+  std::string v2 = v1;
+  v2.replace(v2.find("-v1"), 3, "-v2");
+  const auto m = parse_repro_manifest(v2);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->version, 1);
   ASSERT_EQ(m->entries.size(), 1u);
   EXPECT_EQ(m->entries[0].seed, 75u);
   EXPECT_TRUE(m->entries[0].timeline_path.empty());

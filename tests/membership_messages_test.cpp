@@ -10,21 +10,21 @@ namespace {
 
 TEST(Messages, CallRoundTrip) {
   const Call c{core::ViewId{7, 2}};
-  const auto back = decode_packet_ex(encode_packet(Packet{c})).packet;
+  const auto back = decode_packet_ex(encode_packet(Packet{c})).value;
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(std::get<Call>(*back).gid, c.gid);
 }
 
 TEST(Messages, CallReplyRoundTrip) {
   const CallReply r{core::ViewId{9, 0}};
-  const auto back = decode_packet_ex(encode_packet(Packet{r})).packet;
+  const auto back = decode_packet_ex(encode_packet(Packet{r})).value;
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(std::get<CallReply>(*back).gid, r.gid);
 }
 
 TEST(Messages, ViewAnnounceRoundTrip) {
   const ViewAnnounce a{core::View{core::ViewId{3, 1}, {0, 1, 3}}};
-  const auto back = decode_packet_ex(encode_packet(Packet{a})).packet;
+  const auto back = decode_packet_ex(encode_packet(Packet{a})).value;
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(std::get<ViewAnnounce>(*back).view, a.view);
 }
@@ -36,7 +36,7 @@ TEST(Messages, TokenRoundTrip) {
   t.base = 7;
   t.entries = {{0, util::Bytes{1, 2}}, {2, util::Bytes{}}, {1, util::Bytes{9}}};
   t.delivered = {{0, 9}, {1, 8}, {2, 10}};
-  const auto back = decode_packet_ex(encode_packet(Packet{t})).packet;
+  const auto back = decode_packet_ex(encode_packet(Packet{t})).value;
   ASSERT_TRUE(back.has_value());
   const auto& got = std::get<Token>(*back);
   EXPECT_EQ(got.gid, t.gid);
@@ -49,19 +49,19 @@ TEST(Messages, TokenRoundTrip) {
 TEST(Messages, EmptyTokenRoundTrip) {
   Token t;
   t.gid = core::ViewId{1, 0};
-  const auto back = decode_packet_ex(encode_packet(Packet{t})).packet;
+  const auto back = decode_packet_ex(encode_packet(Packet{t})).value;
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(std::get<Token>(*back).entries.empty());
 }
 
 TEST(Messages, ProbeRoundTripWithAndWithoutView) {
   const Probe with{core::ViewId{4, 3}};
-  auto back = decode_packet_ex(encode_packet(Packet{with})).packet;
+  auto back = decode_packet_ex(encode_packet(Packet{with})).value;
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(std::get<Probe>(*back).gid, with.gid);
 
   const Probe without{std::nullopt};
-  back = decode_packet_ex(encode_packet(Packet{without})).packet;
+  back = decode_packet_ex(encode_packet(Packet{without})).value;
   ASSERT_TRUE(back.has_value());
   EXPECT_FALSE(std::get<Probe>(*back).gid.has_value());
 }
@@ -169,7 +169,7 @@ TEST(Messages, DecodedTokenEntriesAreSlicesOfThePacket) {
   t.gid = core::ViewId{2, 0};
   t.entries = {{0, util::Bytes{1, 2, 3}}, {1, util::Bytes{4, 5}}};
   const auto packet = encode_packet(Packet{t});
-  const auto back = decode_packet_ex(packet).packet;
+  const auto back = decode_packet_ex(packet).value;
   ASSERT_TRUE(back.has_value());
   const auto& got = std::get<Token>(*back);
   for (const auto& [src, payload] : got.entries)

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/world.hpp"
 #include "spec/vs_trace_checker.hpp"
 
@@ -21,6 +23,19 @@ WorldConfig ring_cfg(int n, std::uint64_t seed, int n0 = -1) {
   cfg.backend = Backend::kTokenRing;
   cfg.seed = seed;
   return cfg;
+}
+
+// The ring counts only into the World's registry (K = 1: metrics()).
+std::uint64_t ring_count(const World& world, const std::string& name) {
+  const obs::Counter* c = world.metrics().find_counter(name);
+  EXPECT_NE(c, nullptr) << name;
+  return c == nullptr ? 0 : c->value();
+}
+
+std::int64_t max_token_entries(const World& world) {
+  const obs::Gauge* g = world.metrics().find_gauge("ring.max_token_entries");
+  EXPECT_NE(g, nullptr);
+  return g == nullptr ? 0 : g->value();
 }
 
 TEST(TokenRing, InitialViewStartsTokenAndDeliversTraffic) {
@@ -48,7 +63,7 @@ TEST(TokenRing, NoTrafficStillNoSpuriousViews) {
   for (const auto& te : world.recorder().events())
     EXPECT_EQ(trace::as<trace::NewViewEvent>(te), nullptr)
         << "spurious view change in a stable run";
-  EXPECT_GT(world.token_ring()->total_stats().tokens_processed, 0u);
+  EXPECT_GT(ring_count(world, "ring.token_rotations"), 0u);
 }
 
 TEST(TokenRing, PartitionFormsMatchingViews) {
@@ -159,7 +174,7 @@ TEST(FlowControl, BurstLargerThanCapStillFullyDelivered) {
       if (e->dst == 2) ++at_2;
   EXPECT_EQ(at_2, 15);
   // And the token never carried more than a small multiple of the cap.
-  EXPECT_LE(world.token_ring()->total_stats().max_token_entries, 8u);
+  EXPECT_LE(max_token_entries(world), 8);
 }
 
 TEST(FlowControl, UncappedMatchesDefaultBehaviour) {
@@ -172,7 +187,7 @@ TEST(FlowControl, UncappedMatchesDefaultBehaviour) {
   world.run_until(sim::sec(5));
   EXPECT_TRUE(world.check_vs_safety().empty());
   // The whole burst boards in one pass.
-  EXPECT_GE(world.token_ring()->total_stats().max_token_entries, 15u);
+  EXPECT_GE(max_token_entries(world), 15);
 }
 
 TEST(OneRoundFormation, MergesAndStaysSafe) {
@@ -218,7 +233,7 @@ TEST(OneRoundFormation, ChurnsMoreThanThreeRound) {
     world.heal_at(sim::sec(3));
     world.run_until(sim::sec(8));
     EXPECT_TRUE(world.check_vs_safety().empty());
-    return world.token_ring()->total_stats().views_installed;
+    return ring_count(world, "ring.views_installed");
   };
   EXPECT_GT(run(membership::FormationMode::kOneRound),
             run(membership::FormationMode::kThreeRound));
@@ -228,11 +243,11 @@ TEST(TokenRing, StatsAccumulate) {
   World world(ring_cfg(3, 9));
   world.partition_at(sim::msec(100), {{0, 1}, {2}});
   world.run_until(sim::sec(3));
-  const auto stats = world.token_ring()->total_stats();
-  EXPECT_GT(stats.tokens_processed, 10u);
-  EXPECT_GT(stats.probes_sent, 0u) << "partitioned nodes probe the other side";
-  EXPECT_GT(stats.views_installed, 0u);
-  EXPECT_GT(stats.proposals, 0u);
+  EXPECT_GT(ring_count(world, "ring.token_rotations"), 10u);
+  EXPECT_GT(ring_count(world, "ring.probes_sent"), 0u)
+      << "partitioned nodes probe the other side";
+  EXPECT_GT(ring_count(world, "ring.views_installed"), 0u);
+  EXPECT_GT(ring_count(world, "ring.formation_rounds"), 0u);
 }
 
 }  // namespace

@@ -69,8 +69,8 @@ TEST(TokenBatch, BatchedSpliceEqualsSingleBoards) {
     // Warm single-boarded caches may keep finer-grained segments than a cold
     // rebuild would produce, so the packets need not be byte-identical —
     // but both must decode to the same entry sequence.
-    const auto a = decode_packet_ex(wire_batched).packet;
-    const auto b = decode_packet_ex(wire_singles).packet;
+    const auto a = decode_packet_ex(wire_batched).value;
+    const auto b = decode_packet_ex(wire_singles).value;
     ASSERT_TRUE(a.has_value() && b.has_value()) << "round " << round;
     EXPECT_TRUE(same_entries(std::get<Token>(*a), std::get<Token>(*b))) << "round " << round;
     // A re-encode from decoded state is a cold single-segment rebuild on
@@ -140,8 +140,8 @@ TEST(TokenBatch, TrimMidPassDropsWholeSegmentsAndSplitsTheBoundary) {
                             reference.entries.begin() + static_cast<std::ptrdiff_t>(trim));
     reference.base = t.base;
 
-    const auto cached = decode_packet_ex(encode_warm(t)).packet;
-    const auto rebuilt = decode_packet_ex(encode_packet(Packet{reference})).packet;
+    const auto cached = decode_packet_ex(encode_warm(t)).value;
+    const auto rebuilt = decode_packet_ex(encode_packet(Packet{reference})).value;
     ASSERT_TRUE(cached.has_value() && rebuilt.has_value()) << "trim " << trim;
     EXPECT_TRUE(same_entries(std::get<Token>(*cached), std::get<Token>(*rebuilt)))
         << "trim " << trim;

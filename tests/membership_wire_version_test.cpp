@@ -75,7 +75,7 @@ TEST(WireVersion, V3FramesRoundTripForEveryPacketKind) {
     ASSERT_EQ(v3.view()[0], 3u);
     const auto back = decode_packet_ex(v3);
     ASSERT_TRUE(back.ok()) << back.error;
-    EXPECT_TRUE(packets_equal(pkt, *back.packet)) << "tag index " << pkt.index();
+    EXPECT_TRUE(packets_equal(pkt, *back.value)) << "tag index " << pkt.index();
   }
 }
 

@@ -58,7 +58,9 @@ TEST(FaultInjection, CorruptedPacketsAreDroppedNotMisinterpreted) {
   world.heal_at(sim::sec(3));
   world.run_until(sim::sec(12));
 
-  EXPECT_GT(world.network()->stats().packets_corrupted, 0u)
+  const auto* corrupted = world.metrics().find_counter("net.packets_corrupted");
+  ASSERT_NE(corrupted, nullptr);
+  EXPECT_GT(corrupted->value(), 0u)
       << "the injector must actually have corrupted something";
   const auto to_violations = world.check_to_safety();
   EXPECT_TRUE(to_violations.empty()) << to_violations.front();

@@ -162,7 +162,7 @@ TEST(WireFuzz, PacketsDecodeFromSlicesOfASharedArena) {
     const util::Buffer arena{std::move(raw)};
     for (std::size_t i = 0; i < packets.size(); ++i) {
       auto back =
-          membership::decode_packet_ex(arena.slice(spans[i].first, spans[i].second)).packet;
+          membership::decode_packet_ex(arena.slice(spans[i].first, spans[i].second)).value;
       ASSERT_TRUE(back.has_value()) << "packet " << i;
       EXPECT_EQ(back->index(), packets[i].index());
       if (const auto* t = std::get_if<membership::Token>(&*back)) {

@@ -366,7 +366,7 @@ int decode_frame(const Options& opt) {
     return 1;
   }
   std::printf("%s: v%u frame, packet tag %zu — decodes clean\n",
-              opt.decode_frame_file.c_str(), version, out.packet->index());
+              opt.decode_frame_file.c_str(), version, out.value->index());
   return 0;
 }
 
