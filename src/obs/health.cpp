@@ -97,14 +97,16 @@ void Health::observe(const std::string& series, sim::Time at,
     const std::uint64_t* e = counter_value(snap, "to.primary_established");
     const std::uint64_t rounds = r != nullptr ? *r : 0;
     const std::uint64_t est = e != nullptr ? *e : 0;
+    // Arm first, settle second: a window in which formation activity and a
+    // primary establishment both land closes its own episode.
+    if (st.seen && rounds != st.formation_rounds && !st.awaiting_convergence) {
+      st.awaiting_convergence = true;
+      st.formation_seen_at = at;
+    }
     if (st.seen && est != st.established) {
       // Any primary establishment settles every pending formation episode.
       st.awaiting_convergence = false;
       st.convergence_flagged = false;
-    }
-    if (st.seen && rounds != st.formation_rounds && !st.awaiting_convergence) {
-      st.awaiting_convergence = true;
-      st.formation_seen_at = at;
     }
     if (st.awaiting_convergence && !st.convergence_flagged &&
         at - st.formation_seen_at >= cfg_.convergence_bound) {

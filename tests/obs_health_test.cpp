@@ -211,6 +211,39 @@ TEST(ViewConvergence, PrimaryEstablishmentSettlesTheEpisode) {
   EXPECT_EQ(health.events().size(), 1u);
 }
 
+TEST(ViewConvergence, FormationAndPrimaryInOneSampleCloseTheirOwnEpisode) {
+  HealthConfig cfg = quiet_config();
+  cfg.view_convergence = true;
+  cfg.convergence_bound = sim::msec(400);
+  Health health(cfg);
+
+  sim::Time t = 0;
+  health.observe("aggregate", t += sim::msec(100), view_snap(0, 0));
+  // The formation round and the primary it produced land in one window.
+  health.observe("aggregate", t += sim::msec(100), view_snap(2, 1));
+  for (int i = 0; i < 10; ++i)
+    health.observe("aggregate", t += sim::msec(100), view_snap(2, 1));
+  EXPECT_TRUE(health.events().empty()) << "the episode settled in the window that armed it";
+}
+
+TEST(ViewConvergence, FormationActivityAloneStillFires) {
+  HealthConfig cfg = quiet_config();
+  cfg.view_convergence = true;
+  cfg.convergence_bound = sim::msec(400);
+  Health health(cfg);
+
+  sim::Time t = 0;
+  health.observe("aggregate", t += sim::msec(100), view_snap(0, 1));
+  health.observe("aggregate", t += sim::msec(100), view_snap(1, 1));  // arms at 200 ms
+  for (int i = 0; i < 3; ++i)
+    health.observe("aggregate", t += sim::msec(100), view_snap(2 + i, 1));
+  EXPECT_TRUE(health.events().empty()) << "bound not yet elapsed";
+  health.observe("aggregate", t += sim::msec(100), view_snap(5, 1));
+  ASSERT_EQ(health.events().size(), 1u);
+  EXPECT_EQ(health.events()[0].rule, "view_convergence");
+  EXPECT_EQ(health.events()[0].at, sim::msec(600));
+}
+
 // --- shared machinery ------------------------------------------------------
 
 TEST(Health, SeriesAreTrackedIndependently) {
