@@ -104,7 +104,7 @@ void BM_TokenEncodeDecode(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i)
     t.entries.emplace_back(static_cast<ProcId>(i % 5),
                            util::Bytes(64, static_cast<std::uint8_t>(i)));
-  for (ProcId p = 0; p < 5; ++p) t.delivered[p] = 100;
+  for (ProcId p = 0; p < 5; ++p) t.delivered.emplace_back(p, 100);
   for (auto _ : state) {
     const auto bytes = membership::encode_packet(membership::Packet{t});
     benchmark::DoNotOptimize(membership::decode_packet_ex(bytes));

@@ -220,7 +220,7 @@ void Node::install_view(const core::View& v, bool initial) {
   outbox_.clear();  // stale messages belonged to the previous view
   token_ = Token{};
   token_.gid = v.id;
-  for (ProcId r : v.members) token_.delivered[r] = 0;
+  for (ProcId r : v.members) token_.delivered.emplace_back(r, 0);  // members are sorted
   token_out_ = false;
   last_token_seen_ = parent_->simulator().now();
   proposing_ = false;

@@ -1,5 +1,8 @@
 #include "membership/messages.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/hash.hpp"
 
 namespace vsg::membership {
@@ -225,6 +228,27 @@ void Token::note_trimmed(std::size_t n) {
 
 void Token::invalidate_wire_cache() const { entries_segs.clear(); }
 
+void Token::set_delivered(ProcId r, std::uint32_t count) {
+  const auto it = std::lower_bound(
+      delivered.begin(), delivered.end(), r,
+      [](const std::pair<ProcId, std::uint32_t>& e, ProcId id) { return e.first < id; });
+  if (it != delivered.end() && it->first == r)
+    it->second = count;
+  else
+    delivered.emplace(it, r, count);
+}
+
+std::uint32_t Token::min_delivered(const std::set<ProcId>& members) const {
+  // Both sides are sorted by id: one merge walk.
+  std::uint32_t low = std::numeric_limits<std::uint32_t>::max();
+  auto it = delivered.begin();
+  for (ProcId r : members) {
+    while (it != delivered.end() && it->first < r) ++it;
+    low = std::min(low, it != delivered.end() && it->first == r ? it->second : 0);
+  }
+  return low;
+}
+
 std::size_t encoded_packet_size(const Packet& pkt) {
   return kFrameHeaderSize + std::visit(BodySize{}, pkt);
 }
@@ -258,9 +282,10 @@ namespace {
 
 /// Decode the token body (everything after the tag byte). `d` reads the
 /// frame body; the segment cache is warmed with slices of it (zero-copy).
-/// Returns false iff the entries section is malformed under strict
-/// decoding; other field damage is left in the decoder's ok() as usual.
-bool decode_token_body(util::Decoder& d, bool strict, Token& p) {
+/// Returns the reject reason iff the entries section is malformed or the
+/// delivered ids are not strictly increasing under strict decoding, else
+/// null; other field damage is left in the decoder's ok() as usual.
+const char* decode_token_body(util::Decoder& d, bool strict, Token& p) {
   p.gid = wire::Codec<core::ViewId>::decode(d);
   p.lap = static_cast<std::uint32_t>(d.uvarint());
   p.base = static_cast<std::uint32_t>(d.uvarint());
@@ -285,17 +310,26 @@ bool decode_token_body(util::Decoder& d, bool strict, Token& p) {
     seg_counts.push_back(static_cast<std::uint32_t>(count));
   }
   const bool complete = !malformed && acc == total && d.ok();
-  if (strict && !complete) return false;
+  if (strict && !complete) return "malformed token entries section";
   if (complete)
     for (std::size_t k = 0; k < seg_counts.size(); ++k)
       p.entries_segs.push_back(
           TokenSeg{seg_counts[k], d.input_slice(seg_spans[k].first, seg_spans[k].second)});
+  // The encoder writes the counters in increasing id order. A lenient
+  // decode takes any order and lets a repeated id's last counter win.
   const std::uint64_t nd = d.uvarint();
+  p.delivered.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(nd, d.remaining() / 2)));
   for (std::uint64_t i = 0; i < nd && d.ok(); ++i) {
     const auto r = static_cast<ProcId>(d.uvarint());
-    p.delivered[r] = static_cast<std::uint32_t>(d.uvarint());
+    const auto count = static_cast<std::uint32_t>(d.uvarint());
+    if (p.delivered.empty() || p.delivered.back().first < r)
+      p.delivered.emplace_back(r, count);
+    else if (strict)
+      return "token delivered ids not strictly increasing";
+    else
+      p.set_delivered(r, count);
   }
-  return true;
+  return nullptr;
 }
 
 }  // namespace
@@ -362,8 +396,8 @@ DecodeOutcome decode_packet_ex(const util::Buffer& packet) {
     }
     case kTagToken: {
       Token p;
-      if (!decode_token_body(d, strict, p)) {
-        out.error = "malformed token entries section";
+      if (const char* error = decode_token_body(d, strict, p)) {
+        out.error = error;
         return out;
       }
       if (reject_incomplete("token")) return out;

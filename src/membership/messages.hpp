@@ -13,8 +13,8 @@
 // specializations (core/codec.hpp); this header's free functions are the
 // packet-level entry points.
 
-#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -63,9 +63,9 @@ struct TokenSeg {
 };
 
 /// The circulating token. `base` is the order index of entries[0]; entries
-/// below `base` are safe everywhere and have been trimmed. `delivered[r]` is
-/// the number of order entries member r had passed to its client when the
-/// token last left r.
+/// below `base` are safe everywhere and have been trimmed. The counter of
+/// member r in `delivered` is the number of order entries r had passed to
+/// its client when the token last left r.
 struct Token {
   core::ViewId gid;
   std::uint32_t lap = 0;
@@ -73,7 +73,17 @@ struct Token {
   /// Ordered payloads; each Buffer is a slice of the packet that carried it
   /// (absorb) or the client's original submission (board) — never a copy.
   std::vector<std::pair<ProcId, util::Buffer>> entries;
-  std::map<ProcId, std::uint32_t> delivered;
+  /// One (member, counter) pair per member, sorted by member id. A flat
+  /// vector, so decoding a token hop allocates once instead of once per
+  /// member; set_delivered() keeps it sorted and duplicate-free.
+  std::vector<std::pair<ProcId, std::uint32_t>> delivered;
+
+  /// Set member r's counter, inserting it in id order if r has none.
+  void set_delivered(ProcId r, std::uint32_t count);
+
+  /// The smallest counter over `members` (0 for a member without one): the
+  /// prefix of the order every member has passed to its client.
+  std::uint32_t min_delivered(const std::set<ProcId>& members) const;
 
   /// Wire cache: per-batch segments covering `entries` front to back (sum
   /// of counts == entries.size() whenever non-empty). Boarding appends one

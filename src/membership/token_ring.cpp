@@ -130,15 +130,12 @@ void Node::process_token(Token& t) {
       g->add(-static_cast<std::int64_t>(boarded));
 
   // 4. Record how many entries we have passed to the client.
-  t.delivered[me_] = static_cast<std::uint32_t>(delivered_);
+  t.set_delivered(me_, static_cast<std::uint32_t>(delivered_));
 
   // 5. Safe indications: every entry below the minimum delivered counter has
   // been passed to the client at every member.
-  std::uint32_t threshold = static_cast<std::uint32_t>(delivered_);
-  for (ProcId r : view_->members) {
-    const auto it = t.delivered.find(r);
-    threshold = std::min(threshold, it == t.delivered.end() ? 0 : it->second);
-  }
+  const std::uint32_t threshold =
+      std::min(static_cast<std::uint32_t>(delivered_), t.min_delivered(view_->members));
   while (safe_emitted_ < threshold) {
     const auto& [src, payload] = log_[safe_emitted_];
     ++safe_emitted_;

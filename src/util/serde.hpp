@@ -113,6 +113,8 @@ class Decoder {
   bool complete() const noexcept { return ok_ && at_end(); }
   /// Current read offset (for slicing sections out of the input).
   std::size_t pos() const noexcept { return pos_; }
+  /// Bytes not yet read.
+  std::size_t remaining() const noexcept { return view_.size() - pos_; }
   /// Slice [from, to) of the input as a Buffer (zero-copy when possible).
   Buffer input_slice(std::size_t from, std::size_t to) const;
 

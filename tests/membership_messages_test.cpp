@@ -142,7 +142,8 @@ TEST(Messages, TokenByReferenceMatchesPacketCopy) {
       }
     }
     by_ref.lap = by_copy.lap = static_cast<std::uint32_t>(pass);
-    by_ref.delivered[src] = by_copy.delivered[src] = by_ref.base;
+    by_ref.set_delivered(src, by_ref.base);
+    by_copy.set_delivered(src, by_copy.base);
 
     WireEncodeStats ref_stats;
     WireEncodeStats copy_stats;

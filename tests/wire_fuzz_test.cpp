@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "membership/messages.hpp"
@@ -180,6 +182,60 @@ TEST(WireFuzz, PacketsDecodeFromSlicesOfASharedArena) {
   ASSERT_EQ(token.entries.size(), orig.entries.size());
   for (std::size_t i = 0; i < token.entries.size(); ++i)
     EXPECT_EQ(token.entries[i].second, orig.entries[i].second);
+}
+
+// --- The token's delivered counters ---------------------------------------
+//
+// The encoder writes one counter per member, in increasing id order. Strict
+// decoding refuses any other order; the lenient decode keeps what a map of
+// counters did: any order is accepted and a repeated id's last counter wins.
+
+membership::Token token_with_delivered(
+    std::vector<std::pair<ProcId, std::uint32_t>> delivered) {
+  membership::Token t;
+  t.gid = core::ViewId{5, 0};
+  t.delivered = std::move(delivered);  // encoded exactly as listed
+  return t;
+}
+
+const std::vector<std::pair<ProcId, std::uint32_t>> kDuplicateId = {{0, 7}, {1, 6}, {0, 2}};
+
+TEST(WireFuzz, StrictDecodeRefusesDeliveredIdsThatDoNotIncrease) {
+  for (const auto& delivered : {kDuplicateId, {{1, 6}, {0, 7}}, {{2, 1}, {2, 1}}}) {
+    const auto out =
+        membership::decode_packet_ex(membership::encode_packet(token_with_delivered(delivered)));
+    EXPECT_FALSE(out.ok());
+    EXPECT_EQ(out.error, "token delivered ids not strictly increasing");
+  }
+  EXPECT_TRUE(membership::decode_packet_ex(
+                  membership::encode_packet(token_with_delivered({{0, 7}, {1, 6}, {3, 2}})))
+                  .ok());
+}
+
+TEST(WireFuzz, UncheckedDecodeLetsTheLastDuplicateCounterWin) {
+  const auto frame = membership::encode_packet(token_with_delivered(kDuplicateId));
+  util::UncheckedDecodeGuard guard;
+  const auto out = membership::decode_packet_ex(frame);
+  ASSERT_TRUE(out.ok()) << out.error;
+  const auto& t = std::get<membership::Token>(*out.value);
+  EXPECT_EQ(t.delivered, (std::vector<std::pair<ProcId, std::uint32_t>>{{0, 2}, {1, 6}}));
+  // The safe threshold a map gave: member 0's last counter, 2, not its first.
+  EXPECT_EQ(t.min_delivered({0, 1}), 2u);
+  EXPECT_EQ(t.min_delivered({1}), 6u);
+  EXPECT_EQ(t.min_delivered({0, 1, 2}), 0u) << "a member without a counter counts 0";
+}
+
+TEST(WireFuzz, GoldenFrameDecodesAndReencodesByteIdentically) {
+  std::ifstream in(VSG_WIRE_FIXTURES "/golden_v3.frame", std::ios::binary);
+  ASSERT_TRUE(in) << "cannot open the golden frame fixture";
+  const util::Bytes golden{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  const auto out = membership::decode_packet_ex(util::Buffer{golden});
+  ASSERT_TRUE(out.ok()) << out.error;
+  const auto& t = std::get<membership::Token>(*out.value);
+  EXPECT_EQ(t.delivered, (std::vector<std::pair<ProcId, std::uint32_t>>{{0, 5}, {1, 4}, {2, 6}}));
+  EXPECT_EQ(membership::encode_packet(t).to_bytes(), golden) << "spliced from the warm cache";
+  t.invalidate_wire_cache();
+  EXPECT_EQ(membership::encode_packet(t).to_bytes(), golden) << "rebuilt from the fields";
 }
 
 // --- The label-only decode of `safe` -------------------------------------
