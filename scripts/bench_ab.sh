@@ -8,7 +8,10 @@
 # WORKLOAD` PAIRS times on each side, alternating which side goes first.
 # Prints, for every end-to-end metric of BENCHMARK.json, the median and
 # interquartile range on each side, change / parent (the ratio of the
-# medians) and the number of pairs the change wins. Last it diffs the
+# medians), the median and interquartile range of the per-pair ratios
+# change_i / parent_i, and the number of pairs the change wins. The two
+# runs of a pair are back to back, so a pair's ratio cancels the host's
+# drift between pairs that widens each side's own IQR. Last it diffs the
 # `det` lines of one `--quick --seed 7 --seconds 1` run per side: a
 # host-only change must leave every line but peak_heap_mb bit-identical.
 # Those two runs also export vsg-metrics-v1 snapshots, and `vsg_report
@@ -82,7 +85,7 @@ def quartiles(xs):
 side = {s: [result(f"{runs}/{s}_{i}") for i in range(pairs)] for s in ("parent", "change")}
 print(f"{workload}: {rev} (parent) vs working tree (change), {pairs} pairs")
 print(f"{'metric':<18}{'parent median':>15}{'IQR':>11}{'change median':>15}{'IQR':>11}"
-      f"{'change/parent':>15}{'wins':>7}")
+      f"{'change/parent':>15}{'pair ratio':>12}{'IQR':>9}{'wins':>7}")
 for m in json.load(open(spec))["end_to_end"]:
     name, lower = m["name"], m["better"] == "lower"
     a = [r[name]["value"] for r in side["parent"]]
@@ -90,8 +93,10 @@ for m in json.load(open(spec))["end_to_end"]:
     qa, qb = quartiles(a), quartiles(b)
     wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
     ratio = qb[1] / qa[1] if qa[1] else float("nan")
+    pair = [y / x for x, y in zip(a, b) if x]
+    qr = quartiles(pair) if pair else [float("nan")] * 3
     print(f"{name:<18}{qa[1]:>15.6g}{qa[2] - qa[0]:>11.3g}{qb[1]:>15.6g}{qb[2] - qb[0]:>11.3g}"
-          f"{ratio:>15.4f}{wins:>4}/{pairs}")
+          f"{ratio:>15.4f}{qr[1]:>12.4f}{qr[2] - qr[0]:>9.3g}{wins:>4}/{pairs}")
 EOF
 
 echo "det lines (--quick --seed 7 --seconds 1), parent vs change:"

@@ -16,6 +16,12 @@ constexpr sim::Time kUglyProcMaxDelay = sim::msec(50);
 // 1-round formation: a processor counts as connected if heard from within
 // this window.
 constexpr sim::Time kHeardWindow = sim::msec(600);
+
+// Spacing of the token-loss check's lattice: a view's checks run only at
+// its install time plus whole multiples of this.
+sim::Time check_step(const TokenRingConfig& cfg) {
+  return std::max<sim::Time>(cfg.delta, cfg.pi / 4);
+}
 }  // namespace
 
 Node::Node(ProcId me, TokenRingVS& parent, util::Rng rng)
@@ -234,8 +240,9 @@ void Node::install_view(const core::View& v, bool initial) {
     // First launch quickly (state exchange is waiting), then every pi.
     parent_->simulator().after(cfg.delta, [this, gen] { launch_tick(gen); });
   }
-  const sim::Time check = std::max<sim::Time>(cfg.delta, cfg.pi / 4);
-  parent_->simulator().after(check, [this, gen] { token_check(gen); });
+  // A one-member view can never time out: it arms no token-loss check.
+  if (v.members.size() > 1)
+    parent_->simulator().after(check_step(cfg), [this, gen] { token_check(gen); });
 
   // The install cleared the backlog: deferred sends parked behind the old
   // view's congestion may re-enter now (docs/FLOWCONTROL.md).
@@ -245,13 +252,20 @@ void Node::install_view(const core::View& v, bool initial) {
 void Node::token_check(std::uint64_t gen) {
   if (gen != view_gen_ || !view_.has_value()) return;  // stale timer
   const auto& cfg = parent_->config();
-  const sim::Time now = parent_->simulator().now();
-  if (!self_bad()) {
-    const sim::Time timeout = cfg.token_timeout(static_cast<int>(view_->members.size()));
-    if (view_->members.size() > 1 && now - last_token_seen_ > timeout) maybe_propose();
+  const sim::Time step = check_step(cfg);
+  // How far past the token deadline this lattice point lies.
+  const sim::Time late = parent_->simulator().now() - last_token_seen_ -
+                         cfg.token_timeout(static_cast<int>(view_->members.size()));
+  sim::Time next = step;
+  if (late > 0) {
+    // Timed out: propose if running, and keep checking every step.
+    if (!self_bad()) maybe_propose();
+  } else {
+    // No timeout before the deadline, and last_token_seen_ only grows:
+    // sleep to the first lattice point past it.
+    next = (-late / step + 1) * step;
   }
-  const sim::Time check = std::max<sim::Time>(cfg.delta, cfg.pi / 4);
-  parent_->simulator().after(check, [this, gen] { token_check(gen); });
+  parent_->simulator().after(next, [this, gen] { token_check(gen); });
 }
 
 void Node::probe_tick() {

@@ -16,6 +16,16 @@
 // also report d_impl = 3*(pi + n*delta): one pi+n*delta each to board the
 // token, deliver everywhere, and circulate the counters (see EXPERIMENTS.md).
 //
+// Token loss is one timeout: a member that has not seen its view's token for
+// more than token_timeout(n) = pi + (n+3)*delta proposes a new view. Only
+// the instant a member sees the timeout matters, so the check is a deadline
+// on a lattice: a view's checks run only at its install time plus whole
+// multiples of max(delta, pi/4). A check that sees no timeout sleeps to the
+// first lattice point past the deadline (the last token time only grows, so
+// no skipped point could have fired); once timed out, good or bad, the
+// member checks every step. A one-member view arms no check: it can never
+// time out.
+//
 // The class is split across two translation units: membership.cpp (view
 // formation) and token_ring.cpp (token processing and ordering).
 
@@ -121,6 +131,10 @@ class Node {
   /// Boarding backlog: submitted payloads waiting to board a token. The
   /// admission gate's depth signal (docs/FLOWCONTROL.md).
   std::size_t backlog() const noexcept { return outbox_.size(); }
+
+  /// When this node last received its view's token (the install time if
+  /// none has come yet). The token-loss deadline runs from here.
+  sim::Time last_token_seen() const noexcept { return last_token_seen_; }
 
  private:
   // --- membership.cpp -------------------------------------------------------

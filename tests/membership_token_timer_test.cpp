@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "harness/scenario.hpp"
 #include "harness/world.hpp"
 
@@ -89,6 +92,110 @@ TEST(TokenTimer, RepeatedLossWindowsKeepRecovering) {
   }
   w.run_until(sim::sec(12));
   expect_converged(w, 3, 3);
+}
+
+// --- The check's poll lattice ---------------------------------------------
+//
+// A view's token-loss checks run only at its install time plus whole
+// multiples of max(delta, pi/4). Between a token and its deadline a check
+// sleeps to the first lattice point past the deadline instead of polling
+// every step, so a member must still propose at exactly the instant an
+// every-step poll chain would have.
+
+// The instant an every-step poll chain proposes: the first lattice point
+// install + k*step (k >= 1) that lies past the token deadline and after
+// `good_from`, when the member resumes running.
+sim::Time poll_chain_instant(sim::Time install, sim::Time last_token_seen, sim::Time step,
+                             sim::Time timeout, sim::Time good_from) {
+  for (sim::Time t = install + step;; t += step)
+    if (t - last_token_seen > timeout && t > good_from) return t;
+}
+
+// What the step loop saw of processor 1 up to its first proposal after
+// `silent_from`.
+struct Observed {
+  sim::Time install = -1;          // install time of the view it proposed from
+  sim::Time last_token_seen = -1;  // its last token in that view
+  sim::Time proposed = -1;         // the proposal instant
+};
+
+// Runs event by event until a formation round starts after `silent_from`.
+// Only processor 1 can start one then: processor 0 is stopped and
+// processor 2 sits partitioned away in a one-member view.
+Observed run_to_proposal(World& w, sim::Time silent_from) {
+  const obs::Counter* rounds = w.metrics().find_counter("ring.formation_rounds");
+  EXPECT_NE(rounds, nullptr);
+  const membership::Node& node = w.token_ring()->node(1);
+  Observed seen;
+  std::optional<core::ViewId> view;
+  std::uint64_t before = rounds->value();
+  while (w.simulator().now() < sim::sec(10) && w.simulator().step()) {
+    const sim::Time now = w.simulator().now();
+    if (node.view().has_value() && (!view.has_value() || !(node.view()->id == *view))) {
+      view = node.view()->id;
+      seen.install = now;
+    }
+    if (rounds->value() != before && now > silent_from) {
+      seen.last_token_seen = node.last_token_seen();
+      seen.proposed = now;
+      return seen;
+    }
+    before = rounds->value();
+  }
+  ADD_FAILURE() << "no proposal after " << silent_from;
+  return seen;
+}
+
+// {0,1} re-form apart from 2, so the view's install time is off the 10 ms
+// grid; then the leader stops and the ring goes silent at 1.
+TEST(TokenTimer, SilentRingProposesAtThePollChainInstant) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    World w(ring_config(3, seed));
+    w.partition_at(sim::msec(300), {{0, 1}, {2}});
+    w.proc_status_at(sim::msec(1500), 0, sim::Status::kBad);
+    const Observed seen = run_to_proposal(w, sim::msec(1500));
+    const auto& cfg = w.config().ring;
+    const sim::Time step = std::max<sim::Time>(cfg.delta, cfg.pi / 4);
+    ASSERT_GT(seen.install, sim::msec(300)) << "seed " << seed;
+    EXPECT_EQ(seen.proposed, poll_chain_instant(seen.install, seen.last_token_seen, step,
+                                                cfg.token_timeout(2), 0))
+        << "seed " << seed;
+  }
+}
+
+// Processor 1 stops just after the ring goes silent and resumes long past
+// its deadline: it proposes at the first lattice point after it resumes.
+TEST(TokenTimer, MemberBadAcrossItsDeadlineProposesOnceGood) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    World w(ring_config(3, seed));
+    w.partition_at(sim::msec(300), {{0, 1}, {2}});
+    w.proc_status_at(sim::msec(1500), 0, sim::Status::kBad);
+    w.proc_status_at(sim::msec(1501), 1, sim::Status::kBad);
+    const sim::Time good_from = sim::msec(2000) + sim::usec(3700);
+    w.proc_status_at(good_from, 1, sim::Status::kGood);
+    const Observed seen = run_to_proposal(w, sim::msec(1500));
+    const auto& cfg = w.config().ring;
+    const sim::Time step = std::max<sim::Time>(cfg.delta, cfg.pi / 4);
+    ASSERT_NE((good_from - seen.install) % step, 0) << "resume on the lattice: seed " << seed;
+    ASSERT_LT(seen.last_token_seen + cfg.token_timeout(2), good_from) << "seed " << seed;
+    EXPECT_EQ(seen.proposed, poll_chain_instant(seen.install, seen.last_token_seen, step,
+                                                cfg.token_timeout(2), good_from))
+        << "seed " << seed;
+  }
+}
+
+// A one-member view can never time out, so it arms no check: 10 s of
+// virtual time execute only the leader's launch ticks (at delta, then
+// every pi) and the probe ticks (the first within mu, then at least mu
+// apart). An every-step check would add 1000 more.
+TEST(TokenTimer, OneMemberViewRunsNoTokenCheck) {
+  World w(ring_config(1, 9));
+  const sim::Time horizon = sim::sec(10);
+  w.run_until(horizon);
+  const auto& cfg = w.config().ring;
+  const std::size_t launches = static_cast<std::size_t>((horizon - cfg.delta) / cfg.pi + 1);
+  const std::size_t probes = static_cast<std::size_t>(horizon / cfg.mu + 1);
+  EXPECT_LE(w.simulator().events_processed(), launches + probes);
 }
 
 }  // namespace
