@@ -22,51 +22,33 @@ std::uint32_t frame_checksum(std::uint8_t version, util::BufferView body) noexce
 
 using Entries = std::vector<std::pair<ProcId, util::Buffer>>;
 
-/// True iff the segment cache covers the entries exactly (an empty cache
-/// only matches an entry-less token).
-bool segs_cover(const Token& t) {
-  std::size_t sum = 0;
-  for (const auto& s : t.entries_segs) sum += s.count;
-  return sum == t.entries.size() && (!t.entries_segs.empty() || t.entries.empty());
-}
-
-/// Exact wire size of entries [off, off+count) as maximal same-source runs:
-/// uvarint src and count per run, uvarint-length-prefixed payloads.
-std::size_t range_size(const Entries& entries, std::size_t off, std::size_t count) {
-  std::size_t n = 0;
-  std::size_t i = off;
-  const std::size_t end = off + count;
-  while (i < end) {
+/// Walk `entries` as maximal same-source runs: f(src, begin, end) per run.
+template <class F>
+void for_each_run(const Entries& entries, F&& f) {
+  for (std::size_t i = 0; i < entries.size();) {
     std::size_t j = i + 1;
-    while (j < end && entries[j].first == entries[i].first) ++j;
-    n += util::uvarint_size(static_cast<std::uint64_t>(entries[i].first));
-    n += util::uvarint_size(j - i);
-    for (; i < j; ++i)
-      n += util::uvarint_size(entries[i].second.size()) + entries[i].second.size();
+    while (j < entries.size() && entries[j].first == entries[i].first) ++j;
+    f(entries[i].first, i, j);
+    i = j;
   }
-  return n;
 }
 
-/// Entries section size: total-count prefix plus per-segment warm image or
-/// rebuilt-run size. Must agree with BodyEncoder's splice-vs-rebuild
-/// choice, so both go through segs_cover.
-std::size_t entries_section_size(const Token& p) {
-  std::size_t n = util::uvarint_size(p.entries.size());
-  if (segs_cover(p)) {
-    std::size_t off = 0;
-    for (const auto& s : p.entries_segs) {
-      n += s.wire.empty() ? range_size(p.entries, off, s.count) : s.wire.size();
-      off += s.count;
-    }
-  } else {
-    n += range_size(p.entries, 0, p.entries.size());
-  }
+/// Entries section: total-count prefix, then one header per maximal
+/// same-source run (uvarint src, uvarint count) followed by its
+/// uvarint-length-prefixed payloads.
+std::size_t entries_section_size(const Entries& entries) {
+  std::size_t n = util::uvarint_size(entries.size());
+  for_each_run(entries, [&](ProcId src, std::size_t i, std::size_t end) {
+    n += util::uvarint_size(static_cast<std::uint64_t>(src)) + util::uvarint_size(end - i);
+    for (; i < end; ++i)
+      n += util::uvarint_size(entries[i].second.size()) + entries[i].second.size();
+  });
   return n;
 }
 
 std::size_t token_body_size(const Token& p) {
   std::size_t n = wire::Codec<core::ViewId>::size(p.gid) + util::uvarint_size(p.lap) +
-                  util::uvarint_size(p.base) + entries_section_size(p) +
+                  util::uvarint_size(p.base) + entries_section_size(p.entries) +
                   util::uvarint_size(p.delivered.size());
   for (const auto& [r, count] : p.delivered)
     n += util::uvarint_size(static_cast<std::uint64_t>(r)) + util::uvarint_size(count);
@@ -89,38 +71,18 @@ struct BodySize {
   }
 };
 
-/// Serialize entries [off, off+count) as maximal same-source runs.
-void encode_runs(util::Encoder& e, const Entries& entries, std::size_t off,
-                 std::size_t count) {
-  std::size_t i = off;
-  const std::size_t end = off + count;
-  while (i < end) {
-    std::size_t j = i + 1;
-    while (j < end && entries[j].first == entries[i].first) ++j;
-    e.uvarint(static_cast<std::uint64_t>(entries[i].first));
-    e.uvarint(j - i);
-    for (; i < j; ++i) e.vraw(entries[i].second.view());
-  }
+/// Serialize the entries section laid out by entries_section_size.
+void encode_entries(util::Encoder& e, const Entries& entries) {
+  e.uvarint(entries.size());
+  for_each_run(entries, [&](ProcId src, std::size_t i, std::size_t end) {
+    e.uvarint(static_cast<std::uint64_t>(src));
+    e.uvarint(end - i);
+    for (; i < end; ++i) e.vraw(entries[i].second.view());
+  });
 }
 
 struct BodyEncoder {
   util::Encoder& e;
-  WireEncodeStats* stats;
-
-  // Bounds of cold (rebuilt-from-structs) entry regions within the packet,
-  // recorded so encode_packet can warm the cache off the finished buffer.
-  std::size_t entries_begin = 0;
-  std::size_t entries_end = 0;
-  bool rebuilt_whole = false;  // segment cache was unusable; one region
-  std::vector<std::pair<std::size_t, std::pair<std::size_t, std::size_t>>>
-      cold_spans;  // (segment index, [begin, end) in packet)
-
-  void note(std::uint64_t rebuilt, std::uint64_t spliced) const {
-    if (stats != nullptr) {
-      stats->entries_rebuilt += rebuilt;
-      stats->entries_spliced += spliced;
-    }
-  }
 
   void operator()(const Call& p) {
     e.u8(kTagCall);
@@ -139,29 +101,7 @@ struct BodyEncoder {
     wire::Codec<core::ViewId>::encode(e, p.gid);
     e.uvarint(p.lap);
     e.uvarint(p.base);
-    e.uvarint(p.entries.size());
-    if (segs_cover(p)) {
-      std::size_t off = 0;
-      for (std::size_t k = 0; k < p.entries_segs.size(); ++k) {
-        const TokenSeg& seg = p.entries_segs[k];
-        if (!seg.wire.empty()) {
-          e.append(seg.wire.view());
-          note(0, seg.count);
-        } else {
-          const std::size_t begin = e.size();
-          encode_runs(e, p.entries, off, seg.count);
-          cold_spans.push_back({k, {begin, e.size()}});
-          note(seg.count, 0);
-        }
-        off += seg.count;
-      }
-    } else {
-      rebuilt_whole = true;
-      entries_begin = e.size();
-      encode_runs(e, p.entries, 0, p.entries.size());
-      entries_end = e.size();
-      note(p.entries.size(), 0);
-    }
+    encode_entries(e, p.entries);
     e.uvarint(p.delivered.size());
     for (const auto& [r, count] : p.delivered) {
       e.uvarint(static_cast<std::uint64_t>(r));
@@ -176,16 +116,16 @@ struct BodyEncoder {
 };
 
 /// Frame one body: version byte, checksum (back-patched) and body length,
-/// then whatever `enc` writes through BodyEncoder's overload for `body`.
+/// then BodyEncoder's overload for `body`.
 template <class Body>
-util::Buffer encode_framed(const Body& body, BodyEncoder& enc) {
+util::Buffer encode_framed(const Body& body) {
   const std::size_t body_size = BodySize{}(body);
-  util::Encoder& e = enc.e;
+  util::Encoder e;
   e.reserve(kFrameHeaderSize + body_size);
   e.u8(kVersionByte);
   e.u32(0);  // checksum: back-patched below
   e.u32(static_cast<std::uint32_t>(body_size));
-  enc(body);
+  BodyEncoder{e}(body);
   e.patch_u32(1, frame_checksum(kVersionByte,
                                 util::BufferView(e.bytes().data() + kFrameHeaderSize,
                                                  e.size() - kFrameHeaderSize)));
@@ -193,40 +133,6 @@ util::Buffer encode_framed(const Body& body, BodyEncoder& enc) {
 }
 
 }  // namespace
-
-void Token::note_boarded(std::size_t n) {
-  if (n == 0) return;
-  std::size_t covered = 0;
-  for (const auto& s : entries_segs) covered += s.count;
-  // The cache was valid before the append iff it covered everything but the
-  // new batch; then the batch becomes one cold segment and the warm
-  // segments stay warm. Otherwise drop the cache (full rebuild on encode).
-  if (covered + n == entries.size())
-    entries_segs.push_back(TokenSeg{static_cast<std::uint32_t>(n), util::Buffer{}});
-  else
-    entries_segs.clear();
-}
-
-void Token::note_trimmed(std::size_t n) {
-  if (n == 0) return;
-  std::size_t drop = n;
-  while (drop > 0 && !entries_segs.empty()) {
-    TokenSeg& front = entries_segs.front();
-    if (front.count <= drop) {
-      drop -= front.count;
-      entries_segs.erase(entries_segs.begin());
-    } else {
-      // Trim splits this segment: its surviving tail goes cold (rebuilt,
-      // and re-cached, by the next encode); later segments stay warm.
-      front.count -= static_cast<std::uint32_t>(drop);
-      front.wire = util::Buffer{};
-      drop = 0;
-    }
-  }
-  if (drop > 0) entries_segs.clear();  // cache did not cover the trim: invalid
-}
-
-void Token::invalidate_wire_cache() const { entries_segs.clear(); }
 
 void Token::set_delivered(ProcId r, std::uint32_t count) {
   const auto it = std::lower_bound(
@@ -253,35 +159,16 @@ std::size_t encoded_packet_size(const Packet& pkt) {
   return kFrameHeaderSize + std::visit(BodySize{}, pkt);
 }
 
-util::Buffer encode_packet(const Token& t, WireEncodeStats* stats) {
-  util::Encoder e;
-  BodyEncoder enc{e, stats, 0, 0, false, {}};
-  util::Buffer packet = encode_framed(t, enc);
-  // Warm whatever was rebuilt, as zero-copy slices of the packet.
-  if (enc.rebuilt_whole) {
-    t.entries_segs.clear();
-    if (!t.entries.empty())
-      t.entries_segs.push_back(
-          TokenSeg{static_cast<std::uint32_t>(t.entries.size()),
-                   packet.slice(enc.entries_begin, enc.entries_end - enc.entries_begin)});
-  } else {
-    for (const auto& [seg_index, span] : enc.cold_spans)
-      t.entries_segs[seg_index].wire = packet.slice(span.first, span.second - span.first);
-  }
-  return packet;
-}
+util::Buffer encode_packet(const Token& t) { return encode_framed(t); }
 
-util::Buffer encode_packet(const Packet& pkt, WireEncodeStats* stats) {
-  if (const Token* t = std::get_if<Token>(&pkt); t != nullptr) return encode_packet(*t, stats);
-  util::Encoder e;
-  BodyEncoder enc{e, stats, 0, 0, false, {}};
-  return std::visit([&enc](const auto& body) { return encode_framed(body, enc); }, pkt);
+util::Buffer encode_packet(const Packet& pkt) {
+  return std::visit([](const auto& body) { return encode_framed(body); }, pkt);
 }
 
 namespace {
 
 /// Decode the token body (everything after the tag byte). `d` reads the
-/// frame body; the segment cache is warmed with slices of it (zero-copy).
+/// frame body; entry payloads are slices of it (zero-copy).
 /// Returns the reject reason iff the entries section is malformed or the
 /// delivered ids are not strictly increasing under strict decoding, else
 /// null; other field damage is left in the decoder's ok() as usual.
@@ -292,10 +179,7 @@ const char* decode_token_body(util::Decoder& d, bool strict, Token& p) {
   const std::uint64_t total = d.uvarint();
   std::size_t acc = 0;
   bool malformed = false;
-  std::vector<std::pair<std::size_t, std::size_t>> seg_spans;
-  std::vector<std::uint32_t> seg_counts;
   while (acc < total && d.ok()) {
-    const std::size_t seg_begin = d.pos();
     const auto src = static_cast<ProcId>(d.uvarint());
     const std::uint64_t count = d.uvarint();
     if (!d.ok()) break;
@@ -306,15 +190,9 @@ const char* decode_token_body(util::Decoder& d, bool strict, Token& p) {
     for (std::uint64_t i = 0; i < count && d.ok(); ++i)
       p.entries.emplace_back(src, d.vraw_buffer());
     acc += count;
-    seg_spans.emplace_back(seg_begin, d.pos());
-    seg_counts.push_back(static_cast<std::uint32_t>(count));
   }
   const bool complete = !malformed && acc == total && d.ok();
   if (strict && !complete) return "malformed token entries section";
-  if (complete)
-    for (std::size_t k = 0; k < seg_counts.size(); ++k)
-      p.entries_segs.push_back(
-          TokenSeg{seg_counts[k], d.input_slice(seg_spans[k].first, seg_spans[k].second)});
   // The encoder writes the counters in increasing id order. A lenient
   // decode takes any order and lets a repeated id's last counter win.
   const std::uint64_t nd = d.uvarint();

@@ -6,7 +6,7 @@
 // delivery counters, and the merge probe.
 //
 // Every packet travels in a checksummed frame whose layout (frame header,
-// varint bodies, batched token entry segments) is specified in
+// varint bodies, the token's same-source entry runs) is specified in
 // docs/WIRE.md. The leading version byte is always v3, the one layout this
 // build speaks; decoders reject every other version byte loudly, even under
 // the chaos unchecked-decode injection. Scalar layouts live in wire::Codec
@@ -52,16 +52,6 @@ struct ViewAnnounce {
   core::View view;
 };
 
-/// One cached batch of the token's entries section: `count` consecutive
-/// entries from one source, plus (when warm) their exact wire image — a
-/// slice of the packet that carried them or a one-time encode at boarding.
-/// An empty `wire` marks a cold segment rebuilt (and re-cached) by the next
-/// encode.
-struct TokenSeg {
-  std::uint32_t count = 0;
-  util::Buffer wire;
-};
-
 /// The circulating token. `base` is the order index of entries[0]; entries
 /// below `base` are safe everywhere and have been trimmed. The counter of
 /// member r in `delivered` is the number of order entries r had passed to
@@ -84,27 +74,6 @@ struct Token {
   /// The smallest counter over `members` (0 for a member without one): the
   /// prefix of the order every member has passed to its client.
   std::uint32_t min_delivered(const std::set<ProcId>& members) const;
-
-  /// Wire cache: per-batch segments covering `entries` front to back (sum
-  /// of counts == entries.size() whenever non-empty). Boarding appends one
-  /// segment per pass, so the older segments stay warm; trimming drops
-  /// leading segments whole and only the split boundary segment goes cold.
-  /// Empty with non-empty `entries` <=> no cache (full rebuild on encode).
-  /// Any mutation of `entries` must go through note_boarded()/note_trimmed()
-  /// to keep it honest.
-  mutable std::vector<TokenSeg> entries_segs;
-
-  /// Cache maintenance after appending `n` same-source entries in one
-  /// boarding pass: appends one cold segment (or drops the cache if it was
-  /// already invalid).
-  void note_boarded(std::size_t n);
-
-  /// Cache maintenance after erasing the first `n` entries (trim): drops
-  /// covered segments whole and marks a split boundary segment cold.
-  void note_trimmed(std::size_t n);
-
-  /// Drop the wire cache (decoded-state consistency checks in tests).
-  void invalidate_wire_cache() const;
 };
 
 /// Periodic contact attempt towards processors outside the current view;
@@ -115,41 +84,25 @@ struct Probe {
 
 using Packet = std::variant<Call, CallReply, ViewAnnounce, Token, Probe>;
 
-/// Wire-cache accounting for one encode (forward_token aggregates these
-/// into ring.entries_rebuilds / ring.entries_spliced):
-///  - entries_rebuilt: token entries serialized from structs because no
-///    warm wire image covered them (the entries of cold segments — each
-///    payload once, when its boarding segment is first encoded);
-///  - entries_spliced: token entries carried by splicing a warm cached wire
-///    image verbatim.
-struct WireEncodeStats {
-  std::uint64_t entries_rebuilt = 0;
-  std::uint64_t entries_spliced = 0;
-};
-
 /// Exact wire size of `pkt` (frame header + body). encode_packet reserves
 /// precisely this, so the whole encode costs one allocation.
 std::size_t encoded_packet_size(const Packet& pkt);
 
-/// Encode with exact measured reserve: one allocation per packet (tests
-/// assert Encoder::allocs() == 1). Version-byte + checksum framed; for a
-/// Token the warm segments of the entries cache are spliced, and cold ones
-/// are rebuilt and re-cached (zero-copy, slices of the returned packet).
-/// `stats`, when non-null, receives the splice/rebuild accounting of this
-/// encode.
-util::Buffer encode_packet(const Packet& pkt, WireEncodeStats* stats = nullptr);
+/// Encode with exact measured reserve: one allocation per packet.
+/// Version-byte + checksum framed; a Token's entries section is written as
+/// maximal same-source runs (docs/WIRE.md).
+util::Buffer encode_packet(const Packet& pkt);
 
-/// encode_packet(Packet{t}) without the copy: the same bytes and the same
-/// stats, and it warms `t`'s own entries cache in place. The token hop
-/// (Node::forward_token) encodes through this.
-util::Buffer encode_packet(const Token& t, WireEncodeStats* stats = nullptr);
+/// encode_packet(Packet{t}) without copying the token: the same bytes. The
+/// token hop (Node::forward_token) encodes through this.
+util::Buffer encode_packet(const Token& t);
 
 /// The packet decode entry point (docs/WIRE.md, "Decode outcome contract"):
 /// `error` is non-empty iff `value` is disengaged, and names the reject
 /// reason (unknown wire version, checksum mismatch, truncation, ...).
 /// Unknown version bytes are rejected even when the chaos unchecked-decode
-/// injection is active. Token entry payloads and the wire cache come out as
-/// slices of the input (no payload copies).
+/// injection is active. Token entry payloads come out as slices of the
+/// input (no payload copies).
 using DecodeOutcome = wire::DecodeOutcome<Packet>;
 
 DecodeOutcome decode_packet_ex(const util::Buffer& packet);

@@ -119,10 +119,6 @@ void Node::process_token(Token& t) {
     obs::bump(parent_->obs().entries_delivered);
     parent_->emit_gprcv(me_, me_, log_.back().second);
   }
-  // The batch is one same-source run: it becomes a single cold segment (one
-  // splice build per pass; the rest of the cached entries section stays
-  // warm).
-  t.note_boarded(boarded);
   if (auto* h = parent_->obs().payloads_per_pass) h->observe(static_cast<std::int64_t>(boarded));
   if (auto* h = parent_->obs().board_bytes_per_pass) h->observe(boarded_bytes);
   if (boarded > 0)
@@ -153,8 +149,6 @@ void Node::process_token(Token& t) {
         std::min<std::size_t>(threshold - t.base, t.entries.size());
     t.entries.erase(t.entries.begin(), t.entries.begin() + static_cast<std::ptrdiff_t>(drop));
     t.base = threshold;
-    // Drops covered segments whole; only a split boundary segment goes cold.
-    t.note_trimmed(drop);
   }
 
   // 7. The pass freed backlog space: let deferred sends behind the
@@ -164,13 +158,7 @@ void Node::process_token(Token& t) {
 }
 
 void Node::forward_token(const Token& t, ProcId to) {
-  // Encoding warms t's own entries-section wire cache (mutable: cache
-  // state, not data), so the next forward of an unmutated token splices
-  // instead of re-encoding.
-  WireEncodeStats wire_stats;
-  util::Buffer packet = encode_packet(t, &wire_stats);
-  obs::bump(parent_->obs().entries_rebuilds, wire_stats.entries_rebuilt);
-  obs::bump(parent_->obs().entries_spliced, wire_stats.entries_spliced);
+  util::Buffer packet = encode_packet(t);
   obs::bump(parent_->obs().token_bytes_sent, packet.size());
   parent_->network().send(me_, to, std::move(packet));
 }

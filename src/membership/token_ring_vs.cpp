@@ -72,8 +72,6 @@ void TokenRingVS::bind_metrics(obs::MetricsRegistry& registry) {
   obs_.exch_summary_bytes = &registry.counter("ring.state_exchange_bytes.summary");
   obs_.exch_digest_bytes = &registry.counter("ring.state_exchange_bytes.digest");
   obs_.exch_delta_bytes = &registry.counter("ring.state_exchange_bytes.delta");
-  obs_.entries_rebuilds = &registry.counter("ring.entries_rebuilds");
-  obs_.entries_spliced = &registry.counter("ring.entries_spliced");
   obs_.payloads_per_pass = &registry.histogram(
       "ring.payloads_per_pass", obs::Unit::kCount, {0, 1, 2, 4, 8, 16, 32, 64, 128});
   obs_.board_bytes_per_pass = &registry.histogram(

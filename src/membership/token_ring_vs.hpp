@@ -40,8 +40,6 @@ struct RingObs {
   // Every forwarded token byte, client values included (the name is
   // historical); the exchange's own cost is the exch_*_bytes split below.
   obs::Counter* token_bytes_sent = nullptr;
-  obs::Counter* entries_rebuilds = nullptr;  // token entries serialized from structs
-  obs::Counter* entries_spliced = nullptr;   // token entries spliced from a warm cache
   // Exchange payload census at gpsnd, classified by the VSTOTO tag byte
   // without decoding (wire::kPayload*): whole-summary vs digest vs delta
   // bytes submitted to the VS layer. The PR 6 acceptance compares the sum

@@ -63,7 +63,6 @@ void SpanTracer::evict_chains() {
   while (chains_.size() > config_.capacity && !chain_fifo_.empty()) {
     chains_.erase(chain_fifo_.front());
     chain_fifo_.pop_front();
-    bump(spans_dropped_);
   }
   while (uid_to_label_.size() > config_.capacity && !uid_fifo_.empty()) {
     uid_to_label_.erase(uid_fifo_.front());

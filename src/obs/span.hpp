@@ -33,9 +33,10 @@
 //
 // The tracer doubles as a bounded flight recorder: completed spans go into
 // a ring of `TraceConfig::capacity` entries; overflow evicts the oldest and
-// counts obs.trace.dropped_spans. Pending correlation state (open chains,
-// the uid->label map, in-flight packets) is bounded the same way, so the
-// tracer is safe to leave on indefinitely. Completed message phases also
+// counts obs.trace.dropped_spans (only spans evicted from the ring).
+// Pending correlation state (open chains, the uid->label map, in-flight
+// packets) is bounded the same way and uncounted, so the tracer is safe to
+// leave on indefinitely. Completed message phases also
 // feed to.phase_latency.<phase> histograms in the MetricsRegistry.
 //
 // Tracing is off by default. Layers hold a `SpanTracer*` that is null

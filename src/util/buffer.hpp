@@ -11,8 +11,8 @@
 // slice keeps the storage alive after the parent Buffer is released.
 //
 // Every distinct storage carries a process-unique 64-bit id (never reused,
-// unlike a heap address), which gives the decode-once cache and the trace
-// layer a safe identity for "these are the same bytes".
+// unlike a heap address), which gives the trace layer a safe identity for
+// "these are the same bytes".
 //
 // BufferView is the non-owning counterpart (pointer + length): the cheap
 // currency for scanning and decoding within a call, where no lifetime needs

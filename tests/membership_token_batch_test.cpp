@@ -1,8 +1,8 @@
-// Batched boarding property (docs/WIRE.md): encoding a token after boarding
-// N payloads in one pass — one cold segment, one splice build — must be
-// byte- and content-equivalent to boarding them one at a time, across
-// boarding, trimming, and decode round trips. Also pins the cache-honesty
-// rules note_boarded/note_trimmed enforce.
+// Batched boarding property (docs/WIRE.md): the encoder writes the token's
+// entries section as maximal same-source runs from the entries alone, so a
+// token that boarded N payloads in one pass must encode byte-identically to
+// one that boarded them one at a time, and a trimmed token must round-trip
+// to the same entries and base as a freshly built one.
 
 #include <gtest/gtest.h>
 
@@ -30,19 +30,6 @@ util::Buffer payload(util::Rng& rng) {
 
 void board(Token& t, ProcId src, const std::vector<util::Buffer>& batch) {
   for (const auto& p : batch) t.entries.emplace_back(src, p);
-  t.note_boarded(batch.size());
-}
-
-bool same_entries(const Token& a, const Token& b) { return a.entries == b.entries; }
-
-// encode_packet warms the caches of the Packet it is handed — a copy. Real
-// callers (forward_token) copy the warmed caches back onto the live token;
-// mirror that here so warm-cache behavior is actually exercised.
-util::Buffer encode_warm(Token& t, WireEncodeStats* stats = nullptr) {
-  Packet pkt{t};
-  auto wire = encode_packet(pkt, stats);
-  t.entries_segs = std::get<Token>(pkt).entries_segs;
-  return wire;
 }
 
 TEST(TokenBatch, BatchedSpliceEqualsSingleBoards) {
@@ -55,68 +42,19 @@ TEST(TokenBatch, BatchedSpliceEqualsSingleBoards) {
     // One pass of n payloads...
     Token batched = fresh_token();
     board(batched, 1, batch);
-    // ...versus n passes of one payload (with an encode between passes, the
-    // worst case for cache bookkeeping).
+    // ...versus n passes of one payload, with an encode between passes.
     Token singles = fresh_token();
     for (const auto& p : batch) {
       board(singles, 1, {p});
-      (void)encode_warm(singles);
+      (void)encode_packet(singles);
     }
 
-    ASSERT_TRUE(same_entries(batched, singles)) << "round " << round;
-    const auto wire_batched = encode_warm(batched);
-    const auto wire_singles = encode_warm(singles);
-    // Warm single-boarded caches may keep finer-grained segments than a cold
-    // rebuild would produce, so the packets need not be byte-identical —
-    // but both must decode to the same entry sequence.
-    const auto a = decode_packet_ex(wire_batched).value;
-    const auto b = decode_packet_ex(wire_singles).value;
-    ASSERT_TRUE(a.has_value() && b.has_value()) << "round " << round;
-    EXPECT_TRUE(same_entries(std::get<Token>(*a), std::get<Token>(*b))) << "round " << round;
-    // A re-encode from decoded state is a cold single-segment rebuild on
-    // both sides: those ARE byte-identical.
-    auto ta = std::get<Token>(*a);
-    auto tb = std::get<Token>(*b);
-    ta.invalidate_wire_cache();
-    tb.invalidate_wire_cache();
-    EXPECT_EQ(encode_packet(Packet{ta}), encode_packet(Packet{tb})) << "round " << round;
+    const auto wire_batched = encode_packet(batched);
+    EXPECT_EQ(wire_batched, encode_packet(singles)) << "round " << round;
+    const auto decoded = decode_packet_ex(wire_batched).value;
+    ASSERT_TRUE(decoded.has_value()) << "round " << round;
+    EXPECT_EQ(std::get<Token>(*decoded).entries, batched.entries) << "round " << round;
   }
-}
-
-TEST(TokenBatch, EmptyBacklogLeavesTheCacheWarm) {
-  Token t = fresh_token();
-  board(t, 0, {util::Bytes{1, 2}});
-  WireEncodeStats first;
-  (void)encode_warm(t, &first);
-  EXPECT_EQ(first.entries_rebuilt, 1u);
-
-  t.note_boarded(0);  // a pass that boarded nothing must not invalidate
-  WireEncodeStats second;
-  (void)encode_warm(t, &second);
-  EXPECT_EQ(second.entries_rebuilt, 0u);
-  EXPECT_EQ(second.entries_spliced, 1u);
-}
-
-TEST(TokenBatch, EachPayloadIsRebuiltExactlyOnceAcrossPasses) {
-  // The headline claim behind ring.entries_rebuilds: a payload is
-  // serialized from structs exactly once (its boarding pass); every later
-  // pass carries it by splice.
-  util::Rng rng(7);
-  Token t = fresh_token();
-  std::uint64_t rebuilt_total = 0;
-  std::uint64_t boarded_total = 0;
-  for (int pass = 0; pass < 20; ++pass) {
-    std::vector<util::Buffer> batch;
-    const std::size_t n = rng.below(5);
-    for (std::size_t i = 0; i < n; ++i) batch.push_back(payload(rng));
-    board(t, static_cast<ProcId>(pass % 3), batch);
-    boarded_total += n;
-    WireEncodeStats s;
-    (void)encode_warm(t, &s);
-    EXPECT_EQ(s.entries_rebuilt, n) << "pass " << pass;
-    rebuilt_total += s.entries_rebuilt;
-  }
-  EXPECT_EQ(rebuilt_total, boarded_total);
 }
 
 TEST(TokenBatch, TrimMidPassDropsWholeSegmentsAndSplitsTheBoundary) {
@@ -124,28 +62,24 @@ TEST(TokenBatch, TrimMidPassDropsWholeSegmentsAndSplitsTheBoundary) {
   for (std::size_t trim = 0; trim <= 6; ++trim) {
     Token t = fresh_token();
     board(t, 0, {payload(rng), payload(rng)});
-    (void)encode_warm(t);  // warm segment [0,2)
+    (void)encode_packet(t);
     board(t, 1, {payload(rng), payload(rng), payload(rng)});
-    (void)encode_warm(t);  // warm segments [0,2) [2,5)
-    board(t, 2, {payload(rng)});     // cold tail [5,6)
+    (void)encode_packet(t);
+    board(t, 2, {payload(rng)});
 
-    Token reference = fresh_token();
-    reference.entries = t.entries;
-
-    // Trim mid-pass, straddling segment boundaries for trim in 1..4.
+    // Trim mid-pass, inside a same-source run for trim in 1 and 3..4.
     t.entries.erase(t.entries.begin(), t.entries.begin() + static_cast<std::ptrdiff_t>(trim));
     t.base += static_cast<std::uint32_t>(trim);
-    t.note_trimmed(trim);
-    reference.entries.erase(reference.entries.begin(),
-                            reference.entries.begin() + static_cast<std::ptrdiff_t>(trim));
-    reference.base = t.base;
+    Token fresh = fresh_token();
+    fresh.entries = t.entries;
+    fresh.base = t.base;
 
-    const auto cached = decode_packet_ex(encode_warm(t)).value;
-    const auto rebuilt = decode_packet_ex(encode_packet(Packet{reference})).value;
-    ASSERT_TRUE(cached.has_value() && rebuilt.has_value()) << "trim " << trim;
-    EXPECT_TRUE(same_entries(std::get<Token>(*cached), std::get<Token>(*rebuilt)))
-        << "trim " << trim;
-    EXPECT_EQ(std::get<Token>(*cached).base, std::get<Token>(*rebuilt).base) << "trim " << trim;
+    const auto wire = encode_packet(t);
+    EXPECT_EQ(wire, encode_packet(fresh)) << "trim " << trim;
+    const auto decoded = decode_packet_ex(wire).value;
+    ASSERT_TRUE(decoded.has_value()) << "trim " << trim;
+    EXPECT_EQ(std::get<Token>(*decoded).entries, fresh.entries) << "trim " << trim;
+    EXPECT_EQ(std::get<Token>(*decoded).base, fresh.base) << "trim " << trim;
   }
 }
 

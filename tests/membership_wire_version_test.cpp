@@ -139,5 +139,53 @@ TEST(WireVersion, MalformedSegmentsAreNamed) {
   EXPECT_NE(out.error.find("token entries"), std::string::npos) << out.error;
 }
 
+// Frame a hand-written token body: version byte, checksum, body length.
+util::Bytes seal(const util::Bytes& body) {
+  util::Encoder f;
+  f.u8(static_cast<std::uint8_t>(WireFormat::kV3));
+  f.u32(static_cast<std::uint32_t>(util::fnv1a(
+      util::BufferView(body), util::fnv1a(util::Bytes{static_cast<std::uint8_t>(WireFormat::kV3)}))));
+  f.u32(static_cast<std::uint32_t>(body.size()));
+  f.append(util::BufferView(body));
+  return f.take();
+}
+
+// A token body whose entries section is the given (count, payloads) runs,
+// all from source 1.
+util::Bytes token_body(const std::vector<std::vector<util::Bytes>>& runs) {
+  util::Encoder e;
+  e.u8(4);  // token tag
+  wire::Codec<core::ViewId>::encode(e, core::ViewId{2, 0});
+  e.uvarint(1);  // lap
+  e.uvarint(0);  // base
+  std::size_t total = 0;
+  for (const auto& run : runs) total += run.size();
+  e.uvarint(total);
+  for (const auto& run : runs) {
+    e.uvarint(1);  // src
+    e.uvarint(run.size());
+    for (const auto& payload : run) e.vraw(util::BufferView(payload));
+  }
+  e.uvarint(0);  // no delivered counters
+  return e.take();
+}
+
+TEST(WireVersion, SplitSameSourceRunsReencodeAsOneRun) {
+  // Decoders accept any split of a same-source run; the encoder always
+  // writes the maximal run, so (src 1, count 1)(src 1, count 2) comes back
+  // as one (src 1, count 3) run, one src and one count varint shorter.
+  const util::Bytes a{7}, b{8}, c{9, 9};
+  const util::Bytes split = seal(token_body({{a}, {b, c}}));
+  const auto out = decode_packet_ex(util::Buffer{split});
+  ASSERT_TRUE(out.ok()) << out.error;
+  const auto& t = std::get<Token>(*out.value);
+  ASSERT_EQ(t.entries.size(), 3u);
+  for (const auto& [src, payload] : t.entries) EXPECT_EQ(src, 1);
+  EXPECT_EQ(t.entries[2].second.to_bytes(), c);
+  const util::Bytes merged = encode_packet(t).to_bytes();
+  EXPECT_EQ(merged, seal(token_body({{a, b, c}})));
+  EXPECT_EQ(merged.size() + 2, split.size());
+}
+
 }  // namespace
 }  // namespace vsg::membership
