@@ -62,9 +62,59 @@ void BM_RngNext(benchmark::State& state) {
 }
 BENCHMARK(BM_RngNext);
 
-// The stored-form fullorder establishment runs, with the index it builds,
-// over three whole summaries (the full-summary exchange: no shared base).
+// Stored-form establishment at history N (core::establish, as a primary
+// view's process runs it): a confirmed base of N labels from 8 origins, and
+// 8 members whose deltas each carry 4 new labels, with the representative
+// 16 labels short of the base's order. Each iteration places fullorder and
+// cuts the order back to the base, both in place and both proportional to
+// what differs, so the time should stay near flat in N.
 void BM_FullOrder(benchmark::State& state) {
+  constexpr int n = 8;
+  constexpr std::size_t kShort = 16;
+  const auto history = static_cast<std::size_t>(state.range(0));
+  const core::ViewId g{1, 0}, fresh{2, 0};
+  core::Summary base;
+  for (std::size_t i = 0; i < history; ++i) {
+    const core::Label l{g, static_cast<std::uint32_t>(i / n + 1), static_cast<ProcId>(i % n)};
+    base.con.emplace(l, "value-" + std::to_string(i));
+    base.ord.push_back(l);
+  }
+  base.next = static_cast<std::uint32_t>(history + 1);
+  base.high = g;
+  const core::SummaryDigest own = core::digest(base);
+  core::StoredMap y;
+  for (ProcId p = 0; p < n; ++p) {
+    core::SummaryDelta& dl = y[p];
+    dl.next = base.next;
+    dl.high = g;
+    dl.ord_prefix = static_cast<std::uint32_t>(history - std::min(history, kShort));
+    dl.ord_suffix.assign(base.ord.begin() + dl.ord_prefix, base.ord.end());
+    for (std::uint32_t s = 1; s <= 4; ++s) dl.con.emplace(core::Label{fresh, s, p}, "new");
+  }
+  std::vector<core::Label> order = base.ord;
+  core::OrderIndex index;
+  index.assign(order);
+  // One untimed round grows the order's capacity and the index's table,
+  // which a process has done long before, so a one-iteration run is flat
+  // in N too.
+  core::establish(order, index, y, base, own, {}, true);
+  index.truncate(order, base.ord.size());
+  order.resize(base.ord.size());
+  for (auto _ : state) {
+    core::establish(order, index, y, base, own, {}, true);
+    benchmark::DoNotOptimize(order.data());
+    index.truncate(order, base.ord.size());
+    order.resize(base.ord.size());
+  }
+  if (order != base.ord) state.SkipWithError("the order did not return to the base");
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_FullOrder)->RangeMultiplier(4)->Range(64, 16384)->Complexity();
+
+// The full-summary shape (kFullSummary): three whole summaries, so the
+// representative shares no prefix (ord_prefix 0) and establishment places
+// the whole order again, with the index it keeps.
+void BM_FullOrderWholeSummaries(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
   core::StoredMap y;
   for (ProcId p = 0; p < 3; ++p) {
@@ -72,12 +122,19 @@ void BM_FullOrder(benchmark::State& state) {
     x.high = core::ViewId{static_cast<std::uint64_t>(p), p};
     y[p] = core::full_entry(std::move(x));
   }
-  const core::Summary base;
-  const core::SummaryDigest own;
-  for (auto _ : state) benchmark::DoNotOptimize(core::fullorder(y, base, own));
+  const core::Summary base = make_summary(size);
+  const core::SummaryDigest own;  // a whole-summary exchange has no marks
+  std::vector<core::Label> order = base.ord;
+  core::OrderIndex index;
+  index.assign(order);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::establish(order, index, y, base, own, {}, true));
+    benchmark::DoNotOptimize(order.data());
+  }
+  if (order != base.ord) state.SkipWithError("the order did not come back the same");
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_FullOrder)->Range(8, 2048)->Complexity();
+BENCHMARK(BM_FullOrderWholeSummaries)->Range(8, 2048)->Complexity();
 
 void BM_Knowncontent(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
@@ -196,9 +253,10 @@ class CollectingVS final : public vs::Service {
 
 // n = 8 processes share a confirmed history of H labelled values; each
 // iteration installs one new view and runs the whole exchange by hand:
-// every digest to every member, then every delta, ending in establishment.
-// Restoring the pre-view checkpoints between iterations is not timed.
-void BM_StateExchange(benchmark::State& state) {
+// under kDigestDelta every digest to every member, then every delta; under
+// kFullSummary every summary. It ends in establishment. Restoring the
+// pre-view checkpoints between iterations is not timed.
+void state_exchange(benchmark::State& state, vstoto::ExchangeMode mode) {
   constexpr int n = 8;
   const auto history = static_cast<std::size_t>(state.range(0));
   sim::Simulator simulator;
@@ -208,7 +266,7 @@ void BM_StateExchange(benchmark::State& state) {
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(
         std::make_unique<vstoto::Process>(p, n, core::majorities(n), vs, recorder));
-    procs.back()->set_exchange_mode(vstoto::ExchangeMode::kDigestDelta);
+    procs.back()->set_exchange_mode(mode);
     vs.attach(p, *procs.back());
   }
   const auto deliver_all = [&](ProcId src, const vs::Payload& m, bool safe) {
@@ -226,6 +284,7 @@ void BM_StateExchange(benchmark::State& state) {
   std::vector<vstoto::Process::Checkpoint> before;
   for (const auto& proc : procs) before.push_back(proc->checkpoint());
 
+  const std::size_t rounds = mode == vstoto::ExchangeMode::kDigestDelta ? 2 : 1;
   core::View v{core::ViewId{1, 0}, {}};
   for (ProcId p = 0; p < n; ++p) v.members.insert(p);
   for (auto _ : state) {
@@ -237,15 +296,25 @@ void BM_StateExchange(benchmark::State& state) {
     recorder.clear();
     state.ResumeTiming();
     for (auto& proc : procs) proc->on_newview(v);
-    for (ProcId p = 0; p < n; ++p) deliver_all(p, vs.sent[static_cast<std::size_t>(p)][0], false);
-    for (ProcId p = 0; p < n; ++p) deliver_all(p, vs.sent[static_cast<std::size_t>(p)][1], false);
+    for (std::size_t r = 0; r < rounds; ++r)
+      for (ProcId p = 0; p < n; ++p)
+        deliver_all(p, vs.sent[static_cast<std::size_t>(p)][r], false);
     benchmark::DoNotOptimize(procs[0]->state().order.data());
   }
   if (procs[0]->state().status != vstoto::PStatus::kNormal)
     state.SkipWithError("the exchange did not establish the view");
   state.SetComplexityN(state.range(0));
 }
+
+void BM_StateExchange(benchmark::State& state) {
+  state_exchange(state, vstoto::ExchangeMode::kDigestDelta);
+}
 BENCHMARK(BM_StateExchange)->RangeMultiplier(4)->Range(64, 4096)->Complexity();
+
+void BM_StateExchangeFullSummary(benchmark::State& state) {
+  state_exchange(state, vstoto::ExchangeMode::kFullSummary);
+}
+BENCHMARK(BM_StateExchangeFullSummary)->RangeMultiplier(4)->Range(64, 4096)->Complexity();
 
 // --- Verification machinery at working scale -------------------------------
 

@@ -23,13 +23,19 @@ grep -q '"ring.formation_rounds"' build/BENCH_throughput.json
 grep -q '"to.brcv_latency.all"' build/BENCH_throughput.json
 
 # State-exchange microbench smoke (bench/results/README.md): one pass of
-# the exchange benchmarks at the shortest run time the library accepts.
+# the exchange benchmarks, delta and full-summary, and of establishment at
+# growing history (BM_FullOrder) and from whole summaries
+# (BM_FullOrderWholeSummaries), at the shortest run time the library
+# accepts.
 # BM_StateExchange reports a view that did not establish through
 # SkipWithError, which google-benchmark prints as "ERROR OCCURRED" while
 # still exiting 0, so the output is searched for it. Wall time is not gated.
-./build/bench/bench_micro --benchmark_filter='BM_StateExchange|BM_DigestDeltaAtHistory' \
+./build/bench/bench_micro --benchmark_filter='BM_StateExchange|BM_DigestDeltaAtHistory|BM_FullOrder' \
     --benchmark_min_time=0 > build/bench_micro_exchange.out 2>&1
 grep -q '^BM_StateExchange/4096 ' build/bench_micro_exchange.out
+grep -q '^BM_StateExchangeFullSummary/4096 ' build/bench_micro_exchange.out
+grep -q '^BM_FullOrder/16384 ' build/bench_micro_exchange.out
+grep -q '^BM_FullOrderWholeSummaries/2048 ' build/bench_micro_exchange.out
 if grep -q 'ERROR OCCURRED' build/bench_micro_exchange.out; then
   echo "check.sh: a state-exchange microbenchmark reported an error" >&2
   grep 'ERROR OCCURRED' build/bench_micro_exchange.out >&2
@@ -93,11 +99,21 @@ fi
 grep -q '"net.packets_sent": 247119' build/CHAOS_smoke.json
 grep -q '"ring.entries_delivered": 46309' build/CHAOS_smoke.json
 grep -q '"ring.token_rotations": 267229' build/CHAOS_smoke.json
-# Wire byte pin: every byte the smoke put on the network. It is a
-# deterministic cost counter, so a change to the frame layout or to what
-# rides the token must take it again on purpose. (Taken when the encoder
-# began always merging adjacent same-source token segments.)
-grep -q '"net.bytes_sent": 6098436' build/CHAOS_smoke.json
+# Wire byte pins: every byte the smoke put on the network, and the bytes of
+# its state-exchange digests. They are deterministic cost counters, so a
+# change to the frame layout or to what rides the token must take them
+# again on purpose. (Taken when digests became relative to the last exact
+# exchange: every digest gained a ref flag byte, and a relative one
+# carries only the marks that differ. A member sends one only when the new
+# view's epoch follows its last view's, and receivers hold their last two
+# exact exchanges, so a member back from a crash is still read exactly.
+# The smoke's histories are short, so digest bytes fall only from 213259
+# to 207766, and delta bytes rise from 121754 to 123300, from partition
+# flaps where a sender cannot tell that a receiver missed its last
+# exchange. Before that, net.bytes_sent was 6098436, taken when the
+# encoder began always merging adjacent same-source token segments.)
+grep -q '"net.bytes_sent": 6104153' build/CHAOS_smoke.json
+grep -q '"ring.state_exchange_bytes.digest": 207766' build/CHAOS_smoke.json
 # Simulator event pins: the events the smoke executed and the most that were
 # ever pending at once. They move only when what is scheduled moves, so a
 # change to the event queue's representation must leave them put.
@@ -117,7 +133,8 @@ grep -q ', 528469 sim events, peak 57 pending)' build/chaos_smoke_jobs4.out
 # pinned to the fixed-seed run's values.
 ./build/examples/token_ring_demo > build/token_ring_demo.out
 grep -q '^  token passes        : 922$' build/token_ring_demo.out
-grep -q '^  packets sent=789 delivered=724 dropped=65, bytes=18040$' build/token_ring_demo.out
+# (bytes= was 18040 until digests gained their ref flag byte.)
+grep -q '^  packets sent=789 delivered=724 dropped=65, bytes=18057$' build/token_ring_demo.out
 
 # Cross-shard consistency demo (docs/SHARDING.md, "The anomaly"): phase 1
 # must FIND the crafted cross-shard seq-cst violation, phase 2 (per-shard
@@ -166,7 +183,10 @@ test "$(ls build/timelines/timeline_seed*.json | wc -l)" -eq 50
 # with the canonical vsg-timeseries-v1 fingerprint. Sampler reads never
 # touch the RNG or the schedule, so this value only moves when the metric
 # set or the protocol itself changes — update it alongside the campaign
-# fingerprint above when that is intentional. (Taken again when the
+# fingerprint above when that is intentional. (Taken again when digests
+# became relative to the last exact exchange: only the byte counters moved,
+# net.bytes_*, ring.state_exchange_bytes{,.digest,.delta} and
+# ring.board_bytes_per_pass; it was 6028521cdc9f839c. Before that, when the
 # token's wire cache was deleted: its two counters, ring.entries_rebuilds
 # and ring.entries_spliced, left the metric set, and the encoder now
 # merges adjacent same-source segments, so byte counters read slightly
@@ -175,7 +195,7 @@ test "$(ls build/timelines/timeline_seed*.json | wc -l)" -eq 50
 ./build/tools/chaos_runner --replay tests/scenarios/chaos_seed248_stuck_proposal.scn \
     --timeline-out build/replay_timeline.json
 tfp=$(./build/tools/vsg_report --fingerprint build/replay_timeline.json | cut -d' ' -f1)
-if [ "$tfp" != "6028521cdc9f839c" ]; then
+if [ "$tfp" != "5dab8dde9f6c2116" ]; then
   echo "check.sh: fixed-seed timeline fingerprint drifted ($tfp)" >&2
   exit 1
 fi
@@ -250,14 +270,18 @@ grep -q '^backlog_growth events: 0$' build/fc_rate.out
 # committed golden timeline must be that same run. A change that moves
 # boarding, the gate or the metric set moves this value; update it (and
 # regenerate the goldens) only when that is intentional. (Taken again,
-# golden timeline regenerated, when the token's wire cache was deleted:
+# goldens regenerated, when digests became relative to the last exact
+# exchange: this run boards by byte budget, so the changed digest sizes
+# move what boards when, and 1291 sends are shed instead of 1295; the
+# largest pass boards 2509 bytes, as before; it was e5fb89bb4d2cc0bf. Before that, golden timeline
+# regenerated, when the token's wire cache was deleted:
 # two counters left the metric set and the merged same-source segments
 # shrank the byte counters; the rendered report did not change.)
 ./build/bench/bench_throughput --rate 400 --churn --budget 64 --gate shed --backlog 8 \
     --timeline-out build/fc_timeline.json >/dev/null
 for tl in build/fc_timeline.json tests/golden/flowcontrol_timeline.json; do
   fcfp=$(./build/tools/vsg_report --fingerprint "$tl" | cut -d' ' -f1)
-  if [ "$fcfp" != "e5fb89bb4d2cc0bf" ]; then
+  if [ "$fcfp" != "e6eb872be3708de8" ]; then
     echo "check.sh: flow-controlled timeline fingerprint drifted ($tl: $fcfp)" >&2
     exit 1
   fi

@@ -189,6 +189,7 @@ struct StreamChain {
 std::size_t Codec<core::SummaryDigest>::size(const core::SummaryDigest& g) {
   std::size_t n = util::uvarint_size(g.next) + util::uvarint_size(g.ord_len);
   n += 1 + (g.high ? Codec<core::ViewId>::size(*g.high) : 0);
+  n += 1 + (g.ref ? Codec<core::ViewId>::size(*g.ref) : 0);
   n += util::uvarint_size(g.marks.size());
   StreamChain chain;
   for (const auto& [s, wm] : g.marks) n += chain.size(s) + util::uvarint_size(wm);
@@ -200,6 +201,8 @@ void Codec<core::SummaryDigest>::encode(util::Encoder& e, const core::SummaryDig
   e.uvarint(g.ord_len);
   e.boolean(g.high.has_value());
   if (g.high) Codec<core::ViewId>::encode(e, *g.high);
+  e.boolean(g.ref.has_value());
+  if (g.ref) Codec<core::ViewId>::encode(e, *g.ref);
   e.uvarint(g.marks.size());
   StreamChain chain;
   for (const auto& [s, wm] : g.marks) {
@@ -213,6 +216,7 @@ core::SummaryDigest Codec<core::SummaryDigest>::decode(util::Decoder& d) {
   g.next = static_cast<std::uint32_t>(d.uvarint());
   g.ord_len = static_cast<std::uint32_t>(d.uvarint());
   if (d.boolean()) g.high = Codec<core::ViewId>::decode(d);
+  if (d.boolean()) g.ref = Codec<core::ViewId>::decode(d);
   const std::uint64_t n = d.uvarint();
   StreamChain chain;
   for (std::uint64_t i = 0; i < n && d.ok(); ++i) {

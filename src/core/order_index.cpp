@@ -54,6 +54,34 @@ std::size_t OrderIndex::find(const std::vector<Label>& order, const Label& l) co
   }
 }
 
+void OrderIndex::truncate(const std::vector<Label>& order, std::size_t n) {
+  if (n >= order.size() || slots_.empty()) return;
+  if (n == 0) {
+    std::fill(slots_.begin(), slots_.end(), 0);
+    size_ = 0;
+    return;
+  }
+  for (std::size_t i = order.size(); i-- > n;) erase(order, i);
+}
+
+void OrderIndex::erase(const std::vector<Label>& order, std::size_t pos) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = hash(order[pos]) & mask;
+  while (slots_[hole] != 0 && !(order[slots_[hole] - 1] == order[pos])) hole = (hole + 1) & mask;
+  if (slots_[hole] != pos + 1) return;  // an earlier first position
+  // Shift back every later slot of the cluster that may sit in the hole:
+  // one whose home does not lie cyclically in (hole, j].
+  for (std::size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    const std::size_t home = hash(order[slots_[j] - 1]) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = 0;
+  --size_;
+}
+
 void OrderIndex::rehash(const std::vector<Label>& order, std::size_t capacity) {
   std::vector<std::uint32_t> old = std::exchange(slots_, std::vector<std::uint32_t>(capacity, 0));
   const std::size_t mask = capacity - 1;

@@ -2,8 +2,9 @@
 
 // First-position index over VStoTO's `order`: the duplicate guard of the
 // append path, the lookup behind the safe bits (vstoto::Process::is_safe),
-// and the dedupe of fullorder, which builds the index together with the
-// order it places so that establishment does not index that order again.
+// and the dedupe of establishment (core::establish), which cuts the index
+// back to the order prefix it keeps and extends it with the labels it
+// places, so that a view change never indexes the shared prefix again.
 //
 // A flat open-addressing hash table (linear probing, at most half full)
 // that stores only positions, 4 bytes a slot; a slot's key is the label at
@@ -35,8 +36,18 @@ class OrderIndex {
   /// The first position of l in the indexed `order`, or npos.
   std::size_t find(const std::vector<Label>& order, const Label& l) const;
 
+  /// Drop every position at or past n, leaving the index of order[0, n)
+  /// that assign would build: a label whose first position lies below n
+  /// stays. `order` must still hold every indexed position; the caller
+  /// shortens it afterwards. Deletes the cut positions one at a time, so it
+  /// costs O(|order| - n), whatever the prefix.
+  void truncate(const std::vector<Label>& order, std::size_t n);
+
  private:
   void rehash(const std::vector<Label>& order, std::size_t capacity);
+  /// Remove position pos unless its label's first position lies below it,
+  /// by backward-shift deletion (linear probing keeps no tombstones).
+  void erase(const std::vector<Label>& order, std::size_t pos);
 
   std::vector<std::uint32_t> slots_;  // position + 1; 0 is an empty slot
   std::size_t size_ = 0;

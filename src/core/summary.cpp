@@ -75,6 +75,43 @@ std::uint32_t maxnextconfirm_of(const Map& y) {
   return best;
 }
 
+// The union of two sorted mark lists; a stream both hold keeps the greater
+// mark.
+StreamMarks overlay(const StreamMarks& a, const StreamMarks& b) {
+  StreamMarks out;
+  out.reserve(a.size() + b.size());
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() || j != b.end()) {
+    if (j == b.end() || (i != a.end() && i->first < j->first)) {
+      out.push_back(*i++);
+    } else if (i == a.end() || j->first < i->first) {
+      out.push_back(*j++);
+    } else {
+      out.emplace_back(i->first, std::max(i->second, j->second));
+      ++i;
+      ++j;
+    }
+  }
+  return out;
+}
+
+// The held exchange d is relative to, which rebuilds it exactly, or null.
+const DigestRef* held_ref(const SummaryDigest& d, std::span<const DigestRef> held) {
+  if (!d.ref) return nullptr;
+  const auto it = std::ranges::find(held, *d.ref, &DigestRef::view);
+  return it == held.end() ? nullptr : &*it;
+}
+
+// Whether `own` covers l (see covered()) and base.con holds it: a label
+// with_base(., base, own) adds to every entry.
+bool covered_in_base(const Label& l, const Summary& base, const SummaryDigest& own) {
+  const LabelStream s{l.id, l.origin};
+  const auto m = std::ranges::lower_bound(own.marks, s, {}, &StreamMarks::value_type::first);
+  return m != own.marks.end() && m->first == s && l.seqno <= m->second &&
+         base.con.get(l) != nullptr;
+}
+
 }  // namespace
 
 std::vector<Label> confirmed_prefix(const Summary& x) {
@@ -107,10 +144,6 @@ std::vector<Label> shortorder(const SummaryMap& y) {
   return y.at(chosenrep(y)).ord;
 }
 
-std::vector<Label> shortorder(const StoredMap& y, const Summary& base) {
-  return ord_of(y.at(chosenrep(y)), base);
-}
-
 std::vector<Label> fullorder(const SummaryMap& y) {
   std::vector<Label> order = shortorder(y);
   const std::set<Label> placed(order.begin(), order.end());
@@ -120,42 +153,6 @@ std::vector<Label> fullorder(const SummaryMap& y) {
       if (!placed.contains(l)) rest.insert(l);
   order.insert(order.end(), rest.begin(), rest.end());
   return order;
-}
-
-IndexedOrder fullorder(const StoredMap& y, const Summary& base, const SummaryDigest& own) {
-  IndexedOrder out{shortorder(y, base), {}};
-  out.index.assign(out.labels);
-  const auto append_if_new = [&](const Label& l) {
-    if (out.index.insert(out.labels, l, out.labels.size())) out.labels.push_back(l);
-  };
-  // Append every known label not already placed, in label order. Only
-  // dom(knowncontent(Y)) matters, so collect labels straight from each con
-  // instead of copying the values. Each con iterates in label order, so
-  // the labels of the stored entries are a running sorted union.
-  std::vector<Label> stored, merged, labels;
-  for (const auto& [q, x] : y) {
-    labels.clear();
-    for (const auto& [l, a] : x.con) labels.push_back(l);
-    merged.clear();
-    std::ranges::set_union(stored, labels, std::back_inserter(merged));
-    stored.swap(merged);
-  }
-  // The covered part of base.con belongs to every entry, so one pass over
-  // it, merged with the stored labels, stands for all of them. A label in
-  // both is offered twice, and the index turns the second offer away.
-  auto s = stored.begin();
-  if (!own.marks.empty()) {
-    const std::vector<Content::Window> cover = covered(base.con, own);
-    for (auto it = base.con.begin(); it != base.con.end(); ++it) {
-      const Label l = it->first;
-      const Content::Window& w = cover[it.stream_index()];
-      if (l.seqno < w.lo || l.seqno > w.hi) continue;
-      for (; s != stored.end() && *s < l; ++s) append_if_new(*s);
-      append_if_new(l);
-    }
-  }
-  for (; s != stored.end(); ++s) append_if_new(*s);
-  return out;
 }
 
 std::uint32_t maxnextconfirm(const SummaryMap& y) { return maxnextconfirm_of(y); }
@@ -176,7 +173,7 @@ SummaryDigest digest(const Summary& x) {
 
 SummaryDigest meet(std::span<const SummaryDigest* const> ds) {
   assert(!ds.empty());
-  SummaryDigest m{ds[0]->next, ds[0]->ord_len, ds[0]->high, {}};
+  SummaryDigest m{ds[0]->next, ds[0]->ord_len, ds[0]->high, {}, std::nullopt};
   using It = StreamMarks::const_iterator;
   std::vector<It> at;
   at.reserve(ds.size());
@@ -206,6 +203,54 @@ SummaryDigest meet(std::span<const SummaryDigest* const> ds) {
 SummaryDigest meet(const SummaryDigest& a, const SummaryDigest& b) {
   const SummaryDigest* both[] = {&a, &b};
   return meet(both);
+}
+
+SummaryDigest relative(const SummaryDigest& d, const DigestRef& ref) {
+  SummaryDigest out{d.next, d.ord_len, d.high, {}, ref.view};
+  auto m = ref.marks.begin();
+  for (const auto& [s, w] : d.marks) {
+    while (m != ref.marks.end() && m->first < s) ++m;
+    if (m == ref.marks.end() || m->first != s || m->second < w) out.marks.emplace_back(s, w);
+  }
+  return out;
+}
+
+SummaryDigest rebuild(const SummaryDigest& d, std::span<const DigestRef> held) {
+  SummaryDigest out{d.next, d.ord_len, d.high, d.marks, std::nullopt};
+  if (const DigestRef* ref = held_ref(d, held)) out.marks = overlay(ref->marks, d.marks);
+  return out;
+}
+
+ExchangeMeet meet_rebuilt(std::span<const SummaryDigest* const> ds,
+                          std::span<const DigestRef> held) {
+  assert(!ds.empty());
+  ExchangeMeet out;
+  // Exact: no digest had a ref, or every one had the same held one.
+  const std::optional<ViewId>& first = ds.front()->ref;
+  out.exact = std::ranges::all_of(ds, [&](const SummaryDigest* d) { return d->ref == first; }) &&
+              (!first || held_ref(*ds.front(), held) != nullptr);
+  std::optional<SummaryDigest> acc;
+  const auto fold = [&](SummaryDigest m) { acc = acc ? meet(*acc, m) : std::move(m); };
+  // The digests relative to one held exchange rebuild as its marks with
+  // theirs over them, so their meet is those marks with the meet of theirs
+  // over them; the cost follows the marks sent, not the history. Every
+  // other digest is read as its marks are.
+  std::vector<const SummaryDigest*> group;
+  for (const DigestRef& ref : held) {
+    group.clear();
+    for (const SummaryDigest* d : ds)
+      if (d->ref == ref.view) group.push_back(d);
+    if (group.empty()) continue;
+    SummaryDigest m = meet(group);
+    m.marks = overlay(ref.marks, m.marks);
+    fold(std::move(m));
+  }
+  group.clear();
+  for (const SummaryDigest* d : ds)
+    if (held_ref(*d, held) == nullptr) group.push_back(d);
+  if (!group.empty()) fold(meet(group));
+  out.meet = std::move(*acc);
+  return out;
 }
 
 SummaryDelta delta(const Summary& a, const SummaryDigest& d) {
@@ -267,6 +312,53 @@ Summary with_base(const SummaryDelta& x, const Summary& base, const SummaryDiges
   out.next = x.next;
   out.high = x.high;
   return out;
+}
+
+std::vector<Label> establish(std::vector<Label>& order, OrderIndex& index, const StoredMap& y,
+                             const Summary& base, const SummaryDigest& own,
+                             std::span<const Label> unplaced, bool full) {
+  const SummaryDelta& rep = y.at(chosenrep(y));
+  const std::size_t p = rep.ord_prefix;
+  assert(p <= base.ord.size() && base.ord.size() <= order.size());
+  assert(std::equal(base.ord.begin(), base.ord.begin() + static_cast<std::ptrdiff_t>(p),
+                    order.begin()));
+  // shortorder: the shared prefix stays, with its index; the
+  // representative's suffix follows verbatim, repeats included (the index
+  // keeps a label's first position, as assign would).
+  index.truncate(order, p);
+  std::vector<Label> cut(order.begin() + static_cast<std::ptrdiff_t>(p), order.end());
+  order.resize(p);
+  for (const Label& l : rep.ord_suffix) {
+    index.insert(order, l, order.size());
+    order.push_back(l);
+  }
+  if (!full) return cut;
+
+  // fullorder: append every known label not already placed, in label order.
+  // The covered base labels that can be new lie in base.ord's tail past the
+  // prefix or among the unplaced ones; the rest of base.con is placed.
+  std::vector<Label> from_base;
+  if (!own.marks.empty()) {
+    for (auto it = base.ord.begin() + static_cast<std::ptrdiff_t>(p); it != base.ord.end(); ++it)
+      if (covered_in_base(*it, base, own)) from_base.push_back(*it);
+    for (const Label& l : unplaced)
+      if (covered_in_base(l, base, own)) from_base.push_back(l);
+    std::ranges::sort(from_base);
+  }
+  // Each entry's con iterates in label order, so their labels merge into
+  // one running sorted union, and then with the base's.
+  std::vector<Label> offered = std::move(from_base), merged, labels;
+  for (const auto& [q, x] : y) {
+    labels.clear();
+    for (const auto& [l, a] : x.con) labels.push_back(l);
+    merged.clear();
+    std::ranges::set_union(offered, labels, std::back_inserter(merged));
+    offered.swap(merged);
+  }
+  // A label offered twice, or placed already, is turned away by the index.
+  for (const Label& l : offered)
+    if (index.insert(order, l, order.size())) order.push_back(l);
+  return cut;
 }
 
 }  // namespace vsg::core

@@ -66,8 +66,8 @@ std::vector<Label> shortorder(const SummaryMap& y);
 
 /// fullorder(Y): shortorder(Y) followed by the remaining labels of
 /// dom(knowncontent(Y)) in label order (adopted by primary views). This is
-/// the literal set-based formulation, kept as the oracle that the
-/// stored-form fullorder below is tested against.
+/// the literal set-based formulation, kept as the oracle that establish()
+/// below is tested against.
 std::vector<Label> fullorder(const SummaryMap& y);
 
 /// maxnextconfirm(Y): the highest reported nextconfirm.
@@ -90,12 +90,16 @@ using StreamMarks = std::vector<std::pair<LabelStream, std::uint32_t>>;
 
 /// Compact advertisement of a Summary: cursors plus one prefix watermark
 /// per label stream. A mark (s, w) means the sender holds con entries for
-/// every seqno 1..w of stream s (w >= 1; absent streams mean 0).
+/// every seqno 1..w of stream s (w >= 1; absent streams mean 0). A digest
+/// with a `ref` is relative (see DigestRef): its marks are only those that
+/// differ from the meet of the exchange `ref` names, and it must be read
+/// through rebuild().
 struct SummaryDigest {
   std::uint32_t next = 1;
   std::uint32_t ord_len = 0;
   std::optional<ViewId> high;
   StreamMarks marks;
+  std::optional<ViewId> ref;
 
   bool operator==(const SummaryDigest&) const = default;
 };
@@ -125,6 +129,44 @@ SummaryDigest digest(const Summary& x);
 SummaryDigest meet(std::span<const SummaryDigest* const> ds);
 SummaryDigest meet(const SummaryDigest& a, const SummaryDigest& b);
 
+/// An exact exchange a process took part in: its view and the meet of the
+/// marks of that exchange's digests. An exchange is exact when every
+/// digest in it was rebuilt exactly and either all of them carried the
+/// same ref or none did; then every member rebuilt the same digests, so
+/// two processes that hold the same view here hold the same marks.
+struct DigestRef {
+  ViewId view;
+  StreamMarks marks;
+
+  bool operator==(const DigestRef&) const = default;
+};
+
+/// d relative to ref: d's cursors, ref.view as its ref, and only those
+/// marks of d that ref.marks lacks or holds lower. Marks only grow, so for
+/// a digest taken after that exchange these are upgrades and new streams.
+SummaryDigest relative(const SummaryDigest& d, const DigestRef& ref);
+
+/// A received digest as a receiver holding the exchanges `held` reads it.
+/// Without a ref, d as it is. With the view of a held exchange as its ref,
+/// that exchange's marks with d's marks over them (the greater mark of a
+/// stream wins), which is the sender's whole digest again. With any other
+/// ref, d's marks alone, missing streams read as 0: that can only
+/// under-claim. The result carries no ref. This is the reading
+/// meet_rebuilt is tested against.
+SummaryDigest rebuild(const SummaryDigest& d, std::span<const DigestRef> held);
+
+/// The meet of the digests ds, each read through rebuild(., held), and
+/// whether the exchange was exact. The digests relative to one held
+/// exchange are not rebuilt one by one: their meet is its marks with the
+/// meet of their own marks over them, so the cost follows the marks sent,
+/// not the history.
+struct ExchangeMeet {
+  SummaryDigest meet;
+  bool exact = false;
+};
+ExchangeMeet meet_rebuilt(std::span<const SummaryDigest* const> ds,
+                          std::span<const DigestRef> held);
+
 /// The delta that upgrades any holder of (at least) digest d to a. The ord
 /// split point is the provably shared confirmed prefix:
 /// min(a.next - 1, d.next - 1, d.ord_len, |a.ord|) — total-order safety
@@ -150,9 +192,8 @@ std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base);
 // receiver's own digest's watermarks. A receiver therefore stores per
 // sender the delta as it arrived (StoredMap) and reads both parts through
 // the base, which must not change while entries refer to it. with_base()
-// materializes one entry; shortorder and fullorder over the stored map read
-// only the representative's entry, through the base, and the rest of the
-// known labels from one pass over the covered base.
+// materializes one entry; establish() places the order of a view from the
+// stored map without reading the base's history (see there).
 
 /// gotstate as a receiver stores it: per sender, its delta's next, high,
 /// ord_prefix, ord_suffix and con. An entry's ord is base.ord[0,
@@ -180,20 +221,23 @@ std::optional<ViewId> maxprimary(const StoredMap& y);
 ProcId chosenrep(const StoredMap& y);
 std::uint32_t maxnextconfirm(const StoredMap& y);
 
-/// shortorder of y with every entry read through base.
-std::vector<Label> shortorder(const StoredMap& y, const Summary& base);
-
-/// An order together with the first-position index of its labels.
-struct IndexedOrder {
-  std::vector<Label> labels;
-  OrderIndex index;
-};
-
-/// fullorder of y with every entry read through with_base(., base, own),
-/// and its index. The index is built with the order: it is what decides
-/// whether a known label is already placed. The known labels come from one
-/// label-order pass over base.con, reading coverage by stream, merged with
-/// each entry's stored con.
-IndexedOrder fullorder(const StoredMap& y, const Summary& base, const SummaryDigest& own);
+/// Establishment in place. Let Y be y with every entry read through
+/// with_base(., base, own). On entry `order` holds base.ord, perhaps
+/// followed by labels appended since base was frozen, and `index` indexes
+/// it. On return `order` is shortorder(Y), and, if `full`, fullorder(Y),
+/// and `index` indexes it. Returns the labels cut from the old order.
+///
+/// Both keep order[0, p), p being the representative's ord_prefix, with its
+/// index (OrderIndex::truncate), and append the representative's
+/// ord_suffix. fullorder then offers, in label order, the labels that can
+/// be new: each entry's con, and those base.con labels `own` covers that
+/// lie in base.ord[p, |base.ord|) or in `unplaced`, which lists, sorted,
+/// the labels of base.con that base.ord lacks. Every other covered base
+/// label lies in base.ord[0, p) and is placed already, so base.con is never
+/// walked. Requires p <= |base.ord| <= |order| and order[0, p) ==
+/// base.ord[0, p).
+std::vector<Label> establish(std::vector<Label>& order, OrderIndex& index, const StoredMap& y,
+                             const Summary& base, const SummaryDigest& own,
+                             std::span<const Label> unplaced, bool full);
 
 }  // namespace vsg::core

@@ -2,12 +2,32 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <ranges>
 
 #include "util/logging.hpp"
 #include "util/sequence.hpp"
 
 namespace vsg::vstoto {
+namespace {
+
+// Insert l into the sorted vector v unless it is there. A process labels
+// in ascending order, so the common case is an append.
+void insert_sorted(std::vector<core::Label>& v, const core::Label& l) {
+  if (v.empty() || v.back() < l) {
+    v.push_back(l);
+    return;
+  }
+  const auto it = std::ranges::lower_bound(v, l);
+  if (*it != l) v.insert(it, l);
+}
+
+void erase_sorted(std::vector<core::Label>& v, const core::Label& l) {
+  const auto it = std::ranges::lower_bound(v, l);
+  if (it != v.end() && *it == l) v.erase(it);
+}
+
+}  // namespace
 
 const char* to_string(PStatus s) noexcept {
   switch (s) {
@@ -59,6 +79,9 @@ void Process::restore(const Checkpoint& cp) {
   st_ = cp.st;
   delivered_ = cp.delivered;
   order_index_.assign(st_.order);
+  unplaced_.clear();
+  for (const auto& [l, a] : st_.content)
+    if (order_index_.find(st_.order, l) == core::OrderIndex::npos) unplaced_.push_back(l);
 }
 
 bool Process::primary() const {
@@ -82,29 +105,56 @@ core::Summary Process::local_summary() const {
   return x;
 }
 
-void Process::assign_order(core::IndexedOrder placed) {
+void Process::place_order(bool full) {
   // Only establishment reorders, and no bit is set between newview and
   // establishment, so no bit can name a position of the old order.
   assert(std::find(st_.safe_bits.begin(), st_.safe_bits.end(), true) == st_.safe_bits.end());
+  const std::size_t before = st_.order.size();
+  std::vector<core::Label> cut =
+      core::establish(st_.order, order_index_, st_.gotstate, st_.exch_base, st_.exch_digest,
+                      st_.exch_unplaced, full);
+  const std::size_t kept = before - cut.size();
   if (obs_.order_depth != nullptr)
-    obs_.order_depth->add(static_cast<std::int64_t>(placed.labels.size()) -
-                          static_cast<std::int64_t>(st_.order.size()));
-  // The old index still describes the old order here.
-  if (tracer_ != nullptr)
-    for (const core::Label& l : placed.labels)
-      if (order_index_.find(st_.order, l) == core::OrderIndex::npos)
+    obs_.order_depth->add(static_cast<std::int64_t>(st_.order.size()) -
+                          static_cast<std::int64_t>(before));
+  // A label is new to the order unless the kept prefix or the cut tail
+  // held it.
+  if (tracer_ != nullptr) {
+    std::ranges::sort(cut);
+    for (std::size_t i = kept; i < st_.order.size(); ++i) {
+      const core::Label& l = st_.order[i];
+      if (order_index_.find(st_.order, l) >= kept && !std::ranges::binary_search(cut, l))
         tracer_->msg_tentative(p_, l, recorder_->now());
-  st_.order = std::move(placed.labels);
-  order_index_ = std::move(placed.index);
+    }
+  }
+  // content \ order again: the placed labels leave it, and the cut labels
+  // that content holds and the new order lacks join it. The old order held
+  // every cut label, so none is in unplaced already.
+  const auto placed = [&](const core::Label& l) {
+    return order_index_.find(st_.order, l) != core::OrderIndex::npos;
+  };
+  std::erase_if(unplaced_, placed);
+  std::erase_if(cut, [&](const core::Label& l) {
+    return placed(l) || st_.content.get(l) == nullptr;
+  });
+  if (!cut.empty()) {
+    std::ranges::sort(cut);
+    cut.erase(std::unique(cut.begin(), cut.end()), cut.end());
+    std::vector<core::Label> merged;
+    merged.reserve(unplaced_.size() + cut.size());
+    std::ranges::merge(unplaced_, cut, std::back_inserter(merged));
+    unplaced_.swap(merged);
+  }
   if (st_.current.has_value()) st_.builds_current = true;
 }
 
-void Process::append_order(const core::Label& l) {
-  if (!order_index_.insert(st_.order, l, st_.order.size())) return;  // already placed
+bool Process::append_order(const core::Label& l) {
+  if (!order_index_.insert(st_.order, l, st_.order.size())) return false;  // already placed
   if (obs_.order_depth != nullptr) obs_.order_depth->add(1);
   if (tracer_ != nullptr) tracer_->msg_tentative(p_, l, recorder_->now());
   st_.order.push_back(l);
   if (st_.current.has_value()) st_.builds_current = true;
+  return true;
 }
 
 // --- Input bcast(a)_p --------------------------------------------------------
@@ -125,7 +175,9 @@ void Process::bcast(core::Value a) {
 bool Process::try_label() {
   if (st_.delay.empty() || !st_.current.has_value()) return false;
   const core::Label l{st_.current->id, st_.nextseqno, p_};
-  st_.content.emplace(l, std::move(st_.delay.front()));
+  if (st_.content.emplace(l, std::move(st_.delay.front())).second &&
+      order_index_.find(st_.order, l) == core::OrderIndex::npos)
+    insert_sorted(unplaced_, l);
   obs::bump(obs_.payload_moves);
   obs::bump(obs_.labels_assigned);
   if (tracer_ != nullptr) tracer_->msg_labeled(p_, l, recorder_->now());
@@ -217,6 +269,17 @@ void Process::run_to_quiescence() {
 
 void Process::on_newview(const core::View& v) {
   assert(v.contains(p_));
+  // Our digest is relative to the last exact exchange only if that was the
+  // exchange of the view being left, every new member was in that view (so
+  // a merge of partitions starts from whole digests), and no epoch came
+  // between the two. A gap in the epochs means views may have formed
+  // without this process, as when it crashed or was cut off and comes
+  // back; the others then last exchanged in a later view.
+  const bool relative =
+      !st_.exch_refs.empty() && st_.current.has_value() &&
+      st_.exch_refs.front().view == st_.current->id &&
+      v.id.epoch == st_.current->id.epoch + 1 &&
+      std::ranges::includes(st_.current->members, v.members);
   // Leaving the current view freezes buildorder[p, old] at the order p
   // leaves it with.
   if (st_.builds_current) st_.buildorder[st_.current->id] = st_.order;
@@ -231,6 +294,7 @@ void Process::on_newview(const core::View& v) {
   st_.safe_labels.clear();
   st_.safe_bits.clear();
   st_.gotdigest.clear();
+  st_.exch_decoded.clear();
   st_.delta_sent = false;
   st_.status = PStatus::kSend;
 
@@ -247,10 +311,13 @@ void Process::on_newview(const core::View& v) {
   st_.exch_base.ord = st_.order;
   st_.exch_base.next = st_.nextconfirm;
   st_.exch_base.high = st_.highprimary;
+  st_.exch_unplaced = unplaced_;
   st_.exch_placed = 0;
   if (exchange_mode_ == ExchangeMode::kDigestDelta) {
     st_.exch_digest = core::digest(st_.exch_base);
-    service_->gpsnd(p_, encode_message(Message{st_.exch_digest}));
+    service_->gpsnd(p_, encode_message(Message{
+                            relative ? core::relative(st_.exch_digest, st_.exch_refs.front())
+                                     : st_.exch_digest}));
     obs::bump(obs_.digests_sent);
   } else {
     st_.exch_digest = {};
@@ -273,12 +340,15 @@ void Process::on_gprcv(ProcId src, const vs::Payload& payload) {
   Message& m = *decoded.value;
   if (auto* lv = std::get_if<LabeledValue>(&m))
     handle_labeled(std::move(*lv));
-  else if (auto* x = std::get_if<core::Summary>(&m))
-    handle_summary(src, core::full_entry(std::move(*x)));
   else if (const auto* g = std::get_if<core::SummaryDigest>(&m))
     handle_digest(src, *g);
-  else
-    handle_delta(src, std::move(std::get<core::SummaryDelta>(m)));
+  else {
+    st_.exch_decoded.insert(src);
+    if (auto* x = std::get_if<core::Summary>(&m))
+      handle_summary(src, core::full_entry(std::move(*x)));
+    else
+      handle_delta(src, std::move(std::get<core::SummaryDelta>(m)));
+  }
   run_to_quiescence();
 }
 
@@ -287,14 +357,30 @@ void Process::handle_labeled(LabeledValue lv) {
   // The self-delivered copy (the VS layer gprcvs to the sender too) finds
   // its label already in content; a genuine insertion moves the decoded
   // value in.
-  if (st_.content.try_emplace(lv.label, std::move(lv.value)).second)
-    obs::bump(obs_.payload_moves);
-  if (primary()) append_order(lv.label);
+  const bool fresh = st_.content.try_emplace(lv.label, std::move(lv.value)).second;
+  if (fresh) obs::bump(obs_.payload_moves);
+  const bool placed = primary() && append_order(lv.label);
+  // unplaced: a fresh label joins it unless order holds it already; a
+  // label content held leaves it once placed.
+  if (fresh && !placed && order_index_.find(st_.order, lv.label) == core::OrderIndex::npos)
+    insert_sorted(unplaced_, lv.label);
+  else if (!fresh && placed)
+    erase_sorted(unplaced_, lv.label);
 }
 
 void Process::handle_summary(ProcId src, core::SummaryDelta x) {
   obs::bump(obs_.summaries_received);
+  // unplaced: only a label new to content can join it, so a summary that
+  // brings none (the common whole summary) is not walked.
+  const std::size_t had = st_.content.size();
   st_.content.merge(x.con);
+  if (st_.content.size() != had) {
+    std::vector<core::Label> fresh, merged;
+    for (const auto& [l, a] : x.con)
+      if (order_index_.find(st_.order, l) == core::OrderIndex::npos) fresh.push_back(l);
+    std::ranges::set_union(unplaced_, fresh, std::back_inserter(merged));
+    unplaced_.swap(merged);
+  }
   st_.gotstate.insert_or_assign(src, std::move(x));
 
   if (!st_.current.has_value()) return;
@@ -308,15 +394,8 @@ void Process::handle_summary(ProcId src, core::SummaryDelta x) {
   if (obs_.confirmed_depth != nullptr)
     obs_.confirmed_depth->add(static_cast<std::int64_t>(st_.nextconfirm) -
                               static_cast<std::int64_t>(prevconfirm));
-  if (primary()) {
-    assign_order(core::fullorder(st_.gotstate, st_.exch_base, st_.exch_digest));
-    st_.highprimary = st_.current->id;
-  } else {
-    core::IndexedOrder placed{core::shortorder(st_.gotstate, st_.exch_base), {}};
-    placed.index.assign(placed.labels);
-    assign_order(std::move(placed));
-    st_.highprimary = core::maxprimary(st_.gotstate);
-  }
+  place_order(primary());
+  st_.highprimary = primary() ? std::optional(st_.current->id) : core::maxprimary(st_.gotstate);
   st_.exch_placed = st_.order.size();
   st_.status = PStatus::kNormal;
   st_.established.insert(st_.current->id);  // history variable
@@ -350,9 +429,16 @@ void Process::maybe_send_delta() {
   st_.delta_sent = true;
   if (tracer_ != nullptr)
     tracer_->view_digests_collected(p_, st_.current->id, recorder_->now());
-  service_->gpsnd(
-      p_, encode_message(Message{core::delta(st_.exch_base, core::meet(digests))}));
+  // The meet of the digests as rebuilt here; an exact one is what the next
+  // exchange's digests may be relative to.
+  core::ExchangeMeet m = core::meet_rebuilt(digests, st_.exch_refs);
+  service_->gpsnd(p_, encode_message(Message{core::delta(st_.exch_base, m.meet)}));
   obs::bump(obs_.deltas_sent);
+  if (m.exact) {
+    if (st_.exch_refs.size() == 2) st_.exch_refs.pop_back();
+    st_.exch_refs.insert(st_.exch_refs.begin(),
+                         core::DigestRef{st_.current->id, std::move(m.meet.marks)});
+  }
 }
 
 void Process::handle_delta(ProcId src, core::SummaryDelta dl) {
@@ -376,8 +462,9 @@ void Process::handle_delta(ProcId src, core::SummaryDelta dl) {
 void Process::on_safe(ProcId src, const vs::Payload& payload) {
   // safe of a labeled value needs only its label, and safe of a digest
   // nothing (digests carry no labels; only the delta gates the second
-  // phase), so neither is decoded whole. Exchange messages, one per member
-  // and view, are.
+  // phase). An exchange message's bytes are the ones its gprcv here already
+  // decoded, so safe reads the record gprcv left (exch_decoded) instead of
+  // decoding them again.
   const util::BufferView bytes = payload.view();
   const int tag = bytes.empty() ? -1 : bytes[0];
   if (tag == kTagLabeledValue) {
@@ -388,9 +475,9 @@ void Process::on_safe(ProcId src, const vs::Payload& payload) {
     }
     handle_safe_labeled(*l.value);
   } else if (tag != kTagDigest) {
-    const auto decoded = decode_message_ex(bytes);
-    if (!decoded.ok()) {
-      VSG_WARN << "process " << p_ << ": undecodable safe payload dropped: " << decoded.error;
+    if ((tag != kTagSummary && tag != kTagDelta) || !st_.exch_decoded.contains(src)) {
+      VSG_WARN << "process " << p_ << ": safe of an exchange message from " << src
+               << " that did not decode at gprcv dropped";
       return;
     }
     handle_safe_exchange(src);
@@ -428,9 +515,12 @@ void Process::handle_safe_exchange(ProcId src) {
       if (st_.safe_bits.size() < st_.exch_placed) st_.safe_bits.resize(st_.exch_placed);
       std::fill_n(st_.safe_bits.begin(), st_.exch_placed, true);
     } else {
-      for (const auto& l :
-           core::fullorder(st_.gotstate, st_.exch_base, st_.exch_digest).labels)
-        st_.safe_labels.insert(l);
+      // fullorder over what has arrived, placed into a copy of order.
+      std::vector<core::Label> order = st_.order;
+      core::OrderIndex index = order_index_;
+      core::establish(order, index, st_.gotstate, st_.exch_base, st_.exch_digest,
+                      st_.exch_unplaced, true);
+      st_.safe_labels.insert(order.begin(), order.end());
     }
   }
 }

@@ -111,17 +111,36 @@ struct ProcessState {
   // Exchange state. exch_base is the local summary frozen at newview (both
   // modes). In delta mode it is also the state our digest and delta
   // describe, and exch_digest = digest(exch_base), computed once at
-  // newview, is what we advertised. gotstate stores per sender its delta as
-  // it arrived: the ord prefix it shares with us is a length into
-  // exch_base.ord, and the rest of its con is the part of exch_base.con
-  // that exch_digest covers, shared by every entry and read through
-  // got_summary(). Under kFullSummary exch_digest has no marks and every
-  // entry is a whole summary (ord_prefix 0). exch_base changes only at
-  // newview, which also clears gotstate.
+  // newview, is what we advertised (the digest sent may be relative to
+  // the newest of exch_refs, but it stands for this one). gotstate stores
+  // per sender its delta as it arrived: the ord prefix it shares with us is
+  // a length into exch_base.ord, and the rest of its con is the part of
+  // exch_base.con that exch_digest covers, shared by every entry and read
+  // through got_summary(). Under kFullSummary exch_digest has no marks and
+  // every entry is a whole summary (ord_prefix 0). exch_base changes only
+  // at newview, which also clears gotstate. exch_unplaced, frozen beside
+  // it, lists (sorted) the labels of exch_base.con that exch_base.ord
+  // lacks, which is all establishment reads of the base besides its ord
+  // tail.
   core::Summary exch_base;
   core::SummaryDigest exch_digest;
+  std::vector<core::Label> exch_unplaced;
   std::map<ProcId, core::SummaryDigest> gotdigest;
   bool delta_sent = false;
+  // The last two exact exchanges this process took part in
+  // (core::DigestRef), newest first: the view and the meet it computed in
+  // each. A received digest relative to either is rebuilt exactly, so a
+  // member that missed the view the others last exchanged in can still be
+  // read. Newview makes our digest relative to the newest only if it names
+  // the view just left, the new view's epoch is the next one, and every
+  // new member was in the view just left. An exact exchange pushes its
+  // meet in front.
+  std::vector<core::DigestRef> exch_refs;
+  // The members whose exchange message (summary or delta) decoded at gprcv
+  // in this view. safe of an exchange message counts only for them: VS
+  // hands the same bytes to gprcv and then to safe, so they are not
+  // decoded twice.
+  std::set<ProcId> exch_decoded;
   // Length of the order prefix establishment placed (fullorder or
   // shortorder of gotstate). Once every exchange message is safe, exactly
   // these labels become safe (bits [0, exch_placed) are set).
@@ -201,6 +220,11 @@ class Process final : public vs::Client {
 
   const ProcessState& state() const noexcept { return st_; }
 
+  /// The labels of content that order lacks, sorted: kept as content and
+  /// order change, so that newview can freeze them (exch_unplaced) without
+  /// walking content.
+  const std::vector<core::Label>& unplaced() const noexcept { return unplaced_; }
+
   /// Values confirmed-and-reported so far, in order (for tests).
   const std::vector<std::pair<ProcId, core::Value>>& delivered() const noexcept {
     return delivered_;
@@ -240,11 +264,12 @@ class Process final : public vs::Client {
   /// safe at every member; digests carry no labels and do not count.
   void handle_safe_exchange(ProcId src);
 
-  /// Replace order and its index with the ones establishment placed.
-  void assign_order(core::IndexedOrder placed);
+  /// Establishment: place fullorder (if `full`) or shortorder of gotstate
+  /// into order in place (core::establish), keeping its shared prefix.
+  void place_order(bool full);
   /// Append l to order unless it is already there (the duplicate guard of
-  /// the header comment).
-  void append_order(const core::Label& l);
+  /// the header comment); returns whether it was appended.
+  bool append_order(const core::Label& l);
 
   ProcId p_;
   std::shared_ptr<const core::QuorumSystem> quorums_;
@@ -257,6 +282,7 @@ class Process final : public vs::Client {
   obs::SpanTracer* tracer_ = nullptr;
   ProcessState st_;
   core::OrderIndex order_index_;  // first position of each label in st_.order
+  std::vector<core::Label> unplaced_;  // content \ order, sorted (unplaced())
   std::vector<std::pair<ProcId, core::Value>> delivered_;
 };
 

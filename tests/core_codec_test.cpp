@@ -62,6 +62,7 @@ TEST(Codec, SummaryRoundTripsUnderEveryVersion) {
 
 TEST(Codec, DigestAndDeltaRoundTripUnderV3) {
   roundtrip(core::digest(sample_summary()));
+  roundtrip(core::relative(core::digest(sample_summary()), core::DigestRef{core::ViewId{4, 1}, {}}));
   roundtrip(core::delta(sample_summary(), core::SummaryDigest{}));
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "core/summary.hpp"
+#include "core_establish_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace vsg::core {
@@ -200,8 +201,8 @@ TEST(SummaryDelta, MeetOfDigestsIsSoundForEveryPeer) {
 // The shared-base representation of gotstate: an entry is the delta as it
 // came (or, from the full-summary exchange, a whole summary with
 // ord_prefix 0), with_base reads its ord prefix and the receiver's covered
-// base entries back through the base, and shortorder/fullorder over the
-// stored map equal the one-argument oracles over the materialized map and
+// base entries back through the base, and establish() over the stored map
+// equals the one-argument shortorder/fullorder over the materialized map and
 // over the apply_delta-reconstructed one (the reference representation).
 // Entries carry different ord prefixes: deltas against the weakest digest,
 // against a weaker one, and whole summaries.
@@ -280,17 +281,12 @@ TEST(SharedBase, StoredEntriesMaterializeToApplyDeltaAndOrderAlike) {
     EXPECT_EQ(chosenrep(stored), chosenrep(materialized)) << "round " << round;
     EXPECT_EQ(maxprimary(stored), maxprimary(materialized)) << "round " << round;
     EXPECT_EQ(maxnextconfirm(stored), maxnextconfirm(materialized)) << "round " << round;
-    EXPECT_EQ(shortorder(stored, base), shortorder(materialized)) << "round " << round;
-    EXPECT_EQ(shortorder(stored, base), shortorder(rebuilt)) << "round " << round;
-    const IndexedOrder placed = fullorder(stored, base, own);
-    EXPECT_EQ(placed.labels, fullorder(materialized)) << "round " << round;
-    EXPECT_EQ(placed.labels, fullorder(rebuilt)) << "round " << round;
-    for (std::size_t i = 0; i < placed.labels.size(); ++i) {
-      const auto first = std::find(placed.labels.begin(), placed.labels.end(), placed.labels[i]);
-      EXPECT_EQ(placed.index.find(placed.labels, placed.labels[i]),
-                static_cast<std::size_t>(first - placed.labels.begin()))
-          << "round " << round;
-    }
+    const auto short_placed = establish_from(stored, base, own, false);
+    EXPECT_EQ(short_placed, shortorder(materialized)) << "round " << round;
+    EXPECT_EQ(short_placed, shortorder(rebuilt)) << "round " << round;
+    const auto placed = establish_from(stored, base, own, true);
+    EXPECT_EQ(placed, fullorder(materialized)) << "round " << round;
+    EXPECT_EQ(placed, fullorder(rebuilt)) << "round " << round;
 
     std::uint32_t longest = 0;
     for (const auto& [q, x] : stored) longest = std::max(longest, x.ord_prefix);
@@ -316,8 +312,8 @@ TEST(SharedBase, DigestWithoutMarksCoversNothing) {
   EXPECT_EQ(with_base(full_entry(x), base, digest(base)).con.size(), 2u);
   const SummaryMap y{{0, x}};
   const StoredMap stored{{0, full_entry(x)}};
-  EXPECT_EQ(fullorder(stored, base, SummaryDigest{}).labels, fullorder(y));
-  EXPECT_EQ(fullorder(stored, base, digest(base)).labels,
+  EXPECT_EQ(establish_from(stored, base, SummaryDigest{}, true), fullorder(y));
+  EXPECT_EQ(establish_from(stored, base, digest(base), true),
             (std::vector<Label>{lab(1, 2, 0), lab(1, 1, 0)}));
 }
 

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
 #include "core/summary.hpp"
+#include "core_establish_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace vsg::core {
@@ -173,6 +175,7 @@ TEST(SummaryEquivalence, DeltaMatchesTheFindBasedReference) {
 
 TEST(SummaryEquivalence, WithBaseAndFullorderMatchTheSetBasedReference) {
   util::Rng rng(1503);
+  int rep_short = 0, with_grown = 0;
   for (int round = 0; round < kRounds; ++round) {
     const Summary base = random_summary(rng);
     const SummaryDigest own = rng.chance(0.5) ? digest(base) : random_digest(rng);
@@ -196,18 +199,166 @@ TEST(SummaryEquivalence, WithBaseAndFullorderMatchTheSetBasedReference) {
       stored.emplace(q, std::move(entry));
       y.emplace(q, std::move(x));
     }
-    const IndexedOrder placed = fullorder(stored, base, own);
-    EXPECT_EQ(placed.labels, ref_fullorder(y, base, own)) << "round " << round;
-    for (const Label& l : placed.labels)
-      EXPECT_EQ(placed.index.find(placed.labels, l),
-                static_cast<std::size_t>(std::find(placed.labels.begin(), placed.labels.end(), l) -
-                                         placed.labels.begin()))
-          << "round " << round;
-    EXPECT_EQ(shortorder(stored, base), shortorder(y)) << "round " << round;
+    // The process's order may have grown since the base froze (a gprcv in
+    // collect status appends); establishment cuts that tail too.
+    std::vector<Label> grown;
+    if (rng.chance(0.3))
+      for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) grown.push_back(random_label(rng));
+    EXPECT_EQ(establish_from(stored, base, own, true, grown), ref_fullorder(y, base, own))
+        << "round " << round;
+    EXPECT_EQ(establish_from(stored, base, own, false, grown), shortorder(y)) << "round " << round;
+    rep_short += stored.at(chosenrep(stored)).ord_prefix < base.ord.size() ? 1 : 0;
+    with_grown += grown.empty() ? 0 : 1;
     EXPECT_EQ(fullorder(y), ref_fullorder(y, Summary{}, SummaryDigest{})) << "round " << round;
     for (const auto& [q, x] : stored)
       EXPECT_EQ(with_base(x, base, own), ref_with_base(y.at(q), base, own)) << "round " << round;
   }
+  EXPECT_GT(rep_short, kRounds / 4) << "representatives whose prefix is shorter than the base";
+  EXPECT_GT(with_grown, kRounds / 10) << "orders that grew since the base froze";
+}
+
+// --- Relative digests ---------------------------------------------------------
+
+// Whether every mark of a is in b with a mark at least as high: a claims no
+// more than b.
+bool claims_no_more(const SummaryDigest& a, const SummaryDigest& b) {
+  for (const auto& [s, w] : a.marks) {
+    const std::uint32_t* wb = ref_mark(b, s);
+    if (wb == nullptr || *wb < w) return false;
+  }
+  return true;
+}
+
+// The members of an earlier exact exchange, and what each holds now: its
+// summary then, with a random con merged in (content only grows).
+struct Exchanges {
+  std::vector<Summary> then, now;
+  DigestRef ref;
+};
+
+Exchanges random_exchanges(util::Rng& rng) {
+  Exchanges ex;
+  std::vector<const SummaryDigest*> ptrs;
+  std::vector<SummaryDigest> digests;
+  for (std::uint64_t k = 1 + rng.below(4); k > 0; --k) {
+    ex.then.push_back(random_summary(rng));
+    Summary later = ex.then.back();
+    if (rng.chance(0.7)) later.con.merge(random_con(rng));
+    ex.now.push_back(later);
+    digests.push_back(digest(ex.then.back()));
+  }
+  for (const auto& d : digests) ptrs.push_back(&d);
+  ex.ref = DigestRef{ViewId{3, static_cast<ProcId>(rng.below(2))}, meet(ptrs).marks};
+  return ex;
+}
+
+// A digest relative to the meet of an earlier exchange that sender and
+// receiver both hold rebuilds to the sender's whole digest, and it carries
+// only marks above that meet. Read against another ref or none, it claims
+// no more than the whole digest.
+TEST(SummaryEquivalence, RelativeDigestsRebuildExactlyOrUnderClaim) {
+  util::Rng rng(1504);
+  int shorter = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const Exchanges ex = random_exchanges(rng);
+    const DigestRef other{ViewId{4, 0}, ex.ref.marks};
+    const SummaryDigest met{1, 0, {}, ex.ref.marks, {}};
+    for (const Summary& x : ex.now) {
+      const SummaryDigest whole = digest(x);
+      const SummaryDigest rel = relative(whole, ex.ref);
+      EXPECT_EQ(rel.ref, ex.ref.view);
+      for (const auto& [s, w] : rel.marks) {
+        const std::uint32_t* old = ref_mark(met, s);
+        EXPECT_TRUE(old == nullptr || *old < w) << "round " << round;
+      }
+      shorter += rel.marks.size() < whole.marks.size() ? 1 : 0;
+      const std::span<const DigestRef> ours(&ex.ref, 1), none;
+      EXPECT_EQ(rebuild(rel, ours), whole) << "round " << round;
+      EXPECT_EQ(rebuild(whole, ours), whole) << "round " << round;
+      EXPECT_EQ(rebuild(whole, none), whole) << "round " << round;
+      for (const std::span<const DigestRef> held : {none, std::span<const DigestRef>(&other, 1)}) {
+        const SummaryDigest read = rebuild(rel, held);
+        EXPECT_EQ(read.marks, rel.marks) << "round " << round;
+        EXPECT_TRUE(claims_no_more(read, whole)) << "round " << round;
+      }
+    }
+  }
+  EXPECT_GT(shorter, kRounds / 2) << "relative digests must usually be shorter";
+}
+
+// An exact exchange older than ex.ref: its marks are ex.ref's, some
+// streams dropped and the rest lowered, so they lie under every digest
+// ex.ref's exchange met.
+DigestRef older_ref(const Exchanges& ex, util::Rng& rng) {
+  DigestRef out{ViewId{2, 0}, {}};
+  for (const auto& [s, w] : ex.ref.marks)
+    if (rng.chance(0.5)) out.marks.emplace_back(s, 1 + static_cast<std::uint32_t>(rng.below(w)));
+  return out;
+}
+
+// meet_rebuilt equals the meet of the digests rebuilt one at a time by a
+// receiver holding two exchanges, never claims more than the meet of the
+// whole digests, equals it when every ref is held, and calls the exchange
+// exact exactly when no digest had a ref or every one had the same held
+// ref.
+TEST(SummaryEquivalence, MeetOfRebuiltDigestsMatchesTheOneByOneReference) {
+  util::Rng rng(1505);
+  int exact = 0, mixed = 0, relative_only = 0, held_but_mixed = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const Exchanges ex = random_exchanges(rng);
+    const DigestRef other{ViewId{4, 0}, ex.ref.marks};
+    const std::array<DigestRef, 2> held{ex.ref, older_ref(ex, rng)};
+    // none, ours, mixed with whole, ours and another's, ours and the older
+    // held one, the older held one alone.
+    const int mode = static_cast<int>(rng.below(6));
+    std::vector<SummaryDigest> sent, whole;
+    for (const Summary& x : ex.now) {
+      whole.push_back(digest(x));
+      const bool coin = rng.chance(0.5);
+      const DigestRef* ref = nullptr;
+      switch (mode) {
+        case 1: ref = &ex.ref; break;
+        case 2: ref = coin ? &ex.ref : nullptr; break;
+        case 3: ref = coin ? &ex.ref : &other; break;
+        case 4: ref = coin ? &ex.ref : &held[1]; break;
+        case 5: ref = &held[1]; break;
+      }
+      sent.push_back(ref == nullptr ? whole.back() : relative(whole.back(), *ref));
+    }
+    std::vector<const SummaryDigest*> sent_ptrs, whole_ptrs;
+    std::vector<SummaryDigest> one_by_one;
+    for (const auto& d : sent) one_by_one.push_back(rebuild(d, held));
+    std::vector<const SummaryDigest*> rebuilt_ptrs;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      sent_ptrs.push_back(&sent[i]);
+      whole_ptrs.push_back(&whole[i]);
+      rebuilt_ptrs.push_back(&one_by_one[i]);
+    }
+    const ExchangeMeet m = meet_rebuilt(sent_ptrs, held);
+    EXPECT_EQ(m.meet, meet(rebuilt_ptrs)) << "round " << round;
+    EXPECT_TRUE(claims_no_more(m.meet, meet(whole_ptrs))) << "round " << round;
+    bool any_ref = false, all_same = true, all_held = true;
+    for (const auto& d : sent) {
+      any_ref |= d.ref.has_value();
+      all_same &= d.ref == sent.front().ref;
+      all_held &= !d.ref || *d.ref == held[0].view || *d.ref == held[1].view;
+    }
+    EXPECT_EQ(m.exact, !any_ref || (all_same && all_held)) << "round " << round;
+    if (all_held) {
+      EXPECT_EQ(m.meet, meet(whole_ptrs)) << "round " << round;
+    }
+    exact += m.exact ? 1 : 0;
+    mixed += any_ref && !all_same ? 1 : 0;
+    relative_only += any_ref && all_same && all_held ? 1 : 0;
+    held_but_mixed += any_ref && all_held && !all_same ? 1 : 0;
+    // A receiver without a ref reads every relative digest by its marks.
+    EXPECT_TRUE(claims_no_more(meet_rebuilt(sent_ptrs, {}).meet, meet(whole_ptrs)))
+        << "round " << round;
+  }
+  EXPECT_GT(exact, 0);
+  EXPECT_GT(mixed, 0);
+  EXPECT_GT(relative_only, 0);
+  EXPECT_GT(held_but_mixed, 0);
 }
 
 }  // namespace

@@ -181,7 +181,7 @@ TEST(DeltaExchange, SharedBaseGotstateMatchesApplyDeltaAtEveryEstablishment) {
   partition_merge_crash(world);
 
   std::map<ProcId, core::ViewId> checked;  // last view checked per processor
-  int establishments = 0;
+  int establishments = 0, with_unplaced = 0;
   std::size_t carried_total = 0, from_base_only = 0;
   sim::Simulator& sim = world.simulator();
   while (sim.now() < sim::sec(12) && sim.step()) {
@@ -220,6 +220,13 @@ TEST(DeltaExchange, SharedBaseGotstateMatchesApplyDeltaAtEveryEstablishment) {
       const auto expected =
           proc.primary() ? core::fullorder(reference) : core::shortorder(reference);
       EXPECT_EQ(placed, expected) << "p" << p << " in " << core::to_string(g);
+      // Establishment cut and extended order in place; unplaced followed.
+      const std::set<core::Label> in_order(st.order.begin(), st.order.end());
+      std::vector<core::Label> unplaced;
+      for (const auto& [l, a] : st.content)
+        if (in_order.count(l) == 0) unplaced.push_back(l);
+      EXPECT_EQ(proc.unplaced(), unplaced) << "p" << p << " in " << core::to_string(g);
+      with_unplaced += unplaced.empty() ? 0 : 1;
       const std::size_t short_len = core::shortorder(reference).size();
       for (std::size_t i = short_len; i < placed.size(); ++i) {
         bool in_delta = false;
@@ -231,7 +238,125 @@ TEST(DeltaExchange, SharedBaseGotstateMatchesApplyDeltaAtEveryEstablishment) {
   EXPECT_GE(establishments, 4 * n) << "the schedule must re-form views repeatedly";
   EXPECT_GT(carried_total, 0u) << "some deltas must carry content";
   EXPECT_GT(from_base_only, 0u) << "some placed labels must come from the shared base alone";
+  EXPECT_GT(with_unplaced, 0) << "some establishment must leave content out of order";
   EXPECT_TRUE(world.check_to_safety().empty());
+}
+
+// Crash/rejoin churn on a 5-processor world with steady traffic, one
+// victim at a time, each down for 800 ms. The last rejoin is at 7.8 s; two
+// more view changes follow, and then a third whose members were all in the
+// view before it.
+constexpr sim::Time kLastRejoin = sim::msec(7800);
+constexpr std::pair<ProcId, int> kCrashes[] = {{1, 1000}, {4, 3000}, {3, 5000}, {2, 7000},
+                                               {1, 9500}};
+
+void crash_rejoin(World& world) {
+  const int n = world.n();
+  for (sim::Time t = sim::msec(200); t < sim::sec(13); t += sim::msec(100))
+    for (ProcId p = 0; p < n; ++p) world.bcast_at(t, p, "m" + std::to_string(t / 100));
+  for (const auto& [victim, at] : kCrashes) {
+    world.proc_status_at(sim::msec(at), victim, sim::Status::kBad);
+    world.proc_status_at(sim::msec(at + 800), victim, sim::Status::kGood);
+  }
+  world.proc_status_at(sim::sec(12), 3, sim::Status::kBad);
+}
+
+// Digests relative to the last exact exchange, end to end. A member that
+// was down while the others formed views without it comes back either to
+// a view whose epoch skips past its last one, and sends a whole digest, or
+// to one that shares the epoch of the view the others formed without it,
+// and sends a digest relative to the exchange before; the others, whose
+// last view lacked it, send whole digests and still hold that exchange.
+// Either way every member reads every digest exactly, so no delta ships a
+// label that every member's digest covers. A mixed exchange is exact
+// nowhere; then every member sends whole digests, so within two views of
+// the last rejoin every exchange is exact again, and relative digests
+// return. The deliveries match the full-summary exchange on the same
+// schedule.
+TEST(DeltaExchange, AMemberThatMissesAnExchangeIsExactAgainWithinTwoViews) {
+  WorldConfig cfg = config(kDelta, 29);
+  cfg.n = 5;
+  World world(cfg);
+  WorldConfig full_cfg = config(kFull, 29);
+  full_cfg.n = 5;
+  World full(full_cfg);
+  const int n = world.n();
+
+  int relative_late = 0;  // relative digests sent after the last rejoin's exchange
+  // Per processor and view, the whole digest it advertised; the labels the
+  // deltas shipped, and those every member's advertised digest covered.
+  std::map<std::pair<ProcId, core::ViewId>, core::SummaryDigest> advertised;
+  int shipped = 0, redundant = 0;
+  world.recorder().subscribe([&](const trace::TimedEvent& te) {
+    const auto* snd = std::get_if<trace::GpsndEvent>(&te.event);
+    if (snd == nullptr) return;
+    const auto msg = vstoto::decode_message_ex(snd->m.view());
+    if (!msg.ok()) return;
+    const auto& st = world.stack().process(snd->p).state();
+    if (const auto* g = std::get_if<core::SummaryDigest>(&*msg.value)) {
+      advertised[{snd->p, st.current->id}] = st.exch_digest;
+      if (te.at >= kLastRejoin + sim::sec(1) && g->ref.has_value()) ++relative_late;
+    } else if (const auto* dl = std::get_if<core::SummaryDelta>(&*msg.value)) {
+      for (const auto& [l, a] : dl->con) {
+        ++shipped;
+        bool lacked = false;
+        for (const ProcId r : st.current->members) {
+          const auto it = advertised.find({r, st.current->id});
+          ASSERT_NE(it, advertised.end()) << "p" << r << " advertised no digest";
+          const auto& marks = it->second.marks;
+          const core::LabelStream s{l.id, l.origin};
+          const auto m =
+              std::ranges::lower_bound(marks, s, {}, &core::StreamMarks::value_type::first);
+          lacked |= m == marks.end() || m->first != s || m->second < l.seqno;
+        }
+        redundant += lacked ? 0 : 1;
+      }
+    }
+  });
+  crash_rejoin(world);
+  crash_rejoin(full);
+
+  // Per processor, in view order, each exchange whose meet it computed
+  // after the last rejoin: whether it was exact (the process then holds
+  // that exchange as its newest). inexact counts every inexact exchange.
+  std::vector<std::map<core::ViewId, bool>> late(static_cast<std::size_t>(n));
+  std::set<std::pair<ProcId, core::ViewId>> seen;
+  int inexact = 0;
+  sim::Simulator& sim = world.simulator();
+  while (sim.now() < sim::sec(15) && sim.step()) {
+    for (ProcId p = 0; p < n; ++p) {
+      const auto& st = world.stack().process(p).state();
+      if (!st.current.has_value() || !st.delta_sent || !seen.emplace(p, st.current->id).second)
+        continue;
+      const bool ok = !st.exch_refs.empty() && st.exch_refs.front().view == st.current->id;
+      inexact += ok ? 0 : 1;
+      if (sim.now() >= kLastRejoin) late[static_cast<std::size_t>(p)].emplace(st.current->id, ok);
+    }
+  }
+  full.run_until(sim::sec(15));
+
+  EXPECT_GT(shipped, 0) << "some deltas must carry content";
+  EXPECT_EQ(redundant, 0) << "a delta shipped labels every member held";
+  EXPECT_GT(inexact, 0) << "some exchange must mix relative and whole digests";
+  for (ProcId p = 0; p < n; ++p) {
+    const auto& views = late[static_cast<std::size_t>(p)];
+    ASSERT_GE(views.size(), 2u) << "p" << p;
+    std::size_t i = 0;
+    for (const auto& [g, ok] : views)
+      EXPECT_TRUE(ok || i++ == 0) << "p" << p << ": inexact " << core::to_string(g)
+                                  << " more than one view after the last rejoin";
+  }
+  EXPECT_GT(relative_late, 0) << "relative digests must return after the last rejoin";
+
+  for (ProcId p = 0; p < n; ++p) {
+    std::map<std::pair<ProcId, core::Value>, int> a, b;
+    for (const auto& d : full.stack().process(p).delivered()) ++a[d];
+    for (const auto& d : world.stack().process(p).delivered()) ++b[d];
+    EXPECT_EQ(a, b) << "processor " << p;
+    EXPECT_GT(b.size(), 0u) << "processor " << p;
+  }
+  EXPECT_TRUE(world.check_to_safety().empty());
+  EXPECT_TRUE(full.check_to_safety().empty());
 }
 
 // Figure 9's safe-labels at every process of a World, re-checked after

@@ -1,5 +1,5 @@
 // core::OrderIndex against a first-occurrence scan of the same sequence,
-// through growth, rebuilds and repeated labels.
+// through growth, rebuilds, truncation and repeated labels.
 
 #include <gtest/gtest.h>
 
@@ -72,6 +72,40 @@ TEST(OrderIndex, AssignKeepsTheFirstOfRepeatedLabels) {
     if (fresh) order.push_back(l);
     expect_matches(index, order, rng);
   }
+}
+
+// Establishment cuts the index back to the order prefix it keeps. After
+// truncate(order, n) the index must find every label of the old order
+// where OrderIndex::assign of order[0, n) would, repeats included, and keep
+// growing like a fresh one. The orders keep repeated labels (establishment
+// appends the representative's suffix verbatim), and the cut points range
+// over the whole order, empty prefix included.
+TEST(OrderIndex, TruncateMatchesAssignOfThePrefix) {
+  util::Rng rng(9);
+  OrderIndex index;
+  std::vector<core::Label> order;
+  int cleared = 0, cut = 0;
+  for (int round = 0; round < 300; ++round) {
+    for (std::uint64_t k = rng.below(300); k > 0; --k) {
+      const core::Label l = rng.chance(0.2) && !order.empty() ? order[rng.below(order.size())]
+                                                              : random_label(rng);
+      index.insert(order, l, order.size());
+      order.push_back(l);
+    }
+    const std::size_t n = rng.chance(0.1) ? 0 : rng.below(order.size() + 1);
+    if (n < order.size()) ++(n == 0 ? cleared : cut);
+    const std::vector<core::Label> old = order;
+    index.truncate(order, n);
+    order.resize(n);
+    OrderIndex fresh;
+    fresh.assign(order);
+    for (const core::Label& l : old)
+      ASSERT_EQ(index.find(order, l), fresh.find(order, l))
+          << core::to_string(l) << " after a cut to " << n << " in round " << round;
+    expect_matches(index, order, rng);
+  }
+  EXPECT_GT(cleared, 0);
+  EXPECT_GT(cut, 0);
 }
 
 }  // namespace

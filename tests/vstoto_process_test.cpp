@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "harness/world.hpp"
 #include "sim/simulator.hpp"
 #include "to/stack.hpp"
 #include "trace/recorder.hpp"
+#include "util/serde.hpp"
 #include "verify/invariants.hpp"
 #include "vstoto/process.hpp"
 
@@ -483,6 +485,127 @@ std::vector<vs::Payload> exchange_all(Fixture& f, const core::View& v) {
   return last;
 }
 
+// safe of an exchange message counts only if gprcv here decoded the same
+// bytes: a truncated delta that strict decoding drops at gprcv is not
+// counted, and under the injected unchecked decode, which accepts it at
+// gprcv, it is (as when safe decoded the bytes itself).
+TEST(Process, SafeCountsAnExchangeMessageOnlyIfItsGprcvDecodedIt) {
+  for (const bool unchecked : {false, true}) {
+    SCOPED_TRACE(unchecked ? "unchecked decode" : "strict decode");
+    Fixture f;
+    for (ProcId p = 0; p < 3; ++p) f.at(p).set_exchange_mode(ExchangeMode::kDigestDelta);
+    f.at(0).bcast("a");
+    f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+    const core::View v{core::ViewId{1, 0}, {0, 1, 2}};
+    f.fake.newview(v);
+    for (ProcId p = 0; p < 3; ++p)
+      f.fake.deliver_all(p, f.fake.sent[static_cast<std::size_t>(p)].back(), v.members);
+    util::Bytes cut = f.fake.sent[1].back().to_bytes();
+    cut.pop_back();
+    const vs::Payload truncated{std::move(cut)};
+    std::optional<util::UncheckedDecodeGuard> guard;
+    if (unchecked) guard.emplace();
+    f.fake.deliver(1, 0, truncated);
+    f.at(0).on_safe(1, truncated);
+    EXPECT_EQ(f.at(0).state().exch_decoded.count(1), unchecked ? 1u : 0u);
+    EXPECT_EQ(f.at(0).state().safe_exch.count(1), unchecked ? 1u : 0u);
+    // A digest's safe counts for nothing either way.
+    f.at(0).on_safe(2, f.fake.sent[2][f.fake.sent[2].size() - 2]);
+    EXPECT_EQ(f.at(0).state().safe_exch.count(2), 0u);
+  }
+}
+
+// Digests relative to the last exact exchange (docs/WIRE.md, "State
+// exchange"). Each exchange below runs by hand, and each member's digest is
+// read off the wire. A view whose members were all in the view just left,
+// with the next epoch, gets relative digests. p2, left out of one view,
+// comes back to a view two epochs past its last one and sends a whole
+// digest, as do the others, whose last view lacked p2, so that exchange is
+// exact and the next one relative again. When p2 is left out of a view
+// whose epoch its return shares, it cannot tell and sends a relative
+// digest; the others still hold that exchange and read it exactly, so
+// their deltas ship only what p2 lacks, and the exchange after is whole
+// again. A skipped epoch alone also brings back whole digests.
+TEST(Process, DigestsAreRelativeToTheLastExactExchange) {
+  Fixture f;
+  for (ProcId p = 0; p < 3; ++p) f.at(p).set_exchange_mode(ExchangeMode::kDigestDelta);
+  f.at(0).bcast("a");
+  f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+
+  // Runs v's exchange; returns each member's digest as sent.
+  const auto exchange = [&](const core::View& v) {
+    f.fake.newview(v);
+    std::map<ProcId, core::SummaryDigest> digests;
+    for (ProcId p : v.members) {
+      const auto m = f.fake.sent[static_cast<std::size_t>(p)].back();
+      digests[p] = std::get<core::SummaryDigest>(*decode_message_ex(m.view()).value);
+      f.fake.deliver_all(p, m, v.members);
+    }
+    for (ProcId p : v.members)
+      f.fake.deliver_all(p, f.fake.sent[static_cast<std::size_t>(p)].back(), v.members);
+    for (ProcId p : v.members) EXPECT_EQ(f.at(p).state().status, PStatus::kNormal) << "at " << p;
+    return digests;
+  };
+  const auto refs = [](const std::map<ProcId, core::SummaryDigest>& digests) {
+    std::map<ProcId, std::optional<core::ViewId>> out;
+    for (const auto& [p, d] : digests) out[p] = d.ref;
+    return out;
+  };
+  // Whether p's exchange in g was exact: it keeps g as its ref.
+  const auto exact_at = [&](ProcId p, const core::ViewId& g) {
+    const auto& held = f.at(p).state().exch_refs;
+    return !held.empty() && held.front().view == g;
+  };
+  using Refs = std::map<ProcId, std::optional<core::ViewId>>;
+  const core::ViewId g1{1, 0}, g2{2, 0}, g3{3, 0}, g4{4, 0}, g5{5, 0}, g6{6, 0}, g6b{6, 2},
+      g7{7, 0}, g8{8, 0}, g10{10, 0};
+  const std::set<ProcId> all{0, 1, 2}, duo{0, 1};
+
+  // The initial view had no exchange: whole digests, exact.
+  EXPECT_EQ(refs(exchange({g1, all})), (Refs{{0, {}}, {1, {}}, {2, {}}}));
+  for (ProcId p : all) EXPECT_TRUE(exact_at(p, g1)) << "at " << p;
+  // Same members: relative to g1, carrying no mark (nothing new).
+  const auto d2 = exchange({g2, all});
+  EXPECT_EQ(refs(d2), (Refs{{0, g1}, {1, g1}, {2, g1}}));
+  for (const auto& [p, d] : d2) EXPECT_TRUE(d.marks.empty()) << "at " << p;
+  for (ProcId p : all) EXPECT_TRUE(exact_at(p, g2)) << "at " << p;
+  // A subset: relative to g2. p2 misses this exchange.
+  EXPECT_EQ(refs(exchange({g3, duo})), (Refs{{0, g2}, {1, g2}}));
+  for (ProcId p : duo) EXPECT_TRUE(exact_at(p, g3)) << "at " << p;
+  // p2 rejoins: p0 and p1 left g3, which lacks p2, and p2 left g2, two
+  // epochs back, so every digest is whole. Exact everywhere.
+  EXPECT_EQ(refs(exchange({g4, all})), (Refs{{0, {}}, {1, {}}, {2, {}}}));
+  for (ProcId p : all) EXPECT_TRUE(exact_at(p, g4)) << "at " << p;
+  // Relative again.
+  EXPECT_EQ(refs(exchange({g5, all})), (Refs{{0, g4}, {1, g4}, {2, g4}}));
+  for (ProcId p : all) EXPECT_TRUE(exact_at(p, g5)) << "at " << p;
+  // p2 is left out of g6, where p0 labels "b", and returns in g6b, which
+  // has g6's epoch: p2 sends relative to g5, and p0 and p1, whose last view
+  // lacked p2, send whole digests. Refs are mixed, so the exchange is exact
+  // nowhere, but p0 and p1 still hold g5 and read p2's digest exactly: p0's
+  // delta ships "b", which p2 lacks, and not "a", which all hold.
+  EXPECT_EQ(refs(exchange({g6, duo})), (Refs{{0, g5}, {1, g5}}));
+  f.at(0).bcast("b");
+  f.fake.deliver_all(0, f.fake.sent[0].back(), duo);
+  EXPECT_EQ(refs(exchange({g6b, all})), (Refs{{0, {}}, {1, {}}, {2, g5}}));
+  for (ProcId p : all) EXPECT_FALSE(exact_at(p, g6b)) << "at " << p;
+  const auto delta0 =
+      std::get<core::SummaryDelta>(*decode_message_ex(f.fake.sent[0].back().view()).value);
+  std::set<std::string> shipped;
+  for (const auto& [l, a] : delta0.con) shipped.insert(std::string(a));
+  EXPECT_EQ(shipped, (std::set<std::string>{"b"}));
+  // Whole digests everywhere, exact; then relative again.
+  EXPECT_EQ(refs(exchange({g7, all})), (Refs{{0, {}}, {1, {}}, {2, {}}}));
+  for (ProcId p : all) EXPECT_TRUE(exact_at(p, g7)) << "at " << p;
+  EXPECT_EQ(refs(exchange({g8, all})), (Refs{{0, g7}, {1, g7}, {2, g7}}));
+  // Epoch 9 formed nowhere here: whole digests, exact.
+  EXPECT_EQ(refs(exchange({g10, all})), (Refs{{0, {}}, {1, {}}, {2, {}}}));
+  for (ProcId p : all) {
+    EXPECT_TRUE(exact_at(p, g10)) << "at " << p;
+    EXPECT_EQ(f.at(p).state().order, f.at(0).state().order) << "at " << p;
+  }
+}
+
 // Once every exchange message of a primary view is safe, the safe set gains
 // exactly the order prefix establishment placed (as a watermark); a label
 // appended after establishment stays unsafe until its own safe.
@@ -530,9 +653,11 @@ TEST(Process, SafeExchangeMarksExactlyThePrefixPlacedAtEstablishment) {
   }
 }
 
-// If every exchange message is safe before the view is established (only
-// possible when a gprcv went missing), the explicit safe_labels still take
-// fullorder(gotstate) over what has arrived.
+// If every exchange message is safe before the view is established, the
+// explicit safe_labels still take fullorder(gotstate) over what has
+// arrived. safe counts only an exchange message that decoded at gprcv, so
+// this needs one that decoded but was not stored: a delta whose ord prefix
+// overruns the receiver's base (no correct sender sends one).
 TEST(Process, SafeExchangeInUnestablishedViewTakesFullorderOfGotstate) {
   Fixture f;
   for (ProcId p = 0; p < 3; ++p) f.at(p).set_exchange_mode(ExchangeMode::kDigestDelta);
@@ -546,8 +671,12 @@ TEST(Process, SafeExchangeInUnestablishedViewTakesFullorderOfGotstate) {
   for (ProcId p = 0; p < 3; ++p) f.fake.deliver_all(p, f.fake.sent[static_cast<std::size_t>(p)].back(), v.members);
   std::vector<vs::Payload> deltas;
   for (ProcId p = 0; p < 3; ++p) deltas.push_back(f.fake.sent[static_cast<std::size_t>(p)].back());
-  // p0 receives the deltas of p1 and p2 but not its own.
-  f.fake.deliver(1, 0, deltas[1]);
+  // p0 receives its own delta and p2's, and from p1 one it cannot store.
+  core::SummaryDelta overrun;
+  overrun.ord_prefix = 99;
+  const vs::Payload unstored = encode_message(Message{overrun});
+  f.fake.deliver(0, 0, deltas[0]);
+  f.fake.deliver(1, 0, unstored);
   f.fake.deliver(2, 0, deltas[2]);
   const auto& st = f.at(0).state();
   ASSERT_EQ(st.status, PStatus::kCollect);
@@ -557,15 +686,17 @@ TEST(Process, SafeExchangeInUnestablishedViewTakesFullorderOfGotstate) {
   for (const auto& [q, x] : st.gotstate) materialized.emplace(q, *got_summary(st, q));
   const auto expected = core::fullorder(materialized);
   ASSERT_EQ(expected.size(), 2u) << "a from the base, b from p2's delta";
-  for (ProcId p = 0; p < 3; ++p) f.at(0).on_safe(p, deltas[static_cast<std::size_t>(p)]);
+  f.at(0).on_safe(0, deltas[0]);
+  f.at(0).on_safe(1, unstored);
+  f.at(0).on_safe(2, deltas[2]);
   EXPECT_EQ(safe_set(f.at(0)), std::set<core::Label>(expected.begin(), expected.end()));
   EXPECT_EQ(st.exch_placed, 0u);
   EXPECT_TRUE(st.safe_bits.empty());
 
-  // The missing delta arrives late: establishment places both labels, and
+  // p1's own delta arrives late: establishment places both labels, and
   // only the explicit set makes them safe (no bit), so confirmation must
   // read it.
-  f.fake.deliver(0, 0, deltas[0]);
+  f.fake.deliver(1, 0, deltas[1]);
   ASSERT_EQ(st.status, PStatus::kNormal);
   ASSERT_EQ(st.order, expected);
   EXPECT_TRUE(st.safe_bits.empty());
@@ -663,8 +794,9 @@ TEST(Process, CheckpointRestoreRoundTripsExchangeState) {
 
 // At an establishment, primary or not, the tracer hears msg_tentative once
 // for each label the new order holds and the previous order lacked, and
-// for no other label: assign_order must read the old index against the old
-// order before the index establishment built replaces it. The tracer keeps
+// for no other label: establishment cuts the order and its index back to
+// the shared prefix, so a label is new only if neither that prefix nor the
+// cut tail held it. The tracer keeps
 // one tentative span per label and processor, so it is attached afresh just
 // before each exchange, where no earlier milestone can hide a wrong call.
 TEST(Process, EstablishmentReportsTentativeExactlyForNewlyPlacedLabels) {

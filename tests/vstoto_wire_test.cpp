@@ -144,7 +144,13 @@ TEST(Wire, FrozenSummaryBytes) {
 
 TEST(Wire, FrozenDigestBytes) {
   expect_frozen(core::digest(frozen_summary()),
-                "030304010100050200000300000202000002010202030100000402");
+                "03030401010000050200000300000202000002010202030100000402");
+  // Relative to an earlier exchange's meet: its view as the ref, then only
+  // the upgraded stream (1.0, 1) and the two streams the meet lacks.
+  const core::ViewId g{1, 0}, h{2, 1};
+  const core::DigestRef ref{g, {{{g, 0}, 3}, {{g, 1}, 1}, {{h, 0}, 1}}};
+  expect_frozen(core::relative(core::digest(frozen_summary()), ref),
+                "03030401010001010003020002020000020102020002");
 }
 
 TEST(Wire, FrozenDeltaBytes) {

@@ -26,7 +26,10 @@ std::vector<vstoto::Message> all_messages() {
   x.ord = {label};
   x.next = 1;
   x.high = core::ViewId{3, 1};
-  return {vstoto::Message{vstoto::LabeledValue{label, "payload"}}, vstoto::Message{x}};
+  const core::SummaryDigest whole = core::digest(x);
+  return {vstoto::Message{vstoto::LabeledValue{label, "payload"}}, vstoto::Message{x},
+          vstoto::Message{whole},
+          vstoto::Message{core::relative(whole, core::DigestRef{core::ViewId{2, 0}, {}})}};
 }
 
 std::vector<membership::Packet> all_packets() {
