@@ -140,11 +140,10 @@ int main(int argc, char** argv) {
   if (!opt.seed_given && parsed.meta.seed.has_value()) opt.seed = *parsed.meta.seed;
   if (!opt.until_given && parsed.meta.until.has_value()) opt.until = *parsed.meta.until;
 
-  if (opt.shards < 1 || opt.shards > harness::kMaxShards) {
-    std::fprintf(stderr,
-                 "scenario needs %d shards, but this build supports 1..%d "
-                 "(docs/SHARDING.md) — refusing to run under a different topology\n",
-                 opt.shards, harness::kMaxShards);
+  harness::ScenarioMeta pins = parsed.meta;
+  pins.shards = opt.shards;  // a --shards flag overrides the file's pin
+  if (const std::string refusal = harness::refuse_pins(pins); !refusal.empty()) {
+    std::fprintf(stderr, "scenario %s\n", refusal.c_str());
     return 2;
   }
 
@@ -154,12 +153,6 @@ int main(int argc, char** argv) {
   cfg.backend = opt.backend;
   cfg.seed = opt.seed;
   cfg.sampler.enabled = !opt.timeline_out.empty();
-  if (parsed.meta.wire.has_value() &&
-      !wire::known_version(static_cast<std::uint8_t>(*parsed.meta.wire))) {
-    std::fprintf(stderr, "scenario pins wire v%d, but this build speaks only v3 (docs/WIRE.md)\n",
-                 *parsed.meta.wire);
-    return 2;
-  }
   // Budget pins replay under the recorded bound, as chaos_runner --replay
   // does (docs/FLOWCONTROL.md).
   if (parsed.meta.budget.has_value())

@@ -22,22 +22,27 @@ grep -q '"net.packets_sent"' build/BENCH_throughput.json
 grep -q '"ring.formation_rounds"' build/BENCH_throughput.json
 grep -q '"to.brcv_latency.all"' build/BENCH_throughput.json
 
-# State-exchange microbench smoke (bench/results/README.md): one pass of
-# the exchange benchmarks, delta and full-summary, and of establishment at
-# growing history (BM_FullOrder) and from whole summaries
-# (BM_FullOrderWholeSummaries), at the shortest run time the library
-# accepts.
+# State-exchange and wire microbench smoke (bench/results/README.md): one
+# pass of the exchange benchmarks, delta and full-summary, of establishment
+# at growing history (BM_FullOrder) and from whole summaries
+# (BM_FullOrderWholeSummaries), and of the wire encoders whose measured
+# reserves are counting passes of the same writers (token, labeled value,
+# summary), at the shortest run time the library accepts.
 # BM_StateExchange reports a view that did not establish through
 # SkipWithError, which google-benchmark prints as "ERROR OCCURRED" while
 # still exiting 0, so the output is searched for it. Wall time is not gated.
-./build/bench/bench_micro --benchmark_filter='BM_StateExchange|BM_DigestDeltaAtHistory|BM_FullOrder' \
+./build/bench/bench_micro \
+    --benchmark_filter='BM_StateExchange|BM_DigestDeltaAtHistory|BM_FullOrder|BM_TokenEncodeDecode|BM_LabeledValueWire|BM_SummaryEncodeDecode' \
     --benchmark_min_time=0 > build/bench_micro_exchange.out 2>&1
 grep -q '^BM_StateExchange/4096 ' build/bench_micro_exchange.out
 grep -q '^BM_StateExchangeFullSummary/4096 ' build/bench_micro_exchange.out
 grep -q '^BM_FullOrder/16384 ' build/bench_micro_exchange.out
 grep -q '^BM_FullOrderWholeSummaries/2048 ' build/bench_micro_exchange.out
+grep -q '^BM_TokenEncodeDecode/256 ' build/bench_micro_exchange.out
+grep -q '^BM_LabeledValueWire ' build/bench_micro_exchange.out
+grep -q '^BM_SummaryEncodeDecode/1024 ' build/bench_micro_exchange.out
 if grep -q 'ERROR OCCURRED' build/bench_micro_exchange.out; then
-  echo "check.sh: a state-exchange microbenchmark reported an error" >&2
+  echo "check.sh: a state-exchange or wire microbenchmark reported an error" >&2
   grep 'ERROR OCCURRED' build/bench_micro_exchange.out >&2
   exit 1
 fi

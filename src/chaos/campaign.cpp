@@ -107,10 +107,9 @@ RunResult run_one(const CampaignConfig& cfg, const harness::Scenario& scenario, 
   wc.exchange = cfg.exchange;
   wc.shards = cfg.shards;
   wc.sampler = cfg.sampler;
-  if (capture_trace) {
-    wc.trace = cfg.trace;
-    wc.trace.enabled = true;
-  }
+  // Only capture re-runs trace (default flight-recorder capacity); campaign
+  // runs stay bit-identical to untraced fixed-seed runs.
+  wc.trace.enabled = capture_trace;
   harness::World world(wc);
   OracleSet oracles(world);
 

@@ -55,10 +55,6 @@ struct CampaignConfig {
   ShrinkOptions shrink_options;
   /// Optional shared registry; a fresh one is used when null.
   std::shared_ptr<obs::MetricsRegistry> metrics;
-  /// Flight-recorder settings for trace-capturing runs (the `enabled` flag
-  /// is ignored: campaign runs never trace — that keeps them bit-identical
-  /// to untraced fixed-seed runs — and capture replays always trace).
-  obs::TraceConfig trace;
   /// Virtual-time telemetry inside every seed's World (off by default).
   /// Sampling only reads registries, so verdicts, delivery fingerprints and
   /// protocol counters stay bit-identical to an unsampled campaign; each
@@ -134,8 +130,9 @@ struct Failure {
   GeneratedSchedule schedule;           // as generated
   ShrinkOutcome minimal;                // shrunk repro (== original if !shrink)
   /// Chrome trace JSON captured by re-running the minimized scenario with
-  /// the flight recorder on (the last cfg.trace.capacity spans before the
-  /// violation). Dumped next to the repro scenario by chaos_runner.
+  /// the flight recorder on at its default obs::TraceConfig::capacity (the
+  /// last that many spans before the violation). Dumped next to the repro
+  /// scenario by chaos_runner.
   std::string flight_recorder;
   /// Health watchdog verdicts of the original failing run, recorded even
   /// when cfg.health_oracle is off (then they flag the seed in the manifest

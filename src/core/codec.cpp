@@ -5,45 +5,60 @@
 
 namespace vsg::wire {
 
-// --- LabelChain (delta-coded label lists) -----------------------------------
+namespace {
 
-std::size_t LabelChain::size(const core::Label& l) noexcept {
-  const std::size_t n =
-      util::svarint_size(static_cast<std::int64_t>(l.id.epoch - prev.id.epoch)) +
-      util::svarint_size(static_cast<std::int64_t>(l.id.origin) - prev.id.origin) +
-      util::svarint_size(static_cast<std::int64_t>(l.seqno) -
-                         static_cast<std::int64_t>(prev.seqno)) +
-      util::svarint_size(static_cast<std::int64_t>(l.origin) - prev.origin);
-  prev = l;
-  return n;
-}
+/// Delta-coded label lists: each label is four zigzag svarints relative to
+/// its predecessor (epoch, viewid origin, seqno, origin), starting from a
+/// default Label.
+struct LabelChain {
+  core::Label prev;
 
-void LabelChain::encode(util::Encoder& e, const core::Label& l) {
-  e.svarint(static_cast<std::int64_t>(l.id.epoch - prev.id.epoch));
-  e.svarint(static_cast<std::int64_t>(l.id.origin) - prev.id.origin);
-  e.svarint(static_cast<std::int64_t>(l.seqno) - static_cast<std::int64_t>(prev.seqno));
-  e.svarint(static_cast<std::int64_t>(l.origin) - prev.origin);
-  prev = l;
-}
+  template <class Out>
+  void encode(Out& e, const core::Label& l) {
+    e.svarint(static_cast<std::int64_t>(l.id.epoch - prev.id.epoch));
+    e.svarint(static_cast<std::int64_t>(l.id.origin) - prev.id.origin);
+    e.svarint(static_cast<std::int64_t>(l.seqno) - static_cast<std::int64_t>(prev.seqno));
+    e.svarint(static_cast<std::int64_t>(l.origin) - prev.origin);
+    prev = l;
+  }
+  core::Label decode(util::Decoder& d) {
+    core::Label l;
+    l.id.epoch = prev.id.epoch + static_cast<std::uint64_t>(d.svarint());
+    l.id.origin = static_cast<ProcId>(prev.id.origin + d.svarint());
+    l.seqno = static_cast<std::uint32_t>(static_cast<std::int64_t>(prev.seqno) + d.svarint());
+    l.origin = static_cast<ProcId>(prev.origin + d.svarint());
+    prev = l;
+    return l;
+  }
+};
 
-core::Label LabelChain::decode(util::Decoder& d) {
-  core::Label l;
-  l.id.epoch = prev.id.epoch + static_cast<std::uint64_t>(d.svarint());
-  l.id.origin = static_cast<ProcId>(prev.id.origin + d.svarint());
-  l.seqno = static_cast<std::uint32_t>(static_cast<std::int64_t>(prev.seqno) + d.svarint());
-  l.origin = static_cast<ProcId>(prev.origin + d.svarint());
-  prev = l;
-  return l;
-}
+/// Stream keys are (viewid, origin) triples delta-coded like labels.
+struct StreamChain {
+  core::LabelStream prev{core::ViewId{}, 0};
+
+  template <class Out>
+  void encode(Out& e, const core::LabelStream& s) {
+    e.svarint(static_cast<std::int64_t>(s.first.epoch - prev.first.epoch));
+    e.svarint(static_cast<std::int64_t>(s.first.origin) - prev.first.origin);
+    e.svarint(static_cast<std::int64_t>(s.second) - prev.second);
+    prev = s;
+  }
+  core::LabelStream decode(util::Decoder& d) {
+    core::LabelStream s;
+    s.first.epoch = prev.first.epoch + static_cast<std::uint64_t>(d.svarint());
+    s.first.origin = static_cast<ProcId>(prev.first.origin + d.svarint());
+    s.second = static_cast<ProcId>(prev.second + d.svarint());
+    prev = s;
+    return s;
+  }
+};
+
+}  // namespace
 
 // --- ViewId -----------------------------------------------------------------
 
-std::size_t Codec<core::ViewId>::size(const core::ViewId& g) {
-  return util::uvarint_size(g.epoch) +
-         util::uvarint_size(static_cast<std::uint64_t>(static_cast<std::uint32_t>(g.origin)));
-}
-
-void Codec<core::ViewId>::encode(util::Encoder& e, const core::ViewId& g) {
+template <class Out>
+void Codec<core::ViewId>::encode(Out& e, const core::ViewId& g) {
   e.uvarint(g.epoch);
   e.uvarint(static_cast<std::uint64_t>(static_cast<std::uint32_t>(g.origin)));
 }
@@ -57,17 +72,8 @@ core::ViewId Codec<core::ViewId>::decode(util::Decoder& d) {
 
 // --- View -------------------------------------------------------------------
 
-std::size_t Codec<core::View>::size(const core::View& v) {
-  std::size_t n = Codec<core::ViewId>::size(v.id) + util::uvarint_size(v.members.size());
-  ProcId prev = 0;
-  for (ProcId p : v.members) {
-    n += util::svarint_size(static_cast<std::int64_t>(p) - prev);
-    prev = p;
-  }
-  return n;
-}
-
-void Codec<core::View>::encode(util::Encoder& e, const core::View& v) {
+template <class Out>
+void Codec<core::View>::encode(Out& e, const core::View& v) {
   Codec<core::ViewId>::encode(e, v.id);
   e.uvarint(v.members.size());
   ProcId prev = 0;
@@ -91,12 +97,8 @@ core::View Codec<core::View>::decode(util::Decoder& d) {
 
 // --- Label ------------------------------------------------------------------
 
-std::size_t Codec<core::Label>::size(const core::Label& l) {
-  LabelChain chain;
-  return chain.size(l);
-}
-
-void Codec<core::Label>::encode(util::Encoder& e, const core::Label& l) {
+template <class Out>
+void Codec<core::Label>::encode(Out& e, const core::Label& l) {
   LabelChain chain;
   chain.encode(e, l);
 }
@@ -108,20 +110,8 @@ core::Label Codec<core::Label>::decode(util::Decoder& d) {
 
 // --- Summary ----------------------------------------------------------------
 
-std::size_t Codec<core::Summary>::size(const core::Summary& x) {
-  std::size_t n = util::uvarint_size(x.con.size());
-  LabelChain con_chain;
-  for (const auto& [l, a] : x.con)
-    n += con_chain.size(l) + util::uvarint_size(a.size()) + a.size();
-  n += util::uvarint_size(x.ord.size());
-  LabelChain ord_chain;
-  for (const auto& l : x.ord) n += ord_chain.size(l);
-  n += util::uvarint_size(x.next);
-  n += 1 + (x.high ? Codec<core::ViewId>::size(*x.high) : 0);
-  return n;
-}
-
-void Codec<core::Summary>::encode(util::Encoder& e, const core::Summary& x) {
+template <class Out>
+void Codec<core::Summary>::encode(Out& e, const core::Summary& x) {
   e.uvarint(x.con.size());
   LabelChain con_chain;
   for (const auto& [l, a] : x.con) {
@@ -154,49 +144,8 @@ core::Summary Codec<core::Summary>::decode(util::Decoder& d) {
 
 // --- SummaryDigest ----------------------------------------------------------
 
-namespace {
-
-/// Stream keys are (viewid, origin) triples delta-coded like labels.
-struct StreamChain {
-  core::LabelStream prev{core::ViewId{}, 0};
-
-  std::size_t size(const core::LabelStream& s) noexcept {
-    const std::size_t n =
-        util::svarint_size(static_cast<std::int64_t>(s.first.epoch - prev.first.epoch)) +
-        util::svarint_size(static_cast<std::int64_t>(s.first.origin) - prev.first.origin) +
-        util::svarint_size(static_cast<std::int64_t>(s.second) - prev.second);
-    prev = s;
-    return n;
-  }
-  void encode(util::Encoder& e, const core::LabelStream& s) {
-    e.svarint(static_cast<std::int64_t>(s.first.epoch - prev.first.epoch));
-    e.svarint(static_cast<std::int64_t>(s.first.origin) - prev.first.origin);
-    e.svarint(static_cast<std::int64_t>(s.second) - prev.second);
-    prev = s;
-  }
-  core::LabelStream decode(util::Decoder& d) {
-    core::LabelStream s;
-    s.first.epoch = prev.first.epoch + static_cast<std::uint64_t>(d.svarint());
-    s.first.origin = static_cast<ProcId>(prev.first.origin + d.svarint());
-    s.second = static_cast<ProcId>(prev.second + d.svarint());
-    prev = s;
-    return s;
-  }
-};
-
-}  // namespace
-
-std::size_t Codec<core::SummaryDigest>::size(const core::SummaryDigest& g) {
-  std::size_t n = util::uvarint_size(g.next) + util::uvarint_size(g.ord_len);
-  n += 1 + (g.high ? Codec<core::ViewId>::size(*g.high) : 0);
-  n += 1 + (g.ref ? Codec<core::ViewId>::size(*g.ref) : 0);
-  n += util::uvarint_size(g.marks.size());
-  StreamChain chain;
-  for (const auto& [s, wm] : g.marks) n += chain.size(s) + util::uvarint_size(wm);
-  return n;
-}
-
-void Codec<core::SummaryDigest>::encode(util::Encoder& e, const core::SummaryDigest& g) {
+template <class Out>
+void Codec<core::SummaryDigest>::encode(Out& e, const core::SummaryDigest& g) {
   e.uvarint(g.next);
   e.uvarint(g.ord_len);
   e.boolean(g.high.has_value());
@@ -238,21 +187,8 @@ core::SummaryDigest Codec<core::SummaryDigest>::decode(util::Decoder& d) {
 
 // --- SummaryDelta -----------------------------------------------------------
 
-std::size_t Codec<core::SummaryDelta>::size(const core::SummaryDelta& dl) {
-  std::size_t n = util::uvarint_size(dl.next);
-  n += 1 + (dl.high ? Codec<core::ViewId>::size(*dl.high) : 0);
-  n += util::uvarint_size(dl.ord_prefix);
-  n += util::uvarint_size(dl.ord_suffix.size());
-  LabelChain ord_chain;
-  for (const auto& l : dl.ord_suffix) n += ord_chain.size(l);
-  n += util::uvarint_size(dl.con.size());
-  LabelChain con_chain;
-  for (const auto& [l, a] : dl.con)
-    n += con_chain.size(l) + util::uvarint_size(a.size()) + a.size();
-  return n;
-}
-
-void Codec<core::SummaryDelta>::encode(util::Encoder& e, const core::SummaryDelta& dl) {
+template <class Out>
+void Codec<core::SummaryDelta>::encode(Out& e, const core::SummaryDelta& dl) {
   e.uvarint(dl.next);
   e.boolean(dl.high.has_value());
   if (dl.high) Codec<core::ViewId>::encode(e, *dl.high);
@@ -285,5 +221,21 @@ core::SummaryDelta Codec<core::SummaryDelta>::decode(util::Decoder& d) {
   }
   return dl;
 }
+
+// Each encoder above is the one writer of its type: over the Encoder it
+// writes bytes, over the SizeCounter it counts them (encoded_size).
+
+template void Codec<core::ViewId>::encode(util::Encoder&, const core::ViewId&);
+template void Codec<core::ViewId>::encode(util::SizeCounter&, const core::ViewId&);
+template void Codec<core::View>::encode(util::Encoder&, const core::View&);
+template void Codec<core::View>::encode(util::SizeCounter&, const core::View&);
+template void Codec<core::Label>::encode(util::Encoder&, const core::Label&);
+template void Codec<core::Label>::encode(util::SizeCounter&, const core::Label&);
+template void Codec<core::Summary>::encode(util::Encoder&, const core::Summary&);
+template void Codec<core::Summary>::encode(util::SizeCounter&, const core::Summary&);
+template void Codec<core::SummaryDigest>::encode(util::Encoder&, const core::SummaryDigest&);
+template void Codec<core::SummaryDigest>::encode(util::SizeCounter&, const core::SummaryDigest&);
+template void Codec<core::SummaryDelta>::encode(util::Encoder&, const core::SummaryDelta&);
+template void Codec<core::SummaryDelta>::encode(util::SizeCounter&, const core::SummaryDelta&);
 
 }  // namespace vsg::wire

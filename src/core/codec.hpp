@@ -6,13 +6,12 @@
 // counters and lengths, zigzag svarint deltas for label/viewid components
 // (labels in a list are delta-coded against their predecessor). Only the
 // 9-byte frame header stays fixed-width, so the checksum can be back-patched
-// in place. Codec<T> provides the (size, encode, decode) triple per wire
-// type; sizes are exact — Codec<T>::size(x) equals the bytes encode
-// produces, so a measured Encoder::reserve still costs one allocation.
+// in place. Codec<T> provides the (encode, decode) pair per wire type, and
+// encoded_size(x) counts: it runs the same encode over a util::SizeCounter,
+// so a measured Encoder::reserve costs one allocation.
 //
 // The namespace is vsg::wire (not core or membership): the layout crosses
-// every layer, and membership reopens it to specialize Codec for its packet
-// types.
+// every layer.
 
 #include <cstdint>
 #include <optional>
@@ -44,13 +43,21 @@ inline constexpr std::uint8_t kPayloadDigest = 3;
 inline constexpr std::uint8_t kPayloadDelta = 4;
 
 /// The codec for one wire type. Specializations provide:
-///   static std::size_t size(const T& x);    // exact
-///   static void encode(util::Encoder& e, const T& x);
+///   template <class Out> static void encode(Out& e, const T& x);
 ///   static T decode(util::Decoder& d);      // defensive: d.ok()
-/// decode never throws; callers check the decoder's ok()/complete() once
-/// per message (the outcome-API wrappers in each layer do this).
+/// encode is instantiated (in codec.cpp) for util::Encoder and
+/// util::SizeCounter. decode never throws; callers check the decoder's
+/// ok()/complete() once per message (the outcome-API wrappers do this).
 template <typename T>
 struct Codec;
+
+/// Exact bytes Codec<T>::encode writes for x: a counting pass of it.
+template <typename T>
+std::size_t encoded_size(const T& x) {
+  util::SizeCounter n;
+  Codec<T>::encode(n, x);
+  return n.size();
+}
 
 /// Outcome of a non-throwing decode: engaged value or a reject reason.
 /// membership::decode_packet_ex and vstoto::decode_message_ex return it.
@@ -63,55 +70,44 @@ struct DecodeOutcome {
 
 template <>
 struct Codec<core::ViewId> {
-  static std::size_t size(const core::ViewId& g);
-  static void encode(util::Encoder& e, const core::ViewId& g);
+  template <class Out>
+  static void encode(Out& e, const core::ViewId& g);
   static core::ViewId decode(util::Decoder& d);
 };
 
 template <>
 struct Codec<core::View> {
-  static std::size_t size(const core::View& v);
-  static void encode(util::Encoder& e, const core::View& v);
+  template <class Out>
+  static void encode(Out& e, const core::View& v);
   static core::View decode(util::Decoder& d);
 };
 
 template <>
 struct Codec<core::Label> {
-  static std::size_t size(const core::Label& l);
-  static void encode(util::Encoder& e, const core::Label& l);
+  template <class Out>
+  static void encode(Out& e, const core::Label& l);
   static core::Label decode(util::Decoder& d);
 };
 
 template <>
 struct Codec<core::Summary> {
-  static std::size_t size(const core::Summary& x);
-  static void encode(util::Encoder& e, const core::Summary& x);
+  template <class Out>
+  static void encode(Out& e, const core::Summary& x);
   static core::Summary decode(util::Decoder& d);
 };
 
 template <>
 struct Codec<core::SummaryDigest> {
-  static std::size_t size(const core::SummaryDigest& g);
-  static void encode(util::Encoder& e, const core::SummaryDigest& g);
+  template <class Out>
+  static void encode(Out& e, const core::SummaryDigest& g);
   static core::SummaryDigest decode(util::Decoder& d);
 };
 
 template <>
 struct Codec<core::SummaryDelta> {
-  static std::size_t size(const core::SummaryDelta& dl);
-  static void encode(util::Encoder& e, const core::SummaryDelta& dl);
+  template <class Out>
+  static void encode(Out& e, const core::SummaryDelta& dl);
   static core::SummaryDelta decode(util::Decoder& d);
-};
-
-/// Delta-coded label lists: each label is four zigzag svarints relative to
-/// its predecessor (epoch, viewid origin, seqno, origin), starting from a
-/// default Label. Exposed for the summary codecs and the mirror property
-/// tests.
-struct LabelChain {
-  core::Label prev;
-  std::size_t size(const core::Label& l) noexcept;
-  void encode(util::Encoder& e, const core::Label& l);
-  core::Label decode(util::Decoder& d);
 };
 
 }  // namespace vsg::wire

@@ -3,6 +3,10 @@
 #include <cctype>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+
+#include "core/codec.hpp"
+#include "harness/world.hpp"
 
 namespace vsg::harness {
 namespace {
@@ -218,6 +222,21 @@ struct OpWriter {
 };
 
 }  // namespace
+
+std::string refuse_pins(const ScenarioMeta& meta) {
+  if (meta.shards.has_value() && (*meta.shards < 1 || *meta.shards > kMaxShards))
+    return "pins shards " + std::to_string(*meta.shards) + ", but this build supports 1.." +
+           std::to_string(kMaxShards) +
+           " shards (docs/SHARDING.md) — refusing to run under a different topology";
+  // Range first: the version byte is a u8, and `config wire 259` must not
+  // pass as v3.
+  if (meta.wire.has_value() &&
+      !(std::in_range<std::uint8_t>(*meta.wire) &&
+        wire::known_version(static_cast<std::uint8_t>(*meta.wire))))
+    return "pins wire v" + std::to_string(*meta.wire) +
+           ", but this build speaks only v3 (docs/WIRE.md)";
+  return {};
+}
 
 std::string write_scenario(const Scenario& scenario, const ScenarioMeta& meta) {
   std::ostringstream os;

@@ -56,6 +56,12 @@ struct ScenarioMeta {
   bool operator==(const ScenarioMeta&) const = default;
 };
 
+/// The refusal a replayer prints after the scenario's name and exits on,
+/// or "" when this build can honour `meta`'s pins: `config wire` must name
+/// the layout it speaks (wire::known_version) and `config shards` lie in
+/// [1, kMaxShards].
+std::string refuse_pins(const ScenarioMeta& meta);
+
 struct ParseResult {
   std::optional<Scenario> scenario;  // engaged on success
   ScenarioMeta meta;                 // config directives (if any)

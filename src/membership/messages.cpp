@@ -36,43 +36,8 @@ void for_each_run(const Entries& entries, F&& f) {
 /// Entries section: total-count prefix, then one header per maximal
 /// same-source run (uvarint src, uvarint count) followed by its
 /// uvarint-length-prefixed payloads.
-std::size_t entries_section_size(const Entries& entries) {
-  std::size_t n = util::uvarint_size(entries.size());
-  for_each_run(entries, [&](ProcId src, std::size_t i, std::size_t end) {
-    n += util::uvarint_size(static_cast<std::uint64_t>(src)) + util::uvarint_size(end - i);
-    for (; i < end; ++i)
-      n += util::uvarint_size(entries[i].second.size()) + entries[i].second.size();
-  });
-  return n;
-}
-
-std::size_t token_body_size(const Token& p) {
-  std::size_t n = wire::Codec<core::ViewId>::size(p.gid) + util::uvarint_size(p.lap) +
-                  util::uvarint_size(p.base) + entries_section_size(p.entries) +
-                  util::uvarint_size(p.delivered.size());
-  for (const auto& [r, count] : p.delivered)
-    n += util::uvarint_size(static_cast<std::uint64_t>(r)) + util::uvarint_size(count);
-  return n;
-}
-
-struct BodySize {
-  std::size_t operator()(const Call& p) const {
-    return 1 + wire::Codec<core::ViewId>::size(p.gid);
-  }
-  std::size_t operator()(const CallReply& p) const {
-    return 1 + wire::Codec<core::ViewId>::size(p.gid);
-  }
-  std::size_t operator()(const ViewAnnounce& p) const {
-    return 1 + wire::Codec<core::View>::size(p.view);
-  }
-  std::size_t operator()(const Token& p) const { return 1 + token_body_size(p); }
-  std::size_t operator()(const Probe& p) const {
-    return 1 + 1 + (p.gid ? wire::Codec<core::ViewId>::size(*p.gid) : 0);
-  }
-};
-
-/// Serialize the entries section laid out by entries_section_size.
-void encode_entries(util::Encoder& e, const Entries& entries) {
+template <class Out>
+void encode_entries(Out& e, const Entries& entries) {
   e.uvarint(entries.size());
   for_each_run(entries, [&](ProcId src, std::size_t i, std::size_t end) {
     e.uvarint(static_cast<std::uint64_t>(src));
@@ -81,8 +46,11 @@ void encode_entries(util::Encoder& e, const Entries& entries) {
   });
 }
 
+/// One writer per packet body (tag byte first), over either sink: the
+/// SizeCounter pass sizes the frame, the Encoder pass writes it.
+template <class Out>
 struct BodyEncoder {
-  util::Encoder& e;
+  Out& e;
 
   void operator()(const Call& p) {
     e.u8(kTagCall);
@@ -115,17 +83,25 @@ struct BodyEncoder {
   }
 };
 
+template <class Body>
+std::size_t body_size(const Body& body) {
+  util::SizeCounter n;
+  BodyEncoder<util::SizeCounter>{n}(body);
+  return n.size();
+}
+
 /// Frame one body: version byte, checksum (back-patched) and body length,
-/// then BodyEncoder's overload for `body`.
+/// then BodyEncoder's overload for `body`, counted first so the reserve is
+/// exact.
 template <class Body>
 util::Buffer encode_framed(const Body& body) {
-  const std::size_t body_size = BodySize{}(body);
+  const std::size_t size = body_size(body);
   util::Encoder e;
-  e.reserve(kFrameHeaderSize + body_size);
+  e.reserve(kFrameHeaderSize + size);
   e.u8(kVersionByte);
   e.u32(0);  // checksum: back-patched below
-  e.u32(static_cast<std::uint32_t>(body_size));
-  BodyEncoder{e}(body);
+  e.u32(static_cast<std::uint32_t>(size));
+  BodyEncoder<util::Encoder>{e}(body);
   e.patch_u32(1, frame_checksum(kVersionByte,
                                 util::BufferView(e.bytes().data() + kFrameHeaderSize,
                                                  e.size() - kFrameHeaderSize)));
@@ -156,7 +132,7 @@ std::uint32_t Token::min_delivered(const std::set<ProcId>& members) const {
 }
 
 std::size_t encoded_packet_size(const Packet& pkt) {
-  return kFrameHeaderSize + std::visit(BodySize{}, pkt);
+  return kFrameHeaderSize + std::visit([](const auto& body) { return body_size(body); }, pkt);
 }
 
 util::Buffer encode_packet(const Token& t) { return encode_framed(t); }

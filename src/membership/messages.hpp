@@ -84,8 +84,9 @@ struct Probe {
 
 using Packet = std::variant<Call, CallReply, ViewAnnounce, Token, Probe>;
 
-/// Exact wire size of `pkt` (frame header + body). encode_packet reserves
-/// precisely this, so the whole encode costs one allocation.
+/// Exact wire size of `pkt` (frame header + body): a counting pass of the
+/// body writer encode_packet runs. encode_packet reserves precisely this,
+/// so the whole encode costs one allocation.
 std::size_t encoded_packet_size(const Packet& pkt);
 
 /// Encode with exact measured reserve: one allocation per packet.

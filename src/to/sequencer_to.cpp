@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "util/hash.hpp"
+#include "util/serde.hpp"
 
 namespace vsg::to {
 namespace {
@@ -12,25 +13,22 @@ constexpr std::uint8_t kMsgStamped = 2;  // sequencer -> everyone
 constexpr std::uint8_t kMsgNack = 3;     // receiver -> sequencer
 
 // Checksum framing (u32 checksum | u32 length | body) built in a single
-// buffer: reserve the measured size, write a placeholder checksum, the body,
-// then back-patch. `Framer` keeps the call sites one-liner-ish.
-class Framer {
- public:
-  explicit Framer(std::size_t body_size) {
-    e_.reserve(8 + body_size);
-    e_.u32(0);  // checksum placeholder
-    e_.u32(static_cast<std::uint32_t>(body_size));
-  }
-  util::Encoder& body() noexcept { return e_; }
-  util::Buffer finish() {
-    e_.patch_u32(0, static_cast<std::uint32_t>(util::fnv1a(
-                        util::BufferView(e_.bytes().data() + 8, e_.size() - 8))));
-    return e_.finish();
-  }
-
- private:
-  util::Encoder e_;
-};
+// buffer: `write_body(sink)` runs once over a SizeCounter to size the
+// reserve, then over the Encoder after a placeholder checksum, which is
+// back-patched.
+template <class WriteBody>
+util::Buffer frame(const WriteBody& write_body) {
+  util::SizeCounter body_size;
+  write_body(body_size);
+  util::Encoder e;
+  e.reserve(8 + body_size.size());
+  e.u32(0);  // checksum placeholder
+  e.u32(static_cast<std::uint32_t>(body_size.size()));
+  write_body(e);
+  e.patch_u32(0, static_cast<std::uint32_t>(
+                     util::fnv1a(util::BufferView(e.bytes().data() + 8, e.size() - 8))));
+  return e.finish();
+}
 
 std::optional<util::Buffer> unframe(const util::Buffer& packet) {
   util::Decoder d(packet);
@@ -42,6 +40,30 @@ std::optional<util::Buffer> unframe(const util::Buffer& packet) {
 }
 
 }  // namespace
+
+util::Buffer encode_submit(std::uint64_t seq, const core::Value& a) {
+  return frame([&](auto& e) {
+    e.u8(kMsgSubmit);
+    e.u64(seq);
+    e.str(a);
+  });
+}
+
+util::Buffer encode_stamped(std::uint64_t seq, ProcId origin, const core::Value& a) {
+  return frame([&](auto& e) {
+    e.u8(kMsgStamped);
+    e.u64(seq);
+    e.u32(static_cast<std::uint32_t>(origin));
+    e.str(a);
+  });
+}
+
+util::Buffer encode_nack(std::uint64_t from) {
+  return frame([&](auto& e) {
+    e.u8(kMsgNack);
+    e.u64(from);
+  });
+}
 
 SequencerTO::SequencerTO(sim::Simulator& simulator, net::Network& network,
                          trace::Recorder& recorder, SequencerConfig config)
@@ -71,11 +93,7 @@ void SequencerTO::bcast(ProcId p, core::Value a) {
     sequencer_admit(p, seq, std::move(a));
     return;
   }
-  Framer f(1 + 8 + 4 + a.size());
-  f.body().u8(kMsgSubmit);
-  f.body().u64(seq);
-  f.body().str(a);
-  network_->send(p, config_.sequencer, f.finish());
+  network_->send(p, config_.sequencer, encode_submit(seq, a));
 }
 
 void SequencerTO::sequencer_admit(ProcId origin, std::uint64_t sender_seq, core::Value a) {
@@ -96,16 +114,13 @@ void SequencerTO::sequencer_admit(ProcId origin, std::uint64_t sender_seq, core:
 void SequencerTO::stamp_and_broadcast(ProcId origin, core::Value a) {
   const Stamped stamped{next_stamp_++, origin, std::move(a)};
   history_.push_back(stamped);
-  Framer f(1 + 8 + 4 + 4 + stamped.value.size());
-  f.body().u8(kMsgStamped);
-  f.body().u64(stamped.seq);
-  f.body().u32(static_cast<std::uint32_t>(stamped.origin));
-  f.body().str(stamped.value);
   // One shared buffer for the whole rebroadcast.
   std::vector<ProcId> dests;
   for (ProcId q = 0; q < network_->size(); ++q)
     if (q != config_.sequencer) dests.push_back(q);
-  if (!dests.empty()) network_->multicast(config_.sequencer, dests, f.finish());
+  if (!dests.empty())
+    network_->multicast(config_.sequencer, dests,
+                        encode_stamped(stamped.seq, stamped.origin, stamped.value));
   receiver_accept(config_.sequencer, stamped);
 }
 
@@ -154,12 +169,7 @@ void SequencerTO::on_packet(ProcId me, ProcId src, const util::Buffer& packet) {
     // Retransmit everything the receiver is missing (bounded burst).
     for (std::uint64_t seq = from; seq < next_stamp_ && seq < from + 64; ++seq) {
       const Stamped& s = history_[static_cast<std::size_t>(seq - 1)];
-      Framer f(1 + 8 + 4 + 4 + s.value.size());
-      f.body().u8(kMsgStamped);
-      f.body().u64(s.seq);
-      f.body().u32(static_cast<std::uint32_t>(s.origin));
-      f.body().str(s.value);
-      network_->send(config_.sequencer, src, f.finish());
+      network_->send(config_.sequencer, src, encode_stamped(s.seq, s.origin, s.value));
     }
   }
 }
@@ -172,10 +182,8 @@ void SequencerTO::nack_tick(ProcId me) {
     // implementation piggybacks the latest stamp on heartbeats; our probe
     // asks from next_deliver_, which the sequencer answers only if there
     // is history beyond it.
-    Framer f(1 + 8);
-    f.body().u8(kMsgNack);
-    f.body().u64(next_deliver_[static_cast<std::size_t>(me)]);
-    network_->send(me, config_.sequencer, f.finish());
+    network_->send(me, config_.sequencer,
+                   encode_nack(next_deliver_[static_cast<std::size_t>(me)]));
   }
   sim_->after(config_.nack_interval, [this, me] { nack_tick(me); });
 }

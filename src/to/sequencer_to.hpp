@@ -45,6 +45,14 @@ struct SequencerConfig {
   sim::Time nack_interval = sim::msec(50);
 };
 
+/// The sequencer protocol's frames: u32 checksum | u32 body length | body,
+/// the body a tag byte and its fields. Each body writer runs once over a
+/// util::SizeCounter to size the reserve and once over the Encoder, so a
+/// frame costs one allocation.
+util::Buffer encode_submit(std::uint64_t seq, const core::Value& a);
+util::Buffer encode_stamped(std::uint64_t seq, ProcId origin, const core::Value& a);
+util::Buffer encode_nack(std::uint64_t from);
+
 class SequencerTO final : public Service {
  public:
   SequencerTO(sim::Simulator& simulator, net::Network& network, trace::Recorder& recorder,

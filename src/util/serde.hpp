@@ -42,7 +42,7 @@ class Encoder {
   // Variable-width integers (docs/WIRE.md, "Varint rules"): LEB128 with the
   // low 7 bits first and the high bit as continuation; svarint zigzags so
   // small-magnitude signed deltas stay short. These are the v3 frame-body
-  // primitives; uvarint_size/svarint_size below keep encoded_size exact.
+  // primitives; SizeCounter below counts them without writing.
   void uvarint(std::uint64_t v);
   void svarint(std::int64_t v);
   void vstr(const std::string& v);  // uvarint-length-prefixed string
@@ -151,6 +151,30 @@ constexpr std::int64_t unzigzag(std::uint64_t u) noexcept {
 constexpr std::size_t svarint_size(std::int64_t v) noexcept {
   return uvarint_size(zigzag(v));
 }
+
+/// A sink with Encoder's writing methods that only counts the bytes they
+/// would write. Every wire writer is a template over its sink: run once
+/// over a SizeCounter it measures the reserve, run again over the Encoder
+/// it writes those bytes, so size and bytes come from one piece of code.
+class SizeCounter {
+ public:
+  void u8(std::uint8_t) noexcept { n_ += 1; }
+  void u32(std::uint32_t) noexcept { n_ += 4; }
+  void u64(std::uint64_t) noexcept { n_ += 8; }
+  void boolean(bool) noexcept { n_ += 1; }
+  void str(const std::string& v) noexcept { n_ += 4 + v.size(); }
+  void append(BufferView v) noexcept { n_ += v.size(); }
+  void uvarint(std::uint64_t v) noexcept { n_ += uvarint_size(v); }
+  void svarint(std::int64_t v) noexcept { n_ += svarint_size(v); }
+  void vstr(const std::string& v) noexcept { n_ += uvarint_size(v.size()) + v.size(); }
+  void vraw(BufferView v) noexcept { n_ += uvarint_size(v.size()) + v.size(); }
+
+  /// Bytes an Encoder would hold after the same calls.
+  std::size_t size() const noexcept { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
 
 // --- Chaos fault injection ------------------------------------------------
 //

@@ -2,20 +2,13 @@
 
 namespace vsg::vstoto {
 
-std::size_t encoded_message_size(const Message& m) {
-  if (const auto* lv = std::get_if<LabeledValue>(&m))
-    return 1 + wire::Codec<core::Label>::size(lv->label) +
-           util::uvarint_size(lv->value.size()) + lv->value.size();
-  if (const auto* x = std::get_if<core::Summary>(&m))
-    return 1 + wire::Codec<core::Summary>::size(*x);
-  if (const auto* g = std::get_if<core::SummaryDigest>(&m))
-    return 1 + wire::Codec<core::SummaryDigest>::size(*g);
-  return 1 + wire::Codec<core::SummaryDelta>::size(std::get<core::SummaryDelta>(m));
-}
+namespace {
 
-util::Buffer encode_message(const Message& m) {
-  util::Encoder e;
-  e.reserve(encoded_message_size(m));
+/// The one writer of a VSTOTO payload (tag byte, then the codec body), over
+/// either sink: counting for encoded_message_size, writing for
+/// encode_message.
+template <class Out>
+void write_message(Out& e, const Message& m) {
   if (const auto* lv = std::get_if<LabeledValue>(&m)) {
     e.u8(kTagLabeledValue);
     wire::Codec<core::Label>::encode(e, lv->label);
@@ -30,6 +23,20 @@ util::Buffer encode_message(const Message& m) {
     e.u8(kTagDelta);
     wire::Codec<core::SummaryDelta>::encode(e, std::get<core::SummaryDelta>(m));
   }
+}
+
+}  // namespace
+
+std::size_t encoded_message_size(const Message& m) {
+  util::SizeCounter n;
+  write_message(n, m);
+  return n.size();
+}
+
+util::Buffer encode_message(const Message& m) {
+  util::Encoder e;
+  e.reserve(encoded_message_size(m));
+  write_message(e, m);
   return e.finish();
 }
 

@@ -42,7 +42,8 @@ struct LabeledValue {
 using Message =
     std::variant<LabeledValue, core::Summary, core::SummaryDigest, core::SummaryDelta>;
 
-/// Exact wire size of encode_message(m) (Encoder::reserve hint).
+/// Exact wire size of encode_message(m): a counting pass of its writer
+/// (the Encoder::reserve hint).
 std::size_t encoded_message_size(const Message& m);
 
 /// Encode with a measured reserve: exactly one allocation (asserted by

@@ -1,7 +1,7 @@
 // The Codec API (core/codec.hpp): one Codec<T> per wire type. Pins (a)
-// round trips with exact size accounting, (b) golden v3 bytes so the
-// compact layout cannot drift silently, and (c) the size claims the
-// delta-coded layout and the digest exchange rest on.
+// round trips, with encoded_size matching the bytes written, (b) golden v3
+// bytes so the compact layout cannot drift silently, and (c) the size
+// claims the delta-coded layout and the digest exchange rest on.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ template <typename T>
 void roundtrip(const T& v) {
   util::Encoder e;
   Codec<T>::encode(e, v);
-  EXPECT_EQ(e.size(), Codec<T>::size(v));
+  EXPECT_EQ(e.size(), encoded_size(v));
   util::Decoder d(e.bytes());
   EXPECT_EQ(Codec<T>::decode(d), v);
   EXPECT_TRUE(d.complete());
@@ -85,22 +85,19 @@ TEST(Codec, GoldenV3Bytes) {
 TEST(Codec, ChainedLabelsCostOneOrTwoBytesEach) {
   // The delta-coding claim: consecutive labels of one stream differ only in
   // seqno, so each label after the first costs 4 svarints of mostly zero.
-  std::vector<core::Label> run;
-  for (std::uint32_t s = 1; s <= 100; ++s) run.push_back(lab(9, s, 2));
-  LabelChain chain;
-  std::size_t total = 0;
-  for (const auto& l : run) total += chain.size(l);
-  // First label pays for the epoch; the other 99 are 4 one-byte svarints
-  // (a fixed-width label would cost 20 bytes each).
-  EXPECT_LE(total, 5 + 99 * 4u);
+  core::Summary x;
+  for (std::uint32_t s = 1; s <= 100; ++s) x.ord.push_back(lab(9, s, 2));
+  // Around the chain: the con and ord counts, next and the high flag, one
+  // byte each. The first label pays for the epoch; the other 99 are 4
+  // one-byte svarints (a fixed-width label would cost 20 bytes each).
+  EXPECT_LE(encoded_size(x), 4 + 5 + 99 * 4u);
 }
 
 TEST(Codec, DigestsAreSmallerThanSummaries) {
   // The digest exchange's premise: advertising what one holds costs far
   // less than shipping it.
   const core::Summary x = sample_summary();
-  EXPECT_LT(Codec<core::SummaryDigest>::size(core::digest(x)),
-            Codec<core::Summary>::size(x) / 2);
+  EXPECT_LT(encoded_size(core::digest(x)), encoded_size(x) / 2);
 }
 
 TEST(Codec, TruncatedV3InputSetsNotOk) {

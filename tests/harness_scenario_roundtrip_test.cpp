@@ -173,5 +173,29 @@ TEST(ScenarioRoundTrip, ConfigLinesMayFollowOps) {
   EXPECT_EQ(parsed.scenario->ops.size(), 1u);
 }
 
+// Both replayers (chaos_runner --replay, scenario_runner) refuse through
+// refuse_pins; the text names the offending pin.
+TEST(ScenarioPins, RefusesPinsThisBuildCannotHonour) {
+  const auto refusal = [](std::optional<int> wire, std::optional<int> shards) {
+    ScenarioMeta meta;
+    meta.wire = wire;
+    meta.shards = shards;
+    return refuse_pins(meta);
+  };
+  EXPECT_NE(refusal(2, std::nullopt).find("pins wire v2,"), std::string::npos);
+  EXPECT_NE(refusal(259, std::nullopt).find("pins wire v259,"), std::string::npos);
+  EXPECT_NE(refusal(std::nullopt, 0).find("pins shards 0,"), std::string::npos);
+  EXPECT_NE(refusal(std::nullopt, 65).find("pins shards 65,"), std::string::npos);
+  EXPECT_EQ(refusal(3, std::nullopt), "");
+  EXPECT_EQ(refusal(std::nullopt, 4), "");
+  EXPECT_EQ(refusal(3, 64), "");
+  EXPECT_EQ(refuse_pins(ScenarioMeta{}), "");
+
+  // As parsed from the file's config lines.
+  EXPECT_NE(refuse_pins(parse_scenario("config wire 2\n").meta), "");
+  EXPECT_NE(refuse_pins(parse_scenario("config shards 65\n").meta), "");
+  EXPECT_EQ(refuse_pins(parse_scenario("config wire 3\nconfig shards 4\n").meta), "");
+}
+
 }  // namespace
 }  // namespace vsg::harness

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/rng.hpp"
 #include "util/serde.hpp"
 
@@ -103,6 +105,69 @@ TEST(Serde, MeasuredReserveCostsExactlyOneAllocation) {
   cold.u32(2);
   put_blob(cold, Bytes{7, 8, 9});
   EXPECT_GE(cold.allocs(), 1u);
+}
+
+// Runs `write` over an Encoder and over a SizeCounter; the count must be
+// the number of bytes written.
+template <class Write>
+void expect_count_matches(const Write& write, const std::string& what) {
+  Encoder e;
+  SizeCounter c;
+  write(e);
+  write(c);
+  EXPECT_EQ(c.size(), e.size()) << what;
+}
+
+TEST(Serde, SizeCounterMirrorsTheEncoder) {
+  // Every measured size is a SizeCounter pass of the writer that encodes,
+  // so exactness of every wire type rests on each primitive counting what
+  // the Encoder writes.
+  const std::uint64_t uvarints[] = {0, 127, 128, 16383, 16384, UINT64_MAX};
+  const std::int64_t svarints[] = {-1, INT64_MIN, INT64_MAX};
+  const std::string strings[] = {std::string(), std::string(300, 's')};
+  const Bytes blobs[] = {Bytes{}, Bytes{1, 2, 3, 4, 5}};
+  for (const auto v : uvarints)
+    expect_count_matches([v](auto& o) { o.uvarint(v); }, "uvarint " + std::to_string(v));
+  for (const auto v : svarints)
+    expect_count_matches([v](auto& o) { o.svarint(v); }, "svarint " + std::to_string(v));
+  for (const auto& v : strings) {
+    expect_count_matches([&v](auto& o) { o.str(v); }, "str of " + std::to_string(v.size()));
+    expect_count_matches([&v](auto& o) { o.vstr(v); }, "vstr of " + std::to_string(v.size()));
+  }
+  for (const auto& v : blobs) {
+    expect_count_matches([&v](auto& o) { o.vraw(BufferView(v)); }, "vraw");
+    expect_count_matches([&v](auto& o) { o.append(BufferView(v)); }, "append");
+  }
+  expect_count_matches([](auto& o) { o.boolean(true); }, "boolean");
+  expect_count_matches([](auto& o) { o.u8(0xFF); }, "u8");
+  expect_count_matches([](auto& o) { o.u32(0xFFFFFFFFu); }, "u32");
+  expect_count_matches([](auto& o) { o.u64(UINT64_MAX); }, "u64");
+
+  // All of them in sequence, and the count as the reserve: one allocation.
+  const auto write_all = [&](auto& o) {
+    for (const auto v : uvarints) o.uvarint(v);
+    for (const auto v : svarints) o.svarint(v);
+    for (const auto& v : strings) {
+      o.str(v);
+      o.vstr(v);
+    }
+    for (const auto& v : blobs) {
+      o.vraw(BufferView(v));
+      o.append(BufferView(v));
+    }
+    o.boolean(false);
+    o.u8(1);
+    o.u32(2);
+    o.u64(3);
+  };
+  expect_count_matches(write_all, "all in sequence");
+  SizeCounter count;
+  write_all(count);
+  Encoder measured;
+  measured.reserve(count.size());
+  write_all(measured);
+  EXPECT_EQ(measured.size(), count.size());
+  EXPECT_EQ(measured.allocs(), 1u);
 }
 
 TEST(Serde, FinishHandsOffWithoutCopy) {

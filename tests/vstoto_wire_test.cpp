@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "to/sequencer_to.hpp"
 #include "util/rng.hpp"
 #include "vstoto/wire.hpp"
 
@@ -63,6 +64,23 @@ TEST(Wire, MeasuredSizeIsExact) {
 
   const core::Summary empty;
   EXPECT_EQ(encode_message(Message{empty}).size(), encoded_message_size(Message{empty}));
+
+  // The sequencer baseline's frames (u32 checksum | u32 body length | body)
+  // take their length field from a counting pass of the body writer: it
+  // must equal the body bytes the writing pass produced, and the layout
+  // (tag, u64, [u32 origin,] u32-prefixed value) stays as it was.
+  const std::pair<util::Buffer, std::size_t> frames[] = {
+      {to::encode_submit(9, "value"), 1 + 8 + 4 + 5},
+      {to::encode_stamped(7, 3, "stamped"), 1 + 8 + 4 + 4 + 7},
+      {to::encode_stamped(1, 0, ""), 1 + 8 + 4 + 4},
+      {to::encode_nack(12), 1 + 8},
+  };
+  for (const auto& [frame, body_size] : frames) {
+    util::Decoder d(frame);
+    (void)d.u32();  // checksum
+    EXPECT_EQ(d.u32(), body_size);
+    EXPECT_EQ(frame.size(), 8 + body_size);
+  }
 }
 
 TEST(Wire, UnknownTagRejected) {

@@ -242,27 +242,18 @@ int replay(const Options& opt) {
   sim::Time until = opt.replay_until;
   if (until == 0) until = parsed.meta.until.value_or(parsed.scenario->last_time() + sim::sec(12));
 
+  if (const std::string refusal = harness::refuse_pins(parsed.meta); !refusal.empty()) {
+    std::fprintf(stderr, "%s %s\n", opt.replay_file.c_str(), refusal.c_str());
+    return 2;
+  }
   chaos::CampaignConfig cfg = campaign_config(opt);
   if (parsed.meta.shards.has_value()) {
-    if (*parsed.meta.shards < 1 || *parsed.meta.shards > harness::kMaxShards) {
-      std::fprintf(stderr,
-                   "%s pins shards %d, but this build supports 1..%d shards "
-                   "(docs/SHARDING.md) — refusing to replay under a different topology\n",
-                   opt.replay_file.c_str(), *parsed.meta.shards, harness::kMaxShards);
-      return 2;
-    }
     cfg.shards = *parsed.meta.shards;
     if (cfg.shards > 1 && cfg.backend == harness::Backend::kSpec) {
       std::fprintf(stderr, "%s pins shards %d, which requires the ring backend\n",
                    opt.replay_file.c_str(), cfg.shards);
       return 2;
     }
-  }
-  if (parsed.meta.wire.has_value() &&
-      !wire::known_version(static_cast<std::uint8_t>(*parsed.meta.wire))) {
-    std::fprintf(stderr, "%s pins wire v%d, but this build speaks only v3 (docs/WIRE.md)\n",
-                 opt.replay_file.c_str(), *parsed.meta.wire);
-    return 2;
   }
   // A repro minimized under a capacity bound replays under the same bound.
   if (parsed.meta.budget.has_value())
