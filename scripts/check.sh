@@ -53,6 +53,20 @@ fi
 # snapshot must validate as vsg-metrics-v1 (under 60 s once built).
 bash benchmark/smoke.sh --quick
 
+# Retained-heap gate (bench/results/README.md, "History without copies"):
+# a view exit freezes only the part of order that changed since the
+# previous exit, sharing the rest with that exit's buildorder snapshot.
+# The smoke's saturated run (--quick --seed 7) read det peak_heap_mb
+# 3.262 MB when every exit stored a whole copy of order and 2.828 MB with
+# the shared snapshots; the ceiling is 2% above the latter, so a history
+# that grows as views x history again fails here.
+peak=$(bash benchmark/run.sh --workload saturated --quick --seed 7 --seconds 1 \
+    | sed -n 's/^det peak_heap_mb //p')
+if ! awk -v p="$peak" 'BEGIN { exit !(p != "" && p <= 2.885) }'; then
+  echo "check.sh: saturated det peak_heap_mb ${peak:-missing} MB is above the 2.885 MB ceiling" >&2
+  exit 1
+fi
+
 # Wire-compat gate (docs/WIRE.md, "Wire-compat gate"): the golden frame
 # fixture committed under tests/wire/ freezes the v3 layout; every build
 # must keep decoding it, and must refuse the unknown-version fixture. A

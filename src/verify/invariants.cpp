@@ -1,6 +1,7 @@
 #include "verify/invariants.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "util/sequence.hpp"
 
@@ -26,14 +27,17 @@ bool established(const GlobalState& s, ProcId p, const core::ViewId& g) {
 
 // buildorder[p, g]: `order` itself while g is p's current view and the
 // history variable exists (ProcessState::builds_current); otherwise the
-// snapshot taken when p left g, if any.
+// snapshot taken when p left g, rebuilt into `rebuilt`, if any.
 const std::vector<core::Label>* buildorder(const GlobalState& s, ProcId p,
-                                           const core::ViewId& g) {
+                                           const core::ViewId& g,
+                                           std::vector<core::Label>& rebuilt) {
   const auto& st = s.st(p);
   if (st.builds_current && st.current.has_value() && st.current->id == g)
     return &st.order;
   auto it = st.buildorder.find(g);
-  return it == st.buildorder.end() ? nullptr : &it->second;
+  if (it == st.buildorder.end()) return nullptr;
+  rebuilt = it->second->labels();
+  return &rebuilt;
 }
 
 }  // namespace
@@ -326,9 +330,10 @@ std::vector<std::string> check_lemma_6_16(const GlobalState& s) {
           continue;
         }
         bool found = false;
+        std::vector<core::Label> rebuilt;
         for (ProcId q : *members) {
           if (!established(s, q, *x.high)) continue;
-          const auto* bo = buildorder(s, q, *x.high);
+          const auto* bo = buildorder(s, q, *x.high, rebuilt);
           if (bo == nullptr || *bo != x.ord) continue;
           const auto& stq = s.st(q);
           const bool last_clause =
@@ -376,10 +381,10 @@ std::vector<std::string> check_corollary_6_19(const GlobalState& s) {
     if (!all_established || v.members.empty()) continue;
 
     // sigma := longest common prefix of the members' buildorders for v.
-    std::vector<core::Label> sigma;
+    std::vector<core::Label> sigma, rebuilt;
     bool first = true;
     for (ProcId p : v.members) {
-      const auto* bo = buildorder(s, p, v.id);
+      const auto* bo = buildorder(s, p, v.id, rebuilt);
       const std::vector<core::Label> empty;
       const auto& mine = bo == nullptr ? empty : *bo;
       if (first) {
@@ -414,14 +419,19 @@ std::vector<std::string> check_lemma_6_20(const GlobalState& s) {
       bad.push_back("6.20: nonempty safe-labels at non-primary " + pname(p));
       continue;
     }
+    // Each member's buildorder for the view, read once for every position.
+    const std::vector<ProcId> members(st.current->members.begin(), st.current->members.end());
+    std::vector<std::vector<core::Label>> rebuilt(members.size());
+    std::vector<const std::vector<core::Label>*> bos(members.size());
+    for (std::size_t k = 0; k < members.size(); ++k)
+      bos[k] = buildorder(s, members[k], st.current->id, rebuilt[k]);
     for (std::size_t i = 0; i < st.order.size(); ++i) {
       if (!proc.is_safe(st.order[i])) continue;
       const auto sigma = util::prefix_of(st.order, i + 1);
-      for (ProcId q : st.current->members) {
-        const auto* bo = buildorder(s, q, st.current->id);
-        if (bo == nullptr || !util::is_prefix(sigma, *bo))
+      for (std::size_t k = 0; k < members.size(); ++k) {
+        if (bos[k] == nullptr || !util::is_prefix(sigma, *bos[k]))
           bad.push_back("6.20: safe label at " + pname(p) + " position " + std::to_string(i) +
-                        " not in member " + pname(q) + "'s buildorder prefix");
+                        " not in member " + pname(members[k]) + "'s buildorder prefix");
       }
     }
   }
@@ -467,12 +477,13 @@ std::vector<std::string> check_lemma_6_22(const GlobalState& s) {
       if (!x.high.has_value() || !(v.id <= *x.high)) continue;
       if (!s.quorums->contains_quorum(v.members)) continue;
       bool witness = true;
+      std::vector<core::Label> rebuilt;
       for (ProcId q : v.members) {
         if (!established(s, q, v.id)) {
           witness = false;
           break;
         }
-        const auto* bo = buildorder(s, q, v.id);
+        const auto* bo = buildorder(s, q, v.id, rebuilt);
         if (bo == nullptr || !util::is_prefix(confirm, *bo)) {
           witness = false;
           break;
@@ -521,12 +532,19 @@ std::vector<std::string> check_history_wellformed(const GlobalState& s) {
     if (established(s, p, g) && !st.builds_current)
       bad.push_back("history: buildorder[" + pname(p) +
                     ", current] missing for an established view");
-    for (const auto& [bg, ord] : st.buildorder) {
-      if (bg == g)
-        bad.push_back("history: buildorder at " + pname(p) +
-                      " stores the current view (it must alias order)");
-      if (bg > g)
-        bad.push_back("history: buildorder at " + pname(p) + " names a future view");
+    // The snapshots of the views before bg, which bg's may share a prefix of.
+    std::set<const vstoto::OrderSnapshot*> earlier;
+    for (const auto& [bg, snap] : st.buildorder) {
+      const std::string at = "history: buildorder[" + pname(p) + ", " + core::to_string(bg) + "]";
+      if (bg == g) bad.push_back(at + " stores the current view (it must alias order)");
+      if (bg > g) bad.push_back(at + " names a future view");
+      const auto& base = snap->base();
+      if (base != nullptr && !earlier.contains(base.get()))
+        bad.push_back(at + " shares a prefix with no earlier snapshot of " + pname(p));
+      if (snap->kept() > (base == nullptr ? 0 : base->size()))
+        bad.push_back(at + " keeps " + std::to_string(snap->kept()) +
+                      " labels, more than its base holds");
+      earlier.insert(snap.get());
     }
   }
   return bad;

@@ -47,6 +47,9 @@ std::vector<std::string> check_corollary_6_24(const GlobalState& s);
 /// tracks order_p while p is in view g, represented by order_p itself (so an
 /// established current view must have builds_current set and no stored
 /// copy), and the stored snapshots never name a view beyond the current one.
+/// It also audits the snapshot chain: a snapshot's base must be the stored
+/// snapshot of an earlier view of the same process, and it may keep no more
+/// labels than that base holds (none without a base).
 std::vector<std::string> check_history_wellformed(const GlobalState& s);
 
 /// Run every invariant checker.

@@ -114,6 +114,13 @@ void Process::place_order(bool full) {
       core::establish(st_.order, order_index_, st_.gotstate, st_.exch_base, st_.exch_digest,
                       st_.exch_unplaced, full);
   const std::size_t kept = before - cut.size();
+  // The cut tail may come back as it was (whole summaries re-place the
+  // representative's whole order): the prefix unchanged since the last
+  // newview ends at the first position the new order differs.
+  const auto tail = std::views::drop(st_.order, static_cast<std::ptrdiff_t>(kept));
+  const std::size_t same = static_cast<std::size_t>(
+      std::ranges::mismatch(cut, tail).in1 - cut.begin());
+  st_.order_watermark = std::min(st_.order_watermark, kept + same);
   if (obs_.order_depth != nullptr)
     obs_.order_depth->add(static_cast<std::int64_t>(st_.order.size()) -
                           static_cast<std::int64_t>(before));
@@ -281,8 +288,13 @@ void Process::on_newview(const core::View& v) {
       v.id.epoch == st_.current->id.epoch + 1 &&
       std::ranges::includes(st_.current->members, v.members);
   // Leaving the current view freezes buildorder[p, old] at the order p
-  // leaves it with.
-  if (st_.builds_current) st_.buildorder[st_.current->id] = st_.order;
+  // leaves it with. The newest snapshot holds order as it was at the last
+  // newview, so the freeze shares its first order_watermark labels.
+  if (st_.builds_current)
+    st_.buildorder.insert_or_assign(
+        st_.current->id,
+        OrderSnapshot::freeze(st_.buildorder.empty() ? nullptr : st_.buildorder.rbegin()->second,
+                              st_.order, st_.order_watermark));
   st_.builds_current = false;
   st_.current = v;
   st_.nextseqno = 1;
@@ -304,11 +316,18 @@ void Process::on_newview(const core::View& v) {
   // Both modes freeze the exchange base here; delta mode advertises its
   // digest instead of shipping the whole summary (phase 1 of the
   // anti-entropy exchange — the delta follows in maybe_send_delta). The
-  // base is local_summary() without a copy of content: content only grows
-  // and never rebinds a label (Lemma 6.5), so the previous base is brought
-  // up to it by appending each stream's new suffix.
+  // base is local_summary() without a copy of content or of order: content
+  // only grows and never rebinds a label (Lemma 6.5), so the previous base
+  // is brought up to it by appending each stream's new suffix; its ord is
+  // order at the last newview, so it is cut to the unchanged prefix and
+  // order's rest is appended.
   st_.exch_base.con.merge(st_.content);
-  st_.exch_base.ord = st_.order;
+  assert(st_.order_watermark <= st_.exch_base.ord.size());
+  const auto unchanged = static_cast<std::ptrdiff_t>(st_.order_watermark);
+  st_.exch_base.ord.erase(st_.exch_base.ord.begin() + unchanged, st_.exch_base.ord.end());
+  st_.exch_base.ord.insert(st_.exch_base.ord.end(), st_.order.begin() + unchanged,
+                           st_.order.end());
+  st_.order_watermark = st_.order.size();
   st_.exch_base.next = st_.nextconfirm;
   st_.exch_base.high = st_.highprimary;
   st_.exch_unplaced = unplaced_;

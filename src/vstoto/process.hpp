@@ -22,7 +22,8 @@
 //
 // History variables established[p,g] and buildorder[p,g] (Section 6) are
 // maintained so the verification layer can check the paper's invariants;
-// buildorder[p, current] is represented by `order` itself (ProcessState).
+// buildorder[p, current] is represented by `order` itself, and the views p
+// has left by shared snapshots (ProcessState, vstoto/buildorder.hpp).
 
 #include <deque>
 #include <functional>
@@ -39,6 +40,7 @@
 #include "obs/span.hpp"
 #include "trace/recorder.hpp"
 #include "vs/service.hpp"
+#include "vstoto/buildorder.hpp"
 #include "vstoto/wire.hpp"
 
 namespace vsg::vstoto {
@@ -145,14 +147,26 @@ struct ProcessState {
   // shortorder of gotstate). Once every exchange message is safe, exactly
   // these labels become safe (bits [0, exch_placed) are set).
   std::size_t exch_placed = 0;
+  // Length of the prefix of order unchanged since the last newview, which
+  // resets it to |order|: appends leave it, and establishment lowers it to
+  // the first position it changed. exch_base.ord and the newest buildorder
+  // snapshot both equal order as of that newview, so on_newview brings the
+  // one up to order and freezes the other by copying only
+  // order[order_watermark, end).
+  std::size_t order_watermark = 0;
 
   // History variables (not part of the algorithm; used by verify/).
   // buildorder[p, current] is not stored: while builds_current is set it
-  // *is* `order`, and on_newview snapshots it into the map on view exit.
-  // The map therefore holds only views this process has left, and the
-  // per-label cost stays independent of the history length.
+  // *is* `order`, so appending a label costs no history upkeep, and
+  // on_newview freezes it into the map on view exit. The map holds only
+  // views this process has left. Each is an OrderSnapshot that shares the
+  // first order_watermark labels (as of that exit) with the snapshot of
+  // the view left before it and stores the rest, so the stored labels grow
+  // with what changed between exits, not with views x history, and
+  // copying the state (Process::checkpoint) copies one pointer per view.
+  // verify/ reads a whole snapshot through OrderSnapshot::labels().
   std::set<core::ViewId> established;
-  std::map<core::ViewId, std::vector<core::Label>> buildorder;
+  std::map<core::ViewId, OrderSnapshot::Ptr> buildorder;
   bool builds_current = false;
 };
 
@@ -233,7 +247,8 @@ class Process final : public vs::Client {
   /// Checkpoint/restore of the full automaton state (used by the
   /// exhaustive small-scope explorer to branch over schedules, and handy
   /// for debugging). The service/recorder bindings are not part of the
-  /// checkpoint.
+  /// checkpoint. The frozen buildorder snapshots are immutable, so a
+  /// checkpoint shares them with the live state instead of copying them.
   struct Checkpoint {
     ProcessState st;
     std::vector<std::pair<ProcId, core::Value>> delivered;

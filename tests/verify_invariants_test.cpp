@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+
 #include "harness/scenario.hpp"
 #include "harness/world.hpp"
 #include "verify/invariants.hpp"
@@ -276,17 +279,78 @@ TEST(Invariants, HistoryAuditDetectsSeededCorruption) {
   }
   {
     // A stored copy for the current view next to the alias.
-    st0.buildorder[st0.current->id] = st0.order;
+    st0.buildorder[st0.current->id] = vstoto::OrderSnapshot::freeze(nullptr, st0.order, 0);
     EXPECT_FALSE(verify::check_history_wellformed(gs).empty());
     st0.buildorder.erase(st0.current->id);
   }
   {
     // A snapshot for a view the process has not reached yet.
     const core::ViewId future{st0.current->id.epoch + 1, 0};
-    st0.buildorder[future] = {};
+    st0.buildorder[future] = vstoto::OrderSnapshot::freeze(nullptr, {}, 0);
     EXPECT_FALSE(verify::check_history_wellformed(gs).empty());
     st0.buildorder.erase(future);
   }
+  EXPECT_TRUE(verify::check_all_invariants(gs).empty());
+}
+
+// The snapshot chain itself: a snapshot must share its prefix with the
+// stored snapshot of an earlier view of the same process, and keep no more
+// of it than it holds. The first and third corruptions below leave every
+// snapshot reading the labels it was frozen with, so no lemma's checker
+// would see them.
+TEST(Invariants, HistoryAuditDetectsABadSnapshotBase) {
+  World world(spec_cfg(3, 8));
+  harness::steady_traffic({0, 1}, 3, sim::msec(10), sim::msec(10)).apply(world);
+  world.partition_at(sim::msec(300), {{0, 1}, {2}});
+  world.heal_at(sim::msec(600));
+  world.run_until(sim::sec(1));
+  const auto gs = world.global_state();
+  ASSERT_TRUE(verify::check_all_invariants(gs).empty());
+
+  auto& st0 = const_cast<vstoto::ProcessState&>(gs.procs[0]->state());
+  const vstoto::ProcessState saved = st0;  // shares the snapshots, restores the map
+  ASSERT_GE(st0.buildorder.size(), 2u);
+  const auto newest = std::prev(st0.buildorder.end());
+  const vstoto::OrderSnapshot::Ptr snap = newest->second;
+  ASSERT_NE(snap->base(), nullptr) << "the newest exit shares a prefix";
+  const auto plant = [&](vstoto::OrderSnapshot::Ptr base, std::size_t kept) {
+    newest->second = std::make_shared<const vstoto::OrderSnapshot>(std::move(base), kept,
+                                                                   snap->tail());
+    return verify::check_history_wellformed(gs);
+  };
+  {
+    // A base with the right labels that is not a stored snapshot.
+    const auto copy = vstoto::OrderSnapshot::freeze(nullptr, snap->base()->labels(), 0);
+    EXPECT_FALSE(plant(copy, snap->kept()).empty());
+    EXPECT_EQ(newest->second->labels(), snap->labels());
+  }
+  {
+    // Another process's snapshot of the same view.
+    const auto& other = gs.procs[1]->state().buildorder;
+    const auto it = other.find(std::prev(newest)->first);
+    ASSERT_NE(it, other.end());
+    EXPECT_FALSE(plant(it->second, snap->kept()).empty());
+  }
+  {
+    // The view before the newest naming the newest, a later view, as base.
+    const auto older = std::prev(newest);
+    const vstoto::OrderSnapshot::Ptr was = older->second;
+    older->second = std::make_shared<const vstoto::OrderSnapshot>(snap, 0, was->labels());
+    EXPECT_FALSE(verify::check_history_wellformed(gs).empty());
+    EXPECT_EQ(older->second->labels(), was->labels());
+    older->second = was;
+  }
+  {
+    // A kept prefix longer than its (stored, earlier) base holds.
+    EXPECT_FALSE(plant(snap->base(), snap->base()->size() + 1).empty());
+  }
+  {
+    // A kept prefix without a base.
+    EXPECT_FALSE(plant(nullptr, 1).empty());
+  }
+  newest->second = snap;
+  EXPECT_TRUE(verify::check_history_wellformed(gs).empty()) << "the stored chain is sound";
+  st0 = saved;
   EXPECT_TRUE(verify::check_all_invariants(gs).empty());
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 
@@ -413,7 +414,7 @@ TEST(Process, BuildorderSnapshotsOrderOnViewExit) {
     EXPECT_FALSE(st.builds_current) << "at " << p;
     EXPECT_EQ(st.buildorder.count(v1.id), 0u) << "at " << p;
   }
-  EXPECT_EQ(f.at(0).state().buildorder.at(core::ViewId::initial()), order_at_exit);
+  EXPECT_EQ(f.at(0).state().buildorder.at(core::ViewId::initial())->labels(), order_at_exit);
   EXPECT_EQ(f.at(2).state().buildorder.count(core::ViewId::initial()), 0u)
       << "2 never was in g0";
 
@@ -431,7 +432,7 @@ TEST(Process, BuildorderSnapshotsOrderOnViewExit) {
   f.at(1).bcast("b");
   f.fake.deliver_all(1, f.fake.sent[1].back(), {0, 1, 2});
   EXPECT_EQ(f.at(0).state().order.size(), 2u);
-  EXPECT_EQ(f.at(0).state().buildorder.at(core::ViewId::initial()), order_at_exit);
+  EXPECT_EQ(f.at(0).state().buildorder.at(core::ViewId::initial())->labels(), order_at_exit);
 }
 
 TEST(Process, ViewLeftBeforeEstablishmentHasNoBuildorder) {
@@ -483,6 +484,46 @@ std::vector<vs::Payload> exchange_all(Fixture& f, const core::View& v) {
     last[static_cast<std::size_t>(p)] = m;
   }
   return last;
+}
+
+// A checkpoint copies one pointer per frozen snapshot, not its labels, and
+// snapshots never change: a process restored from the checkpoint after the
+// live one moved through five more views reads every old snapshot as it
+// was frozen, and its next freeze is exact.
+TEST(Process, CheckpointSharesFrozenSnapshotsAndRestoresThem) {
+  Fixture f;
+  std::uint32_t epoch = 0;
+  std::map<core::ViewId, std::vector<core::Label>> literal;  // order at each exit of 0
+  const auto view_with_traffic = [&](const core::Value& a) {
+    f.at(0).bcast(a);
+    f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+    literal[f.at(0).state().current->id] = f.at(0).state().order;
+    exchange_all(f, core::View{core::ViewId{++epoch, 0}, {0, 1, 2}});
+  };
+  for (int i = 0; i < 3; ++i) view_with_traffic("x" + std::to_string(i));
+  f.at(0).bcast("y");
+  f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+  const auto cp = f.at(0).checkpoint();
+  const auto& live = f.at(0).state().buildorder;
+  ASSERT_EQ(cp.st.buildorder.size(), 3u);
+  for (const auto& [g, snap] : cp.st.buildorder)
+    EXPECT_EQ(snap.get(), live.at(g).get()) << "copied, not shared: " << core::to_string(g);
+  const auto at_checkpoint = literal;
+
+  for (int i = 0; i < 5; ++i) view_with_traffic("z" + std::to_string(i));
+  ASSERT_EQ(live.size(), 8u);
+  for (const auto& [g, ord] : literal) EXPECT_EQ(live.at(g)->labels(), ord);
+
+  const core::ViewId left = cp.st.current->id;
+  f.at(0).restore(cp);
+  const auto& st = f.at(0).state();
+  ASSERT_EQ(st.buildorder.size(), 3u);
+  for (const auto& [g, ord] : at_checkpoint) EXPECT_EQ(st.buildorder.at(g)->labels(), ord);
+  const auto order = st.order;
+  f.at(0).on_newview(core::View{core::ViewId{++epoch, 0}, {0, 1, 2}});
+  EXPECT_EQ(st.buildorder.at(left)->labels(), order);
+  EXPECT_EQ(st.buildorder.at(left)->tail().size(), 1u)
+      << "only y was appended since the last newview";
 }
 
 // safe of an exchange message counts only if gprcv here decoded the same
@@ -864,7 +905,9 @@ TEST(Process, EstablishmentReportsTentativeExactlyForNewlyPlacedLabels) {
 // The partition-and-heal scenario on the VS-machine back end, stepped one
 // event at a time: every invariant holds after every step, each view exit
 // snapshots the order the process held just before it, and a snapshot never
-// changes afterwards.
+// changes afterwards. The snapshots share storage with the states copied
+// into `before`, so they are compared with literal copies taken at each
+// exit.
 TEST(Process, BuildorderSnapshotsHoldThroughPartitionAndHeal) {
   harness::WorldConfig cfg;
   cfg.n = 5;
@@ -879,6 +922,7 @@ TEST(Process, BuildorderSnapshotsHoldThroughPartitionAndHeal) {
 
   const auto gs = world.global_state();
   std::vector<ProcessState> before(gs.procs.size());
+  std::vector<std::map<core::ViewId, std::vector<core::Label>>> frozen(gs.procs.size());
   for (std::size_t p = 0; p < gs.procs.size(); ++p) before[p] = gs.procs[p]->state();
   int exits = 0;
   while (world.simulator().now() < sim::sec(2) && world.simulator().step()) {
@@ -886,15 +930,17 @@ TEST(Process, BuildorderSnapshotsHoldThroughPartitionAndHeal) {
     ASSERT_TRUE(bad.empty()) << "at t=" << world.simulator().now() << ": " << bad.front();
     for (std::size_t p = 0; p < gs.procs.size(); ++p) {
       const auto& now = gs.procs[p]->state();
-      for (const auto& [g, ord] : before[p].buildorder)
-        EXPECT_EQ(now.buildorder.at(g), ord) << "snapshot moved at p" << p;
+      for (const auto& [g, ord] : frozen[p])
+        EXPECT_EQ(now.buildorder.at(g)->labels(), ord) << "snapshot moved at p" << p;
       if (before[p].current.has_value() && now.current != before[p].current) {
         ++exits;
         const auto old = before[p].current->id;
-        if (before[p].builds_current)
-          EXPECT_EQ(now.buildorder.at(old), before[p].order) << "at p" << p;
-        else
+        if (before[p].builds_current) {
+          EXPECT_EQ(now.buildorder.at(old)->labels(), before[p].order) << "at p" << p;
+          frozen[p][old] = before[p].order;
+        } else {
           EXPECT_EQ(now.buildorder.count(old), 0u) << "at p" << p;
+        }
       }
       before[p] = now;
     }
