@@ -27,7 +27,7 @@ int main() {
   world.recorder().subscribe([&](const trace::TimedEvent& te) {
     if (const auto* v = trace::as<trace::NewViewEvent>(te))
       std::printf("  t=%-9s newview at %d: %s\n",
-                  harness::fmt_time(te.at).c_str(), v->p, core::to_string(v->v).c_str());
+                  harness::fmt_time(te.at).c_str(), v->p, core::to_string(v->view()).c_str());
     if (const auto* b = trace::as<trace::BrcvEvent>(te))
       if (b->dest == 0 || b->dest == 3)
         std::printf("  t=%-9s processor %d delivers \"%s\"\n",

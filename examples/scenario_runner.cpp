@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
     world->recorder(k).subscribe([&, tag](const trace::TimedEvent& te) {
       if (const auto* v = trace::as<trace::NewViewEvent>(te))
         std::printf("t=%-10s newview %s at %d%s\n", harness::fmt_time(te.at).c_str(),
-                    core::to_string(v->v).c_str(), v->p, tag.c_str());
+                    core::to_string(v->view()).c_str(), v->p, tag.c_str());
       if (const auto* b = trace::as<trace::BrcvEvent>(te))
         std::printf("t=%-10s brcv \"%s\" at %d (from %d)%s\n",
                     harness::fmt_time(te.at).c_str(), b->a.c_str(), b->dest, b->origin,

@@ -28,7 +28,7 @@ int main() {
   world.recorder().subscribe([&](const trace::TimedEvent& te) {
     if (const auto* v = trace::as<trace::NewViewEvent>(te))
       std::printf("  t=%-9s newview(%s) at processor %d\n",
-                  harness::fmt_time(te.at).c_str(), core::to_string(v->v).c_str(), v->p);
+                  harness::fmt_time(te.at).c_str(), core::to_string(v->view()).c_str(), v->p);
   });
 
   // Steady VS-level traffic from processor 1.

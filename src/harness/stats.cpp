@@ -38,7 +38,7 @@ LatencySummary summarize(std::vector<sim::Time> samples, std::size_t incomplete)
   return s;
 }
 
-LatencySummary to_delivery_latency(const std::vector<trace::TimedEvent>& trace,
+LatencySummary to_delivery_latency(const trace::EventLog& trace,
                                    const std::set<ProcId>& q, sim::Time from) {
   // Positional matching, exactly as in props/to_property.
   std::map<ProcId, std::vector<sim::Time>> bcasts;
@@ -82,7 +82,7 @@ LatencySummary to_delivery_latency(const std::vector<trace::TimedEvent>& trace,
   return summarize(std::move(samples), incomplete);
 }
 
-LatencySummary vs_safe_latency(const std::vector<trace::TimedEvent>& trace,
+LatencySummary vs_safe_latency(const trace::EventLog& trace,
                                const std::set<ProcId>& q, int n, int n0, sim::Time from) {
   std::vector<std::optional<core::ViewId>> current(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n0; ++p)
@@ -94,7 +94,7 @@ LatencySummary vs_safe_latency(const std::vector<trace::TimedEvent>& trace,
 
   for (const auto& te : trace) {
     if (const auto* e = trace::as<trace::NewViewEvent>(te)) {
-      if (e->p >= 0 && e->p < n) current[static_cast<std::size_t>(e->p)] = e->v.id;
+      if (e->p >= 0 && e->p < n) current[static_cast<std::size_t>(e->p)] = e->view().id;
     } else if (const auto* e = trace::as<trace::GpsndEvent>(te)) {
       const auto& cur = current[static_cast<std::size_t>(e->p)];
       if (cur.has_value()) sends[{*cur, e->p}].push_back(te.at);
@@ -140,7 +140,7 @@ LatencySummary vs_safe_latency(const std::vector<trace::TimedEvent>& trace,
   return summarize(std::move(samples), incomplete);
 }
 
-std::size_t deliveries_at(const std::vector<trace::TimedEvent>& trace, ProcId p,
+std::size_t deliveries_at(const trace::EventLog& trace, ProcId p,
                           sim::Time from, sim::Time to) {
   std::size_t count = 0;
   for (const auto& te : trace)

@@ -30,17 +30,17 @@ LatencySummary summarize(std::vector<sim::Time> samples, std::size_t incomplete 
 
 /// For every value bcast at a member of Q after `from`, the latency until it
 /// has been brcv'd at every member of Q.
-LatencySummary to_delivery_latency(const std::vector<trace::TimedEvent>& trace,
+LatencySummary to_delivery_latency(const trace::EventLog& trace,
                                    const std::set<ProcId>& q, sim::Time from);
 
 /// For every message gpsnd at a member of Q after `from`, the latency until
 /// its safe indication reached every member of Q (view-aware: only messages
 /// sent in the sender's final view are counted).
-LatencySummary vs_safe_latency(const std::vector<trace::TimedEvent>& trace,
+LatencySummary vs_safe_latency(const trace::EventLog& trace,
                                const std::set<ProcId>& q, int n, int n0, sim::Time from);
 
 /// Count of brcv events at processor p within [from, to).
-std::size_t deliveries_at(const std::vector<trace::TimedEvent>& trace, ProcId p,
+std::size_t deliveries_at(const trace::EventLog& trace, ProcId p,
                           sim::Time from, sim::Time to);
 
 /// Formatting helpers (microseconds -> "12.3ms").

@@ -8,7 +8,7 @@
 
 namespace vsg::harness {
 
-Timeline build_timeline(const std::vector<trace::TimedEvent>& trace, int n, int n0) {
+Timeline build_timeline(const trace::EventLog& trace, int n, int n0) {
   Timeline tl;
   // Index of each processor's open interval in tl.intervals (-1 = none).
   std::vector<int> open(static_cast<std::size_t>(n), -1);
@@ -26,7 +26,7 @@ Timeline build_timeline(const std::vector<trace::TimedEvent>& trace, int n, int 
       auto& slot = open[static_cast<std::size_t>(e->p)];
       if (slot >= 0) tl.intervals[static_cast<std::size_t>(slot)].to = te.at;
       slot = static_cast<int>(tl.intervals.size());
-      tl.intervals.push_back(ViewInterval{e->p, e->v, te.at, sim::kForever, 0, 0});
+      tl.intervals.push_back(ViewInterval{e->p, e->view(), te.at, sim::kForever, 0, 0});
     } else if (const auto* e = trace::as<trace::GprcvEvent>(te)) {
       const auto slot = open[static_cast<std::size_t>(e->dst)];
       if (slot >= 0) ++tl.intervals[static_cast<std::size_t>(slot)].gprcvs;

@@ -32,7 +32,7 @@ struct Timeline {
 };
 
 /// Build the timeline from a trace over n processors (n0 = initial view).
-Timeline build_timeline(const std::vector<trace::TimedEvent>& trace, int n, int n0);
+Timeline build_timeline(const trace::EventLog& trace, int n, int n0);
 
 /// Render as a multi-line report.
 std::string render_timeline(const Timeline& timeline);

@@ -156,7 +156,7 @@ World::World(WorldConfig config)
         if (const auto* b = trace::as<trace::BcastEvent>(te))
           tracer->msg_submitted(b->p, te.at);
         else if (const auto* nv = trace::as<trace::NewViewEvent>(te))
-          tracer->view_newview(nv->p, nv->v.id, te.at);
+          tracer->view_newview(nv->p, nv->view().id, te.at);
         else if (const auto* st = trace::as<sim::StatusEvent>(te))
           tracer->fault_marker(*st);
       });

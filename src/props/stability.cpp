@@ -4,7 +4,7 @@
 
 namespace vsg::props {
 
-StabilityInfo analyze_stability(const std::vector<trace::TimedEvent>& trace,
+StabilityInfo analyze_stability(const trace::EventLog& trace,
                                 const std::set<ProcId>& q, int n) {
   StabilityInfo info;
 

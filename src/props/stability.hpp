@@ -33,7 +33,7 @@ struct StabilityInfo {
 /// Analyze the failure-status events of `trace` with respect to group Q
 /// (subset of 0..n-1). Pair statuses are required bad in *both* directions
 /// across the Q boundary.
-StabilityInfo analyze_stability(const std::vector<trace::TimedEvent>& trace,
+StabilityInfo analyze_stability(const trace::EventLog& trace,
                                 const std::set<ProcId>& q, int n);
 
 }  // namespace vsg::props

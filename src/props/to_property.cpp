@@ -6,7 +6,7 @@
 
 namespace vsg::props {
 
-TOPropertyReport evaluate_to_property(const std::vector<trace::TimedEvent>& trace,
+TOPropertyReport evaluate_to_property(const trace::EventLog& trace,
                                       const std::set<ProcId>& q, int n, sim::Time d,
                                       sim::Time ignore_after) {
   TOPropertyReport report;

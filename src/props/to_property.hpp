@@ -45,7 +45,7 @@ struct TOPropertyReport {
 
 /// Evaluate TO-property conclusions for group Q. Values bcast after
 /// `ignore_after` contribute no constraints.
-TOPropertyReport evaluate_to_property(const std::vector<trace::TimedEvent>& trace,
+TOPropertyReport evaluate_to_property(const trace::EventLog& trace,
                                       const std::set<ProcId>& q, int n, sim::Time d,
                                       sim::Time ignore_after = sim::kForever);
 

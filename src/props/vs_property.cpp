@@ -6,7 +6,7 @@
 
 namespace vsg::props {
 
-VSPropertyReport evaluate_vs_property(const std::vector<trace::TimedEvent>& trace,
+VSPropertyReport evaluate_vs_property(const trace::EventLog& trace,
                                       const std::set<ProcId>& q, int n, int n0, sim::Time d,
                                       sim::Time ignore_after) {
   VSPropertyReport report;
@@ -32,7 +32,7 @@ VSPropertyReport evaluate_vs_property(const std::vector<trace::TimedEvent>& trac
   for (const auto& te : trace) {
     if (const auto* e = trace::as<trace::NewViewEvent>(te)) {
       if (e->p >= 0 && e->p < n) {
-        current[static_cast<std::size_t>(e->p)] = e->v;
+        current[static_cast<std::size_t>(e->p)] = e->view();
         if (q.count(e->p) != 0) last_newview_in_q = std::max(last_newview_in_q, te.at);
       }
     } else if (const auto* e = trace::as<trace::GpsndEvent>(te)) {

@@ -62,7 +62,7 @@ struct VSPropertyReport {
 /// `d` is the delivery bound used in conclusion (d). Messages sent after
 /// `ignore_after` contribute no constraints (lets callers exclude the
 /// un-settled tail of a finite trace).
-VSPropertyReport evaluate_vs_property(const std::vector<trace::TimedEvent>& trace,
+VSPropertyReport evaluate_vs_property(const trace::EventLog& trace,
                                       const std::set<ProcId>& q, int n, int n0, sim::Time d,
                                       sim::Time ignore_after = sim::kForever);
 

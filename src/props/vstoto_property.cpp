@@ -8,7 +8,7 @@
 
 namespace vsg::props {
 
-VStoTOPropertyReport evaluate_vstoto_property(const std::vector<trace::TimedEvent>& trace,
+VStoTOPropertyReport evaluate_vstoto_property(const trace::EventLog& trace,
                                               const std::set<ProcId>& q, int n, int n0,
                                               sim::Time d, sim::Time ignore_after) {
   VStoTOPropertyReport report;
@@ -22,7 +22,7 @@ VStoTOPropertyReport evaluate_vstoto_property(const std::vector<trace::TimedEven
   for (const auto& te : trace) {
     const auto* e = trace::as<trace::NewViewEvent>(te);
     if (e == nullptr || e->p < 0 || e->p >= n) continue;
-    current[static_cast<std::size_t>(e->p)] = e->v;
+    current[static_cast<std::size_t>(e->p)] = e->view();
     if (q.count(e->p) != 0) last_newview = std::max(last_newview, te.at);
   }
   std::optional<core::View> final_view;

@@ -50,7 +50,7 @@ struct VStoTOPropertyReport {
 
 /// Evaluate VStoTO-property over a timed trace for group Q. `d` bounds
 /// both the recovery interval l''' and the post-recovery delivery lag.
-VStoTOPropertyReport evaluate_vstoto_property(const std::vector<trace::TimedEvent>& trace,
+VStoTOPropertyReport evaluate_vstoto_property(const trace::EventLog& trace,
                                               const std::set<ProcId>& q, int n, int n0,
                                               sim::Time d,
                                               sim::Time ignore_after = sim::kForever);

@@ -23,7 +23,7 @@ struct Walk {
 
 }  // namespace
 
-CauseResult build_cause(const std::vector<trace::TimedEvent>& trace, int n, int n0) {
+CauseResult build_cause(const trace::EventLog& trace, int n, int n0) {
   CauseResult result;
   auto complain = [&result](std::size_t idx, const std::string& what) {
     std::ostringstream os;
@@ -42,7 +42,7 @@ CauseResult build_cause(const std::vector<trace::TimedEvent>& trace, int n, int 
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const auto& te = trace[i];
     if (const auto* e = trace::as<trace::NewViewEvent>(te)) {
-      if (e->p >= 0 && e->p < n) current[static_cast<std::size_t>(e->p)] = e->v.id;
+      if (e->p >= 0 && e->p < n) current[static_cast<std::size_t>(e->p)] = e->view().id;
     } else if (const auto* e = trace::as<trace::GpsndEvent>(te)) {
       const auto& cur = current[static_cast<std::size_t>(e->p)];
       if (cur.has_value()) {

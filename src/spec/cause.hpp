@@ -33,6 +33,6 @@ struct CauseResult {
 
 /// Construct and verify the cause mapping for a trace over n processors
 /// with initial-view membership {0..n0-1}.
-CauseResult build_cause(const std::vector<trace::TimedEvent>& trace, int n, int n0);
+CauseResult build_cause(const trace::EventLog& trace, int n, int n0);
 
 }  // namespace vsg::spec

@@ -80,7 +80,7 @@ void TOTraceChecker::on_event(const trace::TimedEvent& te) {
   ++pos;
 }
 
-void TOTraceChecker::check_all(const std::vector<trace::TimedEvent>& trace) {
+void TOTraceChecker::check_all(const trace::EventLog& trace) {
   for (const auto& te : trace) on_event(te);
 }
 

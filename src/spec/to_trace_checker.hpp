@@ -34,7 +34,7 @@ class TOTraceChecker {
   void on_event(const trace::TimedEvent& te);
 
   /// Feed a whole trace.
-  void check_all(const std::vector<trace::TimedEvent>& trace);
+  void check_all(const trace::EventLog& trace);
 
   /// Subscribe as a live oracle: every event the recorder sees from now on
   /// is fed to on_event as it happens. The checker must outlive the run

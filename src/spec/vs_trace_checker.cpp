@@ -50,7 +50,7 @@ void VSTraceChecker::on_event(const trace::TimedEvent& te) {
   ++events_seen_;
 }
 
-void VSTraceChecker::check_all(const std::vector<trace::TimedEvent>& trace) {
+void VSTraceChecker::check_all(const trace::EventLog& trace) {
   for (const auto& te : trace) on_event(te);
 }
 
@@ -59,17 +59,18 @@ void VSTraceChecker::handle_newview(const trace::NewViewEvent& e) {
     complain("newview at unknown processor");
     return;
   }
-  if (!e.v.contains(e.p))
+  const core::View& v = e.view();
+  if (!v.contains(e.p))
     complain("self-inclusion violated: " + std::to_string(e.p) + " not in " +
-             core::to_string(e.v));
-  auto [it, inserted] = views_.try_emplace(e.v.id, e.v.members, n_);
-  if (!inserted && it->second.members != e.v.members)
-    complain("two views share id " + core::to_string(e.v.id));
+             core::to_string(v));
+  auto [it, inserted] = views_.try_emplace(v.id, v.members, n_);
+  if (!inserted && it->second.members != v.members)
+    complain("two views share id " + core::to_string(v.id));
   auto& cur = current_[static_cast<std::size_t>(e.p)];
-  if (cur.has_value() && !(e.v.id > cur->id))
+  if (cur.has_value() && !(v.id > cur->id))
     complain("local monotonicity violated at " + std::to_string(e.p) + ": " +
-             core::to_string(e.v.id) + " after " + core::to_string(cur->id));
-  cur = e.v;
+             core::to_string(v.id) + " after " + core::to_string(cur->id));
+  cur = v;
   cur_state_[static_cast<std::size_t>(e.p)] = &it->second;
 }
 

@@ -42,7 +42,7 @@ class VSTraceChecker {
   VSTraceChecker(int n, int n0);
 
   void on_event(const trace::TimedEvent& te);
-  void check_all(const std::vector<trace::TimedEvent>& trace);
+  void check_all(const trace::EventLog& trace);
 
   /// Subscribe as a live oracle on the recorder (see TOTraceChecker::attach).
   void attach(trace::Recorder& recorder);

@@ -32,7 +32,7 @@ struct Describer {
     os << "safe(" << hex_prefix(e.m) << ")_{" << e.src << "," << e.dst << "}";
   }
   void operator()(const NewViewEvent& e) {
-    os << "newview(" << core::to_string(e.v) << ")_" << e.p;
+    os << "newview(" << core::to_string(e.view()) << ")_" << e.p;
   }
   void operator()(const sim::StatusEvent& e) {
     os << to_string(e.status) << "_";

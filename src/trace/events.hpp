@@ -8,9 +8,10 @@
 // interface are the raw bytes handed to gpsnd, so event identity and
 // correlation work for any client protocol.
 
+#include <deque>
+#include <memory>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "core/types.hpp"
 #include "sim/failure_table.hpp"
@@ -56,11 +57,22 @@ struct SafeEvent {
   util::Buffer m;
 };
 
-/// newview(v)_p — VS informs p of its new current view.
+/// newview(v)_p — VS informs p of its new current view. The view, member
+/// set included, lives behind a shared pointer, so this alternative is no
+/// larger than the value events and does not size every stored event.
 struct NewViewEvent {
+  NewViewEvent(ProcId proc, core::View v)
+      : p(proc), view_(std::make_shared<const core::View>(std::move(v))) {}
+
+  const core::View& view() const noexcept { return *view_; }
+
   ProcId p = kNoProc;
-  core::View v;
+
+ private:
+  std::shared_ptr<const core::View> view_;
 };
+static_assert(sizeof(NewViewEvent) <= sizeof(BrcvEvent),
+              "a newview must not make every event larger than a delivery");
 
 /// One event, any interface. sim::StatusEvent covers good/bad/ugly actions.
 using Event = std::variant<BcastEvent, BrcvEvent, GpsndEvent, GprcvEvent, SafeEvent,
@@ -70,6 +82,11 @@ struct TimedEvent {
   sim::Time at = 0;
   Event event;
 };
+
+/// The stored timed trace, in recording order. A deque grows a node at a
+/// time: no doubling copy, at most one node of slack, and a reference to a
+/// stored event stays valid while later events are appended.
+using EventLog = std::deque<TimedEvent>;
 
 /// Typed access: pointer to the alternative if the event holds it.
 template <typename T>

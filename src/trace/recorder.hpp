@@ -28,18 +28,9 @@ class Recorder {
   /// recorder but not the simulator itself).
   sim::Time now() const noexcept { return sim_->now(); }
 
-  const std::vector<TimedEvent>& events() const noexcept { return events_; }
+  const EventLog& events() const noexcept { return events_; }
   std::size_t size() const noexcept { return events_.size(); }
   void clear();
-
-  /// Copy out only the events of type T (in trace order), with times.
-  template <typename T>
-  std::vector<std::pair<sim::Time, T>> select() const {
-    std::vector<std::pair<sim::Time, T>> out;
-    for (const auto& te : events_)
-      if (const T* e = as<T>(te)) out.emplace_back(te.at, *e);
-    return out;
-  }
 
   /// Live tap invoked on every recorded event (used by online checkers).
   using Tap = std::function<void(const TimedEvent&)>;
@@ -47,7 +38,7 @@ class Recorder {
 
  private:
   sim::Simulator* sim_;
-  std::vector<TimedEvent> events_;
+  EventLog events_;
   std::vector<Tap> taps_;
   bool dispatching_ = false;  // true while taps run; guards re-entrancy
 };

@@ -101,8 +101,8 @@ TEST(Stats, FmtRowPads) {
 }
 
 TEST(Stats, ToDeliveryLatencySynthetic) {
-  using trace::TimedEvent;
-  std::vector<TimedEvent> tr{
+  using trace::EventLog;
+  EventLog tr{
       {1000, trace::BcastEvent{0, "a"}},
       {1400, trace::BrcvEvent{0, 0, "a"}},
       {1900, trace::BrcvEvent{0, 1, "a"}},   // all-of-Q at 1900 -> 900 lag
@@ -116,8 +116,8 @@ TEST(Stats, ToDeliveryLatencySynthetic) {
 }
 
 TEST(Stats, ToDeliveryLatencyFromCutoff) {
-  using trace::TimedEvent;
-  std::vector<TimedEvent> tr{
+  using trace::EventLog;
+  EventLog tr{
       {100, trace::BcastEvent{0, "early"}},
       {200, trace::BrcvEvent{0, 0, "early"}},
       {200, trace::BrcvEvent{0, 1, "early"}},
@@ -131,8 +131,8 @@ TEST(Stats, ToDeliveryLatencyFromCutoff) {
 }
 
 TEST(Stats, VsSafeLatencySynthetic) {
-  using trace::TimedEvent;
-  std::vector<TimedEvent> tr{
+  using trace::EventLog;
+  EventLog tr{
       {1000, trace::GpsndEvent{0, util::Bytes{1}}},
       {1200, trace::SafeEvent{0, 0, util::Bytes{1}}},
       {1600, trace::SafeEvent{0, 1, util::Bytes{1}}},
@@ -143,9 +143,9 @@ TEST(Stats, VsSafeLatencySynthetic) {
 }
 
 TEST(Stats, VsSafeLatencyOnlyFinalViewCounts) {
-  using trace::TimedEvent;
+  using trace::EventLog;
   const core::View v{core::ViewId{1, 0}, {0, 1}};
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       {100, trace::GpsndEvent{0, util::Bytes{9}}},  // in g0, never safe
       {200, trace::NewViewEvent{0, v}},
       {200, trace::NewViewEvent{1, v}},
@@ -160,8 +160,8 @@ TEST(Stats, VsSafeLatencyOnlyFinalViewCounts) {
 }
 
 TEST(Stats, DeliveriesAtWindow) {
-  using trace::TimedEvent;
-  std::vector<TimedEvent> tr{
+  using trace::EventLog;
+  EventLog tr{
       {100, trace::BrcvEvent{0, 1, "a"}},
       {200, trace::BrcvEvent{0, 1, "b"}},
       {300, trace::BrcvEvent{0, 1, "c"}},

@@ -8,7 +8,7 @@
 namespace vsg::harness {
 namespace {
 
-using trace::TimedEvent;
+using trace::EventLog;
 
 TEST(Timeline, EmptyTraceHasInitialIntervals) {
   const auto tl = build_timeline({}, 3, 2);
@@ -20,7 +20,7 @@ TEST(Timeline, EmptyTraceHasInitialIntervals) {
 
 TEST(Timeline, NewviewClosesAndOpensIntervals) {
   const core::View v1{core::ViewId{1, 0}, {0, 1}};
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       {100, trace::NewViewEvent{0, v1}},
       {150, trace::NewViewEvent{1, v1}},
   };
@@ -38,7 +38,7 @@ TEST(Timeline, NewviewClosesAndOpensIntervals) {
 
 TEST(Timeline, CountsAttributeToOpenInterval) {
   const core::View v1{core::ViewId{1, 0}, {0}};
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       {10, trace::GprcvEvent{0, 0, util::Bytes{1}}},
       {20, trace::NewViewEvent{0, v1}},
       {30, trace::GprcvEvent{0, 0, util::Bytes{2}}},
@@ -53,7 +53,7 @@ TEST(Timeline, CountsAttributeToOpenInterval) {
 }
 
 TEST(Timeline, FailureEventsCollected) {
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       {5, sim::StatusEvent{5, true, 0, 1, sim::Status::kBad}},
       {9, sim::StatusEvent{9, false, 1, kNoProc, sim::Status::kUgly}},
   };

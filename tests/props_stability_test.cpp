@@ -29,7 +29,7 @@ TEST(Stability, AllGoodProperSubsetFails) {
 }
 
 TEST(Stability, ConsistentPartitionHolds) {
-  std::vector<trace::TimedEvent> tr{
+  trace::EventLog tr{
       link(100, 0, 2, sim::Status::kBad), link(100, 2, 0, sim::Status::kBad),
       link(100, 1, 2, sim::Status::kBad), link(100, 2, 1, sim::Status::kBad)};
   const auto info = analyze_stability(tr, {0, 1}, 3);
@@ -38,7 +38,7 @@ TEST(Stability, ConsistentPartitionHolds) {
 }
 
 TEST(Stability, OneWayCutIsNotConsistent) {
-  std::vector<trace::TimedEvent> tr{link(100, 0, 2, sim::Status::kBad),
+  trace::EventLog tr{link(100, 0, 2, sim::Status::kBad),
                                     link(100, 1, 2, sim::Status::kBad),
                                     link(100, 2, 1, sim::Status::kBad)};
   // (2,0) still good: boundary pair not bad both ways.
@@ -46,17 +46,17 @@ TEST(Stability, OneWayCutIsNotConsistent) {
 }
 
 TEST(Stability, BadProcessorInQFails) {
-  std::vector<trace::TimedEvent> tr{proc(10, 0, sim::Status::kBad)};
+  trace::EventLog tr{proc(10, 0, sim::Status::kBad)};
   EXPECT_FALSE(analyze_stability(tr, {0, 1, 2}, 3).premise_holds);
 }
 
 TEST(Stability, UglyIntraLinkFails) {
-  std::vector<trace::TimedEvent> tr{link(5, 0, 1, sim::Status::kUgly)};
+  trace::EventLog tr{link(5, 0, 1, sim::Status::kUgly)};
   EXPECT_FALSE(analyze_stability(tr, {0, 1, 2}, 3).premise_holds);
 }
 
 TEST(Stability, LIsLastEventTouchingQ) {
-  std::vector<trace::TimedEvent> tr{
+  trace::EventLog tr{
       link(50, 0, 2, sim::Status::kBad),  link(60, 2, 0, sim::Status::kBad),
       link(70, 1, 2, sim::Status::kBad),  link(200, 2, 1, sim::Status::kBad),
   };
@@ -67,7 +67,7 @@ TEST(Stability, LIsLastEventTouchingQ) {
 
 TEST(Stability, EventsNotTouchingQDoNotMoveL) {
   // Flips wholly outside Q = {0,1} (between 2 and 3) don't count.
-  std::vector<trace::TimedEvent> tr{
+  trace::EventLog tr{
       link(10, 0, 2, sim::Status::kBad), link(10, 2, 0, sim::Status::kBad),
       link(10, 0, 3, sim::Status::kBad), link(10, 3, 0, sim::Status::kBad),
       link(10, 1, 2, sim::Status::kBad), link(10, 2, 1, sim::Status::kBad),
@@ -81,7 +81,7 @@ TEST(Stability, EventsNotTouchingQDoNotMoveL) {
 
 TEST(Stability, RecoveryToGoodCounts) {
   // Q-member flaps bad then good again: premise holds, l = recovery time.
-  std::vector<trace::TimedEvent> tr{
+  trace::EventLog tr{
       proc(100, 1, sim::Status::kBad),
       proc(300, 1, sim::Status::kGood),
   };

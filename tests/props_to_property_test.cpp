@@ -9,6 +9,7 @@ namespace {
 
 using trace::BcastEvent;
 using trace::BrcvEvent;
+using trace::EventLog;
 using trace::TimedEvent;
 
 TimedEvent bcast(sim::Time at, ProcId p, const char* a) {
@@ -19,7 +20,7 @@ TimedEvent brcv(sim::Time at, ProcId origin, ProcId dest, const char* a) {
 }
 
 TEST(TOProperty, TimelyDeliveryNeedsNoLPrime) {
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       bcast(1000, 0, "a"),
       brcv(1500, 0, 0, "a"),
       brcv(1800, 0, 1, "a"),
@@ -35,7 +36,7 @@ TEST(TOProperty, TimelyDeliveryNeedsNoLPrime) {
 
 TEST(TOProperty, SlowEarlyDeliveryAbsorbedByLPrime) {
   // Value sent at t=0 takes 5000 to arrive; with d=1000 we need l' >= 4000.
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       bcast(0, 0, "a"),
       brcv(4000, 0, 0, "a"),
       brcv(5000, 0, 1, "a"),
@@ -48,7 +49,7 @@ TEST(TOProperty, SlowEarlyDeliveryAbsorbedByLPrime) {
 }
 
 TEST(TOProperty, MissingDeliveryIsViolation) {
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       bcast(0, 0, "a"),
       brcv(100, 0, 0, "a"),  // never reaches 1
   };
@@ -60,7 +61,7 @@ TEST(TOProperty, MissingDeliveryIsViolation) {
 
 TEST(TOProperty, ConclusionCCoversValuesFromOutsideQ) {
   // 2 is outside Q; its value reaches 0 but never 1: violates (c).
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       {0, sim::StatusEvent{0, true, 0, 2, sim::Status::kBad}},
       {0, sim::StatusEvent{0, true, 2, 0, sim::Status::kBad}},
       {0, sim::StatusEvent{0, true, 1, 2, sim::Status::kBad}},
@@ -76,14 +77,14 @@ TEST(TOProperty, ConclusionCCoversValuesFromOutsideQ) {
 TEST(TOProperty, VacuousWhenPremiseFails) {
   // Q = {0,1} of 3 with all links good: premise fails; property holds
   // vacuously no matter what the deliveries look like.
-  std::vector<TimedEvent> tr{bcast(0, 0, "a")};
+  EventLog tr{bcast(0, 0, "a")};
   const auto report = evaluate_to_property(tr, {0, 1}, 3, 10);
   EXPECT_FALSE(report.stability.premise_holds);
   EXPECT_TRUE(report.holds_with(0));
 }
 
 TEST(TOProperty, IgnoreAfterSkipsUnsettledTail) {
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       bcast(0, 0, "a"),
       brcv(100, 0, 0, "a"),
       brcv(100, 0, 1, "a"),
@@ -97,7 +98,7 @@ TEST(TOProperty, IgnoreAfterSkipsUnsettledTail) {
 
 TEST(TOProperty, LagMeasuredOnlyAfterStabilization) {
   // l = 1000 (link event touching Q at that time, restoring goodness).
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       bcast(500, 0, "early"),
       {1000, sim::StatusEvent{1000, true, 0, 1, sim::Status::kGood}},
       brcv(3000, 0, 0, "early"),

@@ -10,7 +10,7 @@ namespace {
 using trace::GpsndEvent;
 using trace::NewViewEvent;
 using trace::SafeEvent;
-using trace::TimedEvent;
+using trace::EventLog;
 
 util::Bytes b(std::uint8_t x) { return util::Bytes{x}; }
 
@@ -18,8 +18,8 @@ core::View qview(std::uint64_t epoch, std::set<ProcId> members) {
   return core::View{core::ViewId{epoch, *members.begin()}, std::move(members)};
 }
 
-std::vector<TimedEvent> cut_links(sim::Time at, std::initializer_list<ProcId> q, int n) {
-  std::vector<TimedEvent> tr;
+EventLog cut_links(sim::Time at, std::initializer_list<ProcId> q, int n) {
+  EventLog tr;
   const std::set<ProcId> qs(q);
   for (ProcId p : qs)
     for (ProcId r = 0; r < n; ++r)
@@ -85,7 +85,7 @@ TEST(VSProperty, MissingSafeIsViolation) {
 TEST(VSProperty, MessagesInOlderViewsDoNotCount) {
   const auto v_old = qview(2, {0, 1, 2});
   const auto v = qview(3, {0, 1});
-  std::vector<TimedEvent> tr;
+  EventLog tr;
   tr.push_back({10, NewViewEvent{0, v_old}});
   tr.push_back({10, NewViewEvent{1, v_old}});
   tr.push_back({20, GpsndEvent{0, b(9)}});  // in v_old; never safe — fine
@@ -111,7 +111,7 @@ TEST(VSProperty, LateNewviewPushesLPrime) {
 }
 
 TEST(VSProperty, VacuousWhenPremiseFails) {
-  std::vector<TimedEvent> tr;  // everything good, Q proper subset
+  EventLog tr;  // everything good, Q proper subset
   const auto report = evaluate_vs_property(tr, {0, 1}, 3, 3, 100);
   EXPECT_FALSE(report.stability.premise_holds);
   EXPECT_TRUE(report.holds_with(0));

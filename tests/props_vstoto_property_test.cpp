@@ -13,14 +13,14 @@ namespace {
 using trace::BcastEvent;
 using trace::BrcvEvent;
 using trace::NewViewEvent;
-using trace::TimedEvent;
+using trace::EventLog;
 
 core::View qview(std::uint64_t epoch, std::set<ProcId> members) {
   return core::View{core::ViewId{epoch, *members.begin()}, std::move(members)};
 }
 
 TEST(VStoTOProperty, VacuousWithoutConvergedViews) {
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       {10, NewViewEvent{0, qview(1, {0, 1})}},
       // member 1 never hears of the view
   };
@@ -31,7 +31,7 @@ TEST(VStoTOProperty, VacuousWithoutConvergedViews) {
 
 TEST(VStoTOProperty, TimelyDeliveryAfterViewStabilization) {
   const auto v = qview(1, {0, 1});
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       {100, NewViewEvent{0, v}},
       {200, NewViewEvent{1, v}},
       {1000, BcastEvent{0, "a"}},
@@ -50,7 +50,7 @@ TEST(VStoTOProperty, RecoveryBacklogAbsorbedByL3) {
   // A value from before the view change is delivered late (during the
   // state exchange): the lateness counts against l''', not against d.
   const auto v = qview(1, {0, 1});
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       {0, BcastEvent{0, "old"}},
       {100, NewViewEvent{0, v}},
       {200, NewViewEvent{1, v}},
@@ -68,7 +68,7 @@ TEST(VStoTOProperty, RecoveryBacklogAbsorbedByL3) {
 
 TEST(VStoTOProperty, MissingDeliveryViolates) {
   const auto v = qview(1, {0, 1});
-  std::vector<TimedEvent> tr{
+  EventLog tr{
       {100, NewViewEvent{0, v}},
       {100, NewViewEvent{1, v}},
       {500, BcastEvent{0, "lost"}},

@@ -15,10 +15,10 @@ using trace::GprcvEvent;
 using trace::GpsndEvent;
 using trace::NewViewEvent;
 using trace::SafeEvent;
-using trace::TimedEvent;
+using trace::EventLog;
 
-std::vector<TimedEvent> t(std::initializer_list<trace::Event> events) {
-  std::vector<TimedEvent> out;
+EventLog t(std::initializer_list<trace::Event> events) {
+  EventLog out;
   sim::Time at = 0;
   for (auto& e : events) out.push_back({at++, e});
   return out;
@@ -130,7 +130,7 @@ TEST_P(CauseCrossValidation, CheckerAndBuilderAgreeOnMachineTraces) {
   util::Rng rng(GetParam());
   const int n = 3;
   VSMachine m(n, n);
-  std::vector<TimedEvent> tr;
+  EventLog tr;
   std::uint8_t next_msg = 0;
   std::uint64_t next_epoch = 1;
 

@@ -30,7 +30,7 @@ struct Universe {
 
 struct PathState {
   VSMachine machine;
-  std::vector<trace::TimedEvent> trace;
+  trace::EventLog trace;
   std::vector<int> sends_used;
 
   PathState(int n, int n0) : machine(n, n0), sends_used(static_cast<std::size_t>(n), 0) {}
@@ -164,7 +164,7 @@ TEST(ExhaustiveVSMachine, ThreeProcessorsShallow) {
 // trace checker green and the queue/pending/next invariants intact.
 struct TOExplorer {
   TOMachine machine{2};
-  std::vector<trace::TimedEvent> trace;
+  trace::EventLog trace;
   int sends = 0;
   int max_sends;
   int depth_limit;
@@ -185,7 +185,7 @@ struct TOExplorer {
     if (depth >= depth_limit || ::testing::Test::HasFatalFailure()) return;
     // Snapshot only the explored state, never the visit counter.
     const TOMachine saved_machine = machine;
-    const std::vector<trace::TimedEvent> saved_trace = trace;
+    const trace::EventLog saved_trace = trace;
     const int saved_sends = sends;
     auto restore = [&] {
       machine = saved_machine;

@@ -16,10 +16,11 @@
 namespace vsg {
 namespace {
 
+using trace::EventLog;
 using trace::TimedEvent;
 
 // A known-good trace with plenty of every event kind.
-std::vector<TimedEvent> good_trace(std::uint64_t seed = 301) {
+EventLog good_trace(std::uint64_t seed = 301) {
   harness::WorldConfig cfg;
   cfg.n = 3;
   cfg.backend = harness::Backend::kTokenRing;
@@ -30,20 +31,20 @@ std::vector<TimedEvent> good_trace(std::uint64_t seed = 301) {
   return world.recorder().events();
 }
 
-bool vs_ok(const std::vector<TimedEvent>& tr) {
+bool vs_ok(const EventLog& tr) {
   spec::VSTraceChecker checker(3, 3);
   checker.check_all(tr);
   return checker.ok();
 }
 
-bool to_ok(const std::vector<TimedEvent>& tr) {
+bool to_ok(const EventLog& tr) {
   spec::TOTraceChecker checker(3);
   checker.check_all(tr);
   return checker.ok();
 }
 
 template <typename T>
-std::size_t nth_index(const std::vector<TimedEvent>& tr, std::size_t n) {
+std::size_t nth_index(const EventLog& tr, std::size_t n) {
   std::size_t seen = 0;
   for (std::size_t i = 0; i < tr.size(); ++i)
     if (trace::as<T>(tr[i]) && seen++ == n) return i;

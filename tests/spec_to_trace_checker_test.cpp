@@ -10,10 +10,10 @@ namespace {
 
 using trace::BcastEvent;
 using trace::BrcvEvent;
-using trace::TimedEvent;
+using trace::EventLog;
 
-std::vector<TimedEvent> t(std::initializer_list<trace::Event> events) {
-  std::vector<TimedEvent> out;
+EventLog t(std::initializer_list<trace::Event> events) {
+  EventLog out;
   sim::Time at = 0;
   for (auto& e : events) out.push_back({at++, e});
   return out;

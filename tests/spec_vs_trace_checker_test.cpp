@@ -22,10 +22,10 @@ using trace::GprcvEvent;
 using trace::GpsndEvent;
 using trace::NewViewEvent;
 using trace::SafeEvent;
-using trace::TimedEvent;
+using trace::EventLog;
 
-std::vector<TimedEvent> t(std::initializer_list<trace::Event> events) {
-  std::vector<TimedEvent> out;
+EventLog t(std::initializer_list<trace::Event> events) {
+  EventLog out;
   sim::Time at = 0;
   for (auto& e : events) out.push_back({at++, e});
   return out;

@@ -59,7 +59,7 @@ TEST(WeakVSMachine, NewviewStillMonotonePerProcessor) {
 // (the observable behaviour is a VS-machine behaviour).
 TEST(WeakVSMachine, OutOfOrderCreationTraceIsStrictlySafe) {
   WeakVSMachine m(3, 3);
-  std::vector<trace::TimedEvent> trace;
+  trace::EventLog trace;
   auto emit = [&trace](trace::Event e) { trace.push_back({0, std::move(e)}); };
 
   const auto v9 = view(9, 1, {0, 1, 2});
@@ -117,7 +117,7 @@ TEST_P(WeakVSEquivalence, RandomWeakExecutionsAreStrictlySafe) {
   util::Rng rng(GetParam());
   const int n = 3;
   WeakVSMachine m(n, n);
-  std::vector<trace::TimedEvent> trace;
+  trace::EventLog trace;
   auto emit = [&trace](trace::Event e) { trace.push_back({0, std::move(e)}); };
   std::uint8_t next_msg = 0;
 

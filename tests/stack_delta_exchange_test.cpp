@@ -169,7 +169,7 @@ TEST(DeltaExchange, SharedBaseGotstateMatchesApplyDeltaAtEveryEstablishment) {
   std::map<std::pair<ProcId, core::ViewId>, core::SummaryDelta> deltas;
   world.recorder().subscribe([&](const trace::TimedEvent& te) {
     if (const auto* nv = std::get_if<trace::NewViewEvent>(&te.event)) {
-      view_of[nv->p] = nv->v.id;
+      view_of[nv->p] = nv->view().id;
     } else if (const auto* snd = std::get_if<trace::GpsndEvent>(&te.event)) {
       auto msg = vstoto::decode_message_ex(snd->m.view());
       if (!msg.ok()) return;

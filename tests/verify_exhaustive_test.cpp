@@ -77,7 +77,7 @@ struct Explorer {
   struct Snapshot {
     spec::VSMachine machine;
     std::vector<vstoto::Process::Checkpoint> procs;
-    std::vector<trace::TimedEvent> trace;
+    trace::EventLog trace;
     int bcasts;
   };
 
