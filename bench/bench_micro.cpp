@@ -111,18 +111,18 @@ void BM_FullOrder(benchmark::State& state) {
 }
 BENCHMARK(BM_FullOrder)->RangeMultiplier(4)->Range(64, 16384)->Complexity();
 
-// The full-summary shape (kFullSummary): three whole summaries, so the
-// representative shares no prefix (ord_prefix 0) and establishment places
-// the whole order again, with the index it keeps.
+// The full-summary shape (kFullSummary): three whole summaries, each
+// stored with the prefix its order shares with the base, which
+// establishment keeps in place with its index.
 void BM_FullOrderWholeSummaries(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
+  const core::Summary base = make_summary(size);
   core::StoredMap y;
   for (ProcId p = 0; p < 3; ++p) {
     auto x = make_summary(size);
     x.high = core::ViewId{static_cast<std::uint64_t>(p), p};
-    y[p] = core::full_entry(std::move(x));
+    y[p] = core::full_entry(std::move(x), base);
   }
-  const core::Summary base = make_summary(size);
   const core::SummaryDigest own;  // a whole-summary exchange has no marks
   std::vector<core::Label> order = base.ord;
   core::OrderIndex index;

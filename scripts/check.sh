@@ -14,6 +14,22 @@ scripts/check_links.sh
 # Tier-1 verify line (ROADMAP.md).
 cmake -B build -S . && cmake --build build -j"$(nproc)" && (cd build && ctest --output-on-failure -j"$(nproc)")
 
+# Property-table gate: the paper-claim benches (E1 bench_vs_stabilization,
+# E2 bench_vs_delivery, E3 bench_to_latency, the formation-round ablation
+# and the sequencer baseline) and the partition_heal example print what
+# props/ and harness/stats.cpp read off the timed trace: TO-, VS- and
+# VStoTO-property reports and latency summaries. They run in virtual time,
+# so their stdout is deterministic and must match the committed golden
+# byte for byte. To take the goldens again after an intentional change:
+#   ./build/bench/bench_to_latency > tests/golden/property_tables/bench_to_latency.txt
+# and likewise for each binary below.
+for bin in bench/bench_vs_stabilization bench/bench_vs_delivery bench/bench_to_latency \
+    bench/bench_formation_rounds bench/bench_baseline examples/partition_heal; do
+  name=$(basename "$bin")
+  "./build/$bin" > "build/$name.table.out"
+  diff -u "tests/golden/property_tables/$name.txt" "build/$name.table.out"
+done
+
 # Observability smoke: the throughput bench must emit a parseable snapshot.
 ./build/bench/bench_throughput --export build/BENCH_throughput.json
 test -s build/BENCH_throughput.json

@@ -300,8 +300,10 @@ std::optional<SummaryDelta> delta_entry(SummaryDelta dl, const Summary& base) {
   return std::optional(std::move(dl));
 }
 
-SummaryDelta full_entry(Summary x) {
-  return SummaryDelta{x.next, x.high, 0, std::move(x.ord), std::move(x.con)};
+SummaryDelta full_entry(Summary x, const Summary& base) {
+  const auto shared = std::ranges::mismatch(x.ord, base.ord).in1;
+  return SummaryDelta{x.next, x.high, static_cast<std::uint32_t>(shared - x.ord.begin()),
+                      std::vector<Label>(shared, x.ord.end()), std::move(x.con)};
 }
 
 Summary with_base(const SummaryDelta& x, const Summary& base, const SummaryDigest& own) {

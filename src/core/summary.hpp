@@ -198,15 +198,18 @@ std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base);
 /// gotstate as a receiver stores it: per sender, its delta's next, high,
 /// ord_prefix, ord_suffix and con. An entry's ord is base.ord[0,
 /// ord_prefix) followed by ord_suffix, so it cannot be read without the
-/// base. A whole summary is stored as full_entry(x), with ord_prefix 0.
+/// base. A whole summary is stored as full_entry(x, base).
 using StoredMap = std::map<ProcId, SummaryDelta>;
 
 /// The stored form of `dl`: dl itself, or nullopt exactly when apply_delta
 /// rejects it (an ord_prefix beyond base.ord).
 std::optional<SummaryDelta> delta_entry(SummaryDelta dl, const Summary& base);
 
-/// The stored form of a whole summary: ord_prefix 0 and ord_suffix x.ord.
-SummaryDelta full_entry(Summary x);
+/// The stored form of a whole summary: ord_prefix the length of the common
+/// prefix of x.ord and base.ord, found by comparing them, and ord_suffix the
+/// rest of x.ord, so with_base reads x.ord back and establishment keeps
+/// that prefix of the order in place.
+SummaryDelta full_entry(Summary x, const Summary& base);
 
 /// The summary the stored entry x stands for: its ord read through
 /// base.ord, and its con plus the entries of base.con that `own` covers

@@ -1,12 +1,10 @@
 #include "harness/stats.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <optional>
 #include <sstream>
 
-#include "core/types.hpp"
+#include "props/trace_index.hpp"
 
 namespace vsg::harness {
 
@@ -20,6 +18,21 @@ sim::Time nearest_rank(const std::vector<sim::Time>& sorted, std::size_t num,
   const std::size_t n = sorted.size();
   const std::size_t rank = (n * num + den - 1) / den;  // ceil(n * num / den), >= 1
   return sorted[rank - 1];
+}
+
+// For each send of `s` at or after `from`, its lag until every member of Q
+// had it, or one more incomplete.
+void add_lags(const props::Stream* s, const std::set<ProcId>& q, sim::Time from,
+              std::vector<sim::Time>& samples, std::size_t& incomplete) {
+  if (s == nullptr) return;
+  for (std::size_t k = 0; k < s->sent.size(); ++k) {
+    const sim::Time t = s->sent[k];
+    if (t < from) continue;
+    if (const auto all = props::all_of(s->receipts(k), q))
+      samples.push_back(*all - t);
+    else
+      ++incomplete;
+  }
 }
 }  // namespace
 
@@ -40,103 +53,23 @@ LatencySummary summarize(std::vector<sim::Time> samples, std::size_t incomplete)
 
 LatencySummary to_delivery_latency(const trace::EventLog& trace,
                                    const std::set<ProcId>& q, sim::Time from) {
-  // Positional matching, exactly as in props/to_property.
-  std::map<ProcId, std::vector<sim::Time>> bcasts;
-  std::map<std::pair<ProcId, ProcId>, std::size_t> rcount;
-  std::map<std::pair<ProcId, std::size_t>, std::map<ProcId, sim::Time>> delivs;
-  for (const auto& te : trace) {
-    if (const auto* e = trace::as<trace::BcastEvent>(te))
-      bcasts[e->p].push_back(te.at);
-    else if (const auto* e = trace::as<trace::BrcvEvent>(te)) {
-      auto& k = rcount[{e->origin, e->dest}];
-      delivs[{e->origin, k}].emplace(e->dest, te.at);
-      ++k;
-    }
-  }
+  const props::TraceIndex index(trace, 0);
   std::vector<sim::Time> samples;
   std::size_t incomplete = 0;
-  for (ProcId p : q) {
-    const auto bit = bcasts.find(p);
-    if (bit == bcasts.end()) continue;
-    for (std::size_t k = 0; k < bit->second.size(); ++k) {
-      const sim::Time t = bit->second[k];
-      if (t < from) continue;
-      const auto dit = delivs.find({p, k});
-      sim::Time all = 0;
-      bool complete = dit != delivs.end();
-      if (complete)
-        for (ProcId r : q) {
-          const auto rt = dit->second.find(r);
-          if (rt == dit->second.end()) {
-            complete = false;
-            break;
-          }
-          all = std::max(all, rt->second);
-        }
-      if (complete)
-        samples.push_back(all - t);
-      else
-        ++incomplete;
-    }
-  }
+  for (ProcId p : q) add_lags(index.to_stream(p), q, from, samples, incomplete);
   return summarize(std::move(samples), incomplete);
 }
 
 LatencySummary vs_safe_latency(const trace::EventLog& trace,
-                               const std::set<ProcId>& q, int n, int n0, sim::Time from) {
-  std::vector<std::optional<core::ViewId>> current(static_cast<std::size_t>(n));
-  for (ProcId p = 0; p < n0; ++p)
-    current[static_cast<std::size_t>(p)] = core::ViewId::initial();
-
-  std::map<std::pair<core::ViewId, ProcId>, std::vector<sim::Time>> sends;
-  std::map<std::tuple<core::ViewId, ProcId, ProcId>, std::size_t> scount;
-  std::map<std::tuple<core::ViewId, ProcId, std::size_t>, std::map<ProcId, sim::Time>> safes;
-
-  for (const auto& te : trace) {
-    if (const auto* e = trace::as<trace::NewViewEvent>(te)) {
-      if (e->p >= 0 && e->p < n) current[static_cast<std::size_t>(e->p)] = e->view().id;
-    } else if (const auto* e = trace::as<trace::GpsndEvent>(te)) {
-      const auto& cur = current[static_cast<std::size_t>(e->p)];
-      if (cur.has_value()) sends[{*cur, e->p}].push_back(te.at);
-    } else if (const auto* e = trace::as<trace::SafeEvent>(te)) {
-      const auto& cur = current[static_cast<std::size_t>(e->dst)];
-      if (!cur.has_value()) continue;
-      auto& k = scount[{*cur, e->src, e->dst}];
-      safes[{*cur, e->src, k}].emplace(e->dst, te.at);
-      ++k;
-    }
-  }
-
-  // Final views of the members of Q; measure only within the (unique) final
-  // view whose membership is Q, matching the VS-property conclusion.
+                               const std::set<ProcId>& q, int /*n*/, int n0, sim::Time from) {
+  // Each member's messages in its own final view, matching the VS-property
+  // conclusion.
+  const props::TraceIndex index(trace, n0);
   std::vector<sim::Time> samples;
   std::size_t incomplete = 0;
-  for (ProcId p : q) {
-    const auto& cur = current[static_cast<std::size_t>(p)];
-    if (!cur.has_value()) continue;
-    const auto sit = sends.find({*cur, p});
-    if (sit == sends.end()) continue;
-    for (std::size_t k = 0; k < sit->second.size(); ++k) {
-      const sim::Time t = sit->second[k];
-      if (t < from) continue;
-      const auto fit = safes.find({*cur, p, k});
-      sim::Time all = 0;
-      bool complete = fit != safes.end();
-      if (complete)
-        for (ProcId r : q) {
-          const auto rt = fit->second.find(r);
-          if (rt == fit->second.end()) {
-            complete = false;
-            break;
-          }
-          all = std::max(all, rt->second);
-        }
-      if (complete)
-        samples.push_back(all - t);
-      else
-        ++incomplete;
-    }
-  }
+  for (ProcId p : q)
+    if (const auto& cur = index.view(p))
+      add_lags(index.vs_stream(cur->id, p), q, from, samples, incomplete);
   return summarize(std::move(samples), incomplete);
 }
 

@@ -318,11 +318,13 @@ std::vector<std::string> World::check_vs_safety(int shard) const {
 
 props::TOPropertyReport World::to_report(const std::set<ProcId>& q, sim::Time d,
                                          sim::Time ignore_after) const {
+  for (ProcId p : q) require_proc_id(config_.n, p, "to_report");
   return props::evaluate_to_property(recorder().events(), q, config_.n, d, ignore_after);
 }
 
 props::VSPropertyReport World::vs_report(const std::set<ProcId>& q, sim::Time d,
                                          sim::Time ignore_after) const {
+  for (ProcId p : q) require_proc_id(config_.n, p, "vs_report");
   return props::evaluate_vs_property(recorder().events(), q, config_.n, config_.n0, d,
                                      ignore_after);
 }

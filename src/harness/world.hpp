@@ -185,6 +185,8 @@ class World {
   /// VSTraceChecker violations over shard `shard`'s recorded trace.
   std::vector<std::string> check_vs_safety(int shard = 0) const;
 
+  /// TO-property and VS-property reports for group Q over shard 0's trace.
+  /// Throws std::invalid_argument if a member of Q is not a processor id.
   props::TOPropertyReport to_report(const std::set<ProcId>& q, sim::Time d,
                                     sim::Time ignore_after = sim::kForever) const;
   props::VSPropertyReport vs_report(const std::set<ProcId>& q, sim::Time d,

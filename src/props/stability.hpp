@@ -6,14 +6,16 @@
 // failure-status inputs stabilize to a "consistently partitioned" situation
 // for a set Q — every location in Q good, every pair within Q good, every
 // pair crossing the Q boundary bad, and no further status events for
-// anything touching Q. This module replays the failure-status events of a
-// timed trace and determines whether that premise holds and, if so, the
-// stabilization point l (the time of the last status event touching Q).
+// anything touching Q. This module reads the final failure statuses of a
+// timed trace off its TraceIndex and determines whether that premise holds
+// and, if so, the stabilization point l (the time of the last status event
+// touching Q).
 
 #include <set>
 #include <string>
 #include <vector>
 
+#include "props/trace_index.hpp"
 #include "sim/time.hpp"
 #include "trace/events.hpp"
 
@@ -35,5 +37,6 @@ struct StabilityInfo {
 /// across the Q boundary.
 StabilityInfo analyze_stability(const trace::EventLog& trace,
                                 const std::set<ProcId>& q, int n);
+StabilityInfo analyze_stability(const TraceIndex& index, const std::set<ProcId>& q, int n);
 
 }  // namespace vsg::props

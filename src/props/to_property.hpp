@@ -43,6 +43,19 @@ struct TOPropertyReport {
   }
 };
 
+/// A value conclusion (b) or (c) constrains: one bcast from a member of Q
+/// by `ignore_after` (b), or one first delivered at a member of Q by then
+/// (c). VStoTO-property's conclusion reads the same values.
+struct TOValue {
+  bool bcast_from_q = false;     // (b); else (c)
+  ProcId origin = kNoProc;
+  std::size_t k = 0;             // origin's k-th value
+  sim::Time from = 0;            // its bcast (b) or first delivery at Q (c)
+  std::optional<sim::Time> all;  // when all of Q had it, if ever
+};
+std::vector<TOValue> to_values(const TraceIndex& index, const std::set<ProcId>& q,
+                               sim::Time ignore_after);
+
 /// Evaluate TO-property conclusions for group Q. Values bcast after
 /// `ignore_after` contribute no constraints.
 TOPropertyReport evaluate_to_property(const trace::EventLog& trace,

@@ -114,9 +114,9 @@ void Process::place_order(bool full) {
       core::establish(st_.order, order_index_, st_.gotstate, st_.exch_base, st_.exch_digest,
                       st_.exch_unplaced, full);
   const std::size_t kept = before - cut.size();
-  // The cut tail may come back as it was (whole summaries re-place the
-  // representative's whole order): the prefix unchanged since the last
-  // newview ends at the first position the new order differs.
+  // The cut tail may come back as it was (the representative's suffix may
+  // repeat it): the prefix unchanged since the last newview ends at the
+  // first position the new order differs.
   const auto tail = std::views::drop(st_.order, static_cast<std::ptrdiff_t>(kept));
   const std::size_t same = static_cast<std::size_t>(
       std::ranges::mismatch(cut, tail).in1 - cut.begin());
@@ -364,7 +364,7 @@ void Process::on_gprcv(ProcId src, const vs::Payload& payload) {
   else {
     st_.exch_decoded.insert(src);
     if (auto* x = std::get_if<core::Summary>(&m))
-      handle_summary(src, core::full_entry(std::move(*x)));
+      handle_summary(src, core::full_entry(std::move(*x), st_.exch_base));
     else
       handle_delta(src, std::move(std::get<core::SummaryDelta>(m)));
   }

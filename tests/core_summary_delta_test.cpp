@@ -252,8 +252,9 @@ TEST(SharedBase, StoredEntriesMaterializeToApplyDeltaAndOrderAlike) {
     for (ProcId q = 0; q < static_cast<ProcId>(members.size()); ++q) {
       const Summary& x = members[static_cast<std::size_t>(q)];
       if (all_full || rng.chance(0.2)) {
-        const SummaryDelta entry = full_entry(x);
-        EXPECT_EQ(entry.ord_prefix, 0u);
+        const SummaryDelta entry = full_entry(x, base);
+        const auto shared = std::ranges::mismatch(x.ord, base.ord).in1 - x.ord.begin();
+        EXPECT_EQ(entry.ord_prefix, static_cast<std::uint32_t>(shared)) << "round " << round;
         const auto reference = all_full ? std::optional(x) : apply_delta(entry, base);
         ASSERT_TRUE(reference.has_value());
         EXPECT_EQ(with_base(entry, base, own), *reference) << "round " << round;
@@ -308,10 +309,10 @@ TEST(SharedBase, DigestWithoutMarksCoversNothing) {
   Summary x;
   x.ord = {lab(1, 2, 0)};
   x.con.emplace(lab(1, 2, 0), value_of(lab(1, 2, 0)));
-  EXPECT_EQ(with_base(full_entry(x), base, SummaryDigest{}), x);
-  EXPECT_EQ(with_base(full_entry(x), base, digest(base)).con.size(), 2u);
+  EXPECT_EQ(with_base(full_entry(x, base), base, SummaryDigest{}), x);
+  EXPECT_EQ(with_base(full_entry(x, base), base, digest(base)).con.size(), 2u);
   const SummaryMap y{{0, x}};
-  const StoredMap stored{{0, full_entry(x)}};
+  const StoredMap stored{{0, full_entry(x, base)}};
   EXPECT_EQ(establish_from(stored, base, SummaryDigest{}, true), fullorder(y));
   EXPECT_EQ(establish_from(stored, base, digest(base), true),
             (std::vector<Label>{lab(1, 2, 0), lab(1, 1, 0)}));

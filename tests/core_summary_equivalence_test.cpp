@@ -179,8 +179,8 @@ TEST(SummaryEquivalence, WithBaseAndFullorderMatchTheSetBasedReference) {
   for (int round = 0; round < kRounds; ++round) {
     const Summary base = random_summary(rng);
     const SummaryDigest own = rng.chance(0.5) ? digest(base) : random_digest(rng);
-    // Stored entries share a random prefix of base.ord; y holds the same
-    // entries with that prefix written out.
+    // Each entry's ord starts with a random prefix of base.ord; it is stored
+    // as a whole summary is, and y holds it as it came.
     StoredMap stored;
     SummaryMap y;
     for (ProcId q = 0, n = 1 + static_cast<ProcId>(rng.below(4)); q < n; ++q) {
@@ -193,10 +193,9 @@ TEST(SummaryEquivalence, WithBaseAndFullorderMatchTheSetBasedReference) {
         for (const auto& [l, v] : model)
           if (!rng.chance(0.7)) x.con.emplace(l, v);
       }
-      SummaryDelta entry = full_entry(x);
-      entry.ord_prefix = static_cast<std::uint32_t>(rng.below(base.ord.size() + 1));
-      x.ord.insert(x.ord.begin(), base.ord.begin(), base.ord.begin() + entry.ord_prefix);
-      stored.emplace(q, std::move(entry));
+      const auto prefix = static_cast<std::ptrdiff_t>(rng.below(base.ord.size() + 1));
+      x.ord.insert(x.ord.begin(), base.ord.begin(), base.ord.begin() + prefix);
+      stored.emplace(q, full_entry(x, base));
       y.emplace(q, std::move(x));
     }
     // The process's order may have grown since the base froze (a gprcv in

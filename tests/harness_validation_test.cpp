@@ -92,6 +92,14 @@ TEST(WorldValidation, LinkStatusBadEndpoints) {
   expect_rejected([&] { w.link_status_at(0, 2, 2, sim::Status::kBad); }, "self-link");
 }
 
+TEST(WorldValidation, ReportGroupBadMember) {
+  auto w = make_world(3);
+  expect_rejected([&] { w.vs_report({0, 7}, 1000); }, "vs_report: processor 7 out of range");
+  expect_rejected([&] { w.to_report({-1, 0}, 1000); }, "to_report: processor -1 out of range");
+  EXPECT_NO_THROW(w.vs_report({0, 1, 2}, 1000));
+  EXPECT_NO_THROW(w.to_report({0, 1, 2}, 1000));
+}
+
 TEST(WorldValidation, ScenarioApplyPropagatesRejection) {
   auto w = make_world();
   Scenario s;

@@ -80,6 +80,51 @@ TEST(VStoTOProperty, MissingDeliveryViolates) {
   EXPECT_FALSE(report.holds_with_d(1000000));
 }
 
+TEST(VStoTOProperty, ConclusionCValueDeliveredToPartOfQOnly) {
+  // No bcast of the value is recorded, so only conclusion (c) sees it: it
+  // reaches 0 but never 1.
+  const auto v = qview(1, {0, 1});
+  EventLog tr{
+      {100, NewViewEvent{0, v}},
+      {100, NewViewEvent{1, v}},
+      {500, BrcvEvent{0, 0, "half"}},
+  };
+  const auto report = evaluate_vstoto_property(tr, {0, 1}, 2, 2, 1000);
+  ASSERT_TRUE(report.premise_holds) << report.why_not;
+  EXPECT_EQ(report.violations, std::vector<std::string>{"value delivered to part of Q only"});
+  EXPECT_FALSE(report.required_l3.has_value());
+  EXPECT_FALSE(report.holds_with_d(1000000));
+  // A first delivery after the horizon contributes no constraint.
+  EXPECT_TRUE(evaluate_vstoto_property(tr, {0, 1}, 2, 2, 1000, /*ignore_after=*/400)
+                  .holds_with_d(1000));
+}
+
+TEST(VStoTOProperty, ConclusionCCoversValuesFromOutsideQ) {
+  // 2 is outside Q. Its first value reaches all of Q late, which counts
+  // against l''' from its first delivery at Q; its second reaches 0 only.
+  const auto v = qview(1, {0, 1});
+  EventLog tr{
+      {10, BcastEvent{2, "z"}},
+      {100, NewViewEvent{0, v}},
+      {200, NewViewEvent{1, v}},
+      {1000, BrcvEvent{2, 0, "z"}},
+      {1500, BrcvEvent{2, 1, "z"}},
+  };
+  // d = 300: all of Q has it at 1500 > 1000 + 300, so l''' = 1500 - 300 - 200.
+  const auto late = evaluate_vstoto_property(tr, {0, 1}, 3, 3, 300);
+  ASSERT_TRUE(late.premise_holds) << late.why_not;
+  ASSERT_TRUE(late.required_l3.has_value());
+  EXPECT_EQ(*late.required_l3, 1000);
+  EXPECT_FALSE(late.holds_with_d(300));
+  EXPECT_TRUE(late.holds_with_d(1000));
+
+  tr.push_back({1600, BcastEvent{2, "y"}});
+  tr.push_back({1700, BrcvEvent{2, 0, "y"}});
+  const auto partial = evaluate_vstoto_property(tr, {0, 1}, 3, 3, 300);
+  EXPECT_EQ(partial.violations, std::vector<std::string>{"value delivered to part of Q only"});
+  EXPECT_FALSE(partial.required_l3.has_value());
+}
+
 // The composition of the proof of Theorem 7.1, on a real execution:
 // the VS level stabilizes (VS-property), the recovery interval is bounded
 // (this property), and consequently TO-property holds with b + d.

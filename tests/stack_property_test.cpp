@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/scenario.hpp"
+#include "harness/stats.hpp"
 #include "harness/world.hpp"
 
 namespace vsg {
@@ -107,6 +108,39 @@ TEST(StackProperty, SpecBackendSatisfiesProperties) {
   EXPECT_TRUE(vs.holds_with(b));
   const auto to = world.to_report(q, d, sim::sec(7));
   EXPECT_TRUE(to.holds_with(b + d));
+}
+
+// The reports' measured lags and the bench latency summaries read one
+// trace index: over the same window, from the split point l + l' on, they
+// must agree.
+TEST(StackProperty, ReportLagsAgreeWithLatencySummaries) {
+  WorldConfig cfg;
+  cfg.n = 5;
+  cfg.backend = Backend::kTokenRing;
+  cfg.seed = 67;
+  World world(cfg);
+  const std::set<ProcId> q{0, 1, 2};
+  world.partition_at(sim::sec(1), {{0, 1, 2}, {3, 4}});
+  harness::steady_traffic({0, 1}, 15, sim::sec(4), sim::msec(50)).apply(world);
+  world.run_until(sim::sec(15));
+  const sim::Time d = ring_d(cfg.ring, 3);
+  const auto& trace = world.recorder().events();
+
+  const auto to = world.to_report(q, d);
+  ASSERT_TRUE(to.required_lprime.has_value());
+  const auto to_lat =
+      harness::to_delivery_latency(trace, q, to.stability.l + *to.required_lprime);
+  EXPECT_EQ(to_lat.incomplete, 0u);
+  EXPECT_GT(to_lat.count, 0u);
+  EXPECT_EQ(to.max_delivery_lag, to_lat.max);
+
+  const auto vs = world.vs_report(q, d);
+  ASSERT_TRUE(vs.required_lprime.has_value());
+  const auto vs_lat =
+      harness::vs_safe_latency(trace, q, cfg.n, cfg.n, vs.stability.l + *vs.required_lprime);
+  EXPECT_EQ(vs_lat.incomplete, 0u);
+  EXPECT_GT(vs_lat.count, 0u);
+  EXPECT_EQ(vs.max_safe_lag, vs_lat.max);
 }
 
 class StackChurnFuzz : public ::testing::TestWithParam<std::uint64_t> {};

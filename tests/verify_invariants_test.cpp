@@ -178,7 +178,7 @@ TEST(Invariants, MoreCheckersDetectSeededCorruption) {
     core::Summary x = gs.procs[0]->local_summary();
     x.ord.push_back(core::Label{st0.current->id, 77, 0});
     const auto saved = st0.gotstate;
-    st0.gotstate.insert_or_assign(1, core::full_entry(x));
+    st0.gotstate.insert_or_assign(1, core::full_entry(x, st0.exch_base));
     EXPECT_FALSE(verify::check_lemma_6_16(gs).empty());
     EXPECT_TRUE(verify::check_history_wellformed(gs).empty());
     st0.gotstate = saved;
