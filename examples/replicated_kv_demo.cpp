@@ -10,6 +10,7 @@
 // consistency checker auditing the whole history.
 
 #include <cstdio>
+#include <map>
 
 #include "app/replicated_kv.hpp"
 #include "app/seqcst_checker.hpp"
@@ -25,6 +26,8 @@ int main() {
   harness::World world(cfg);
   app::ReplicatedKV kv(world.stack());  // attaches one to::Client per replica
   app::SeqCstChecker checker(3);
+  // The checker sees every apply as it happens, through the KV's tap.
+  kv.on_apply([&](ProcId p, const app::AppliedWrite& w) { checker.on_apply(p, w); });
 
   // The KV owns the per-processor clients; the legacy global callback is
   // still free, so observers can tap the same delivery stream.
@@ -43,7 +46,7 @@ int main() {
   auto read = [&](sim::Time t, ProcId p, const std::string& key) {
     world.simulator().at(t, [&, t, p, key] {
       const auto v = kv.read(p, key);
-      checker.on_read(p, key, v, kv.applied(p).size());
+      checker.on_read(p, key, v, kv.applied_count(p));
       std::printf("  t=%-7lld processor %d reads  %s -> %s\n",
                   static_cast<long long>(t), p, key.c_str(),
                   v ? v->c_str() : "(missing)");
@@ -66,20 +69,13 @@ int main() {
   world.heal_at(sim::sec(3));
   read(sim::sec(6), 2, "carol");
 
-  // Feed applies to the checker as the run progresses.
-  std::vector<std::size_t> seen(3, 0);
-  while (world.simulator().now() < sim::sec(8) && world.simulator().step()) {
-    for (ProcId p = 0; p < 3; ++p)
-      while (seen[static_cast<std::size_t>(p)] < kv.applied(p).size()) {
-        checker.on_apply(p, kv.applied(p)[seen[static_cast<std::size_t>(p)]]);
-        ++seen[static_cast<std::size_t>(p)];
-      }
-  }
+  world.run_until(sim::sec(8));
 
   std::printf("\nfinal stores:\n");
   for (ProcId p = 0; p < 3; ++p) {
     std::printf("  replica %d:", p);
-    for (const auto& [k, v] : kv.store(p)) std::printf(" %s=%s", k.c_str(), v.c_str());
+    const std::map<std::string, std::string> sorted(kv.store(p).begin(), kv.store(p).end());
+    for (const auto& [k, v] : sorted) std::printf(" %s=%s", k.c_str(), v.c_str());
     std::printf("\n");
   }
   std::printf("\nsequential consistency audit: %s\n",

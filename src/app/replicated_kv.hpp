@@ -18,19 +18,20 @@
 // ordered before the read in the one common order (linearizability).
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "to/service.hpp"
 
 namespace vsg::app {
 
-/// One applied update, as seen by a replica.
+/// One applied update, as seen by a replica. Replicas keep no history of
+/// these; one is built only for an attached apply tap (ReplicatedKV::on_apply).
 struct AppliedWrite {
   ProcId origin = kNoProc;
   std::string key;
@@ -39,9 +40,29 @@ struct AppliedWrite {
 
 class ReplicatedKV {
  public:
-  /// Attaches one to::Client per processor of `to_service` (the legacy
-  /// global set_delivery callback stays free for observers).
+  /// Hashes by std::string_view, so looking up a key allocates nothing.
+  /// Deliberately not noexcept: libstdc++ then keeps each node's hash, as it
+  /// does for std::hash<std::string>, and a probe compares hashes before
+  /// keys instead of rehashing its neighbours' keys.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  using Store = std::unordered_map<std::string, std::string, KeyHash, std::equal_to<>>;
+
+  /// Attaches one replica, itself a to::Client, per processor of
+  /// `to_service` (the legacy global set_delivery callback stays free for
+  /// observers).
   explicit ReplicatedKV(to::Service& to_service);
+  ~ReplicatedKV();
+  // The service holds the replicas' addresses.
+  ReplicatedKV(const ReplicatedKV&) = delete;
+  ReplicatedKV& operator=(const ReplicatedKV&) = delete;
+
+  // Every entry point taking a processor p throws std::invalid_argument
+  // unless 0 <= p < the service's size.
 
   /// Submit a write at processor p (takes effect when TO delivers it).
   void write(ProcId p, const std::string& key, const std::string& value);
@@ -85,31 +106,45 @@ class ReplicatedKV {
            const std::string& desired, CasFn done);
 
   /// The local replica store of p.
-  const std::map<std::string, std::string>& store(ProcId p) const;
+  const Store& store(ProcId p) const;
 
-  /// Updates applied at p so far, in application order.
-  const std::vector<AppliedWrite>& applied(ProcId p) const;
+  /// Updates (writes and successful CAS) applied at p so far.
+  std::size_t applied_count(ProcId p) const;
 
   /// Writes submitted at p that have not yet been applied at p.
   std::size_t writes_in_flight(ProcId p) const;
 
+  /// Apply tap: `fn` is called synchronously after each update a replica
+  /// applies, in that replica's delivery order, with the store and
+  /// applied_count already showing it. Replaces any earlier tap; an empty
+  /// fn detaches it.
+  using ApplyFn = std::function<void(ProcId replica, const AppliedWrite& w)>;
+  void on_apply(ApplyFn fn);
+
  private:
-  void on_delivery(ProcId dest, ProcId origin, const core::Value& encoded);
+  class Replica;
+  Replica& at(ProcId p, const char* what);
+  const Replica& at(ProcId p, const char* what) const;
 
   to::Service* to_;
-  std::vector<std::unique_ptr<to::Client>> clients_;  // one per processor
-  std::vector<std::map<std::string, std::string>> stores_;
-  std::vector<std::vector<AppliedWrite>> applied_;
-  std::vector<std::size_t> submitted_;
-  std::vector<std::size_t> applied_own_;
-  // Pending atomic reads per issuing processor, in marker submission order
-  // (TO's per-sender FIFO matches markers to callbacks positionally).
-  std::vector<std::deque<std::pair<std::string, AtomicReadFn>>> pending_reads_;
-  // Pending CAS callbacks per issuing processor, likewise positional.
-  std::vector<std::deque<CasFn>> pending_cas_;
-  // Pending barrier callbacks per issuing processor, likewise positional.
-  std::vector<std::deque<BarrierFn>> pending_barriers_;
+  ApplyFn tap_;
+  std::vector<Replica> replicas_;  // one per processor, attached to to_
 };
+
+/// One delivered operation, parsed in place: every view borrows the bytes
+/// it was parsed from, so it lives only as long as they do.
+struct OpView {
+  enum class Kind : std::uint8_t { kWrite = 1, kReadMarker = 2, kCas = 3, kBarrier = 4 };
+  Kind kind = Kind::kBarrier;
+  std::string_view key;                      // write, CAS, read marker
+  std::string_view value;                    // write: the value; CAS: desired
+  std::optional<std::string_view> expected;  // CAS: nullopt = key absent
+};
+
+/// The one parser of the four operation kinds carried as TO data values.
+/// nullopt for foreign or malformed bytes: empty input, an unknown op byte,
+/// a truncated length, a length past the end, or trailing bytes.
+std::optional<OpView> parse_op(std::string_view encoded);
 
 /// Wire format of operations carried as TO data values: a write (key,
 /// value) or a read marker (key). decode returns nullopt for foreign data.

@@ -85,8 +85,9 @@ class CrossShardChecker {
                const std::optional<std::string>& result, std::size_t applied_count);
 
   /// Feed shard `shard`'s common write order, front to back (e.g. one
-  /// replica's ReplicatedKV::applied after the per-shard SeqCstChecker
-  /// confirmed all replicas agree). Call at quiescence, before check().
+  /// replica's apply tap, ReplicatedKV::on_apply, once the replicas are
+  /// known to agree). Each write's on_write must come first; call every
+  /// on_order before check().
   void on_order(int shard, const AppliedWrite& w);
 
   /// Build the constraint graph and search for a cycle. Call once after

@@ -1,7 +1,8 @@
 #include "app/sharded_kv.hpp"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace vsg::app {
 
@@ -27,8 +28,18 @@ std::optional<std::string> ShardedKV::read(ProcId p, const std::string& key) con
 }
 
 void ShardedKV::barrier(int shard, ProcId p, ReplicatedKV::BarrierFn done) {
-  assert(shard >= 0 && shard < shards());
-  kvs_[static_cast<std::size_t>(shard)]->barrier(p, std::move(done));
+  this->shard(shard).barrier(p, std::move(done));
+}
+
+ReplicatedKV& ShardedKV::shard(int k) {
+  return const_cast<ReplicatedKV&>(std::as_const(*this).shard(k));
+}
+
+const ReplicatedKV& ShardedKV::shard(int k) const {
+  if (k < 0 || k >= shards())
+    throw std::invalid_argument("ShardedKV: shard " + std::to_string(k) + " out of range [0, " +
+                                std::to_string(shards()) + ")");
+  return *kvs_[static_cast<std::size_t>(k)];
 }
 
 void ShardedKV::barrier_for(const std::string& key, ProcId p, ReplicatedKV::BarrierFn done) {
@@ -37,7 +48,7 @@ void ShardedKV::barrier_for(const std::string& key, ProcId p, ReplicatedKV::Barr
 
 std::size_t ShardedKV::total_applied(ProcId replica) const {
   std::size_t total = 0;
-  for (const auto& kv : kvs_) total += kv->applied(replica).size();
+  for (const auto& kv : kvs_) total += kv->applied_count(replica);
   return total;
 }
 

@@ -49,12 +49,15 @@ class ShardedKV {
 
   /// Fence shard `shard` at processor p: the callback fires once p's
   /// replica of that shard has applied everything ordered before the fence.
+  /// Throws std::invalid_argument for a shard outside [0, shards()).
   void barrier(int shard, ProcId p, ReplicatedKV::BarrierFn done);
   /// Fence the shard that owns `key`.
   void barrier_for(const std::string& key, ProcId p, ReplicatedKV::BarrierFn done);
 
-  ReplicatedKV& shard(int k) { return *kvs_[static_cast<std::size_t>(k)]; }
-  const ReplicatedKV& shard(int k) const { return *kvs_[static_cast<std::size_t>(k)]; }
+  /// Shard k's store; throws std::invalid_argument unless 0 <= k < shards().
+  /// Entry points taking a processor p throw likewise for p outside [0, n()).
+  ReplicatedKV& shard(int k);
+  const ReplicatedKV& shard(int k) const;
   ShardRouter& router() noexcept { return router_; }
 
   /// Writes applied at `replica` across all shards (the aggregate

@@ -116,11 +116,13 @@ std::uint64_t Decoder::u64() {
 
 bool Decoder::boolean() { return u8() != 0; }
 
-std::string Decoder::str() {
+std::string Decoder::str() { return std::string(str_view()); }
+
+std::string_view Decoder::str_view() {
   const std::uint32_t n = u32();
   const std::uint8_t* p = nullptr;
   if (!take(n, &p)) return {};
-  return std::string(reinterpret_cast<const char*>(p), n);
+  return std::string_view(reinterpret_cast<const char*>(p), n);
 }
 
 std::uint64_t Decoder::uvarint() {

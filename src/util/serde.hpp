@@ -19,6 +19,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/buffer.hpp"
@@ -90,6 +91,9 @@ class Decoder {
   std::uint64_t u64();
   bool boolean();
   std::string str();
+  /// u32-length-prefixed string, borrowed from the input (no copy); the
+  /// view lives as long as the bytes the decoder reads.
+  std::string_view str_view();
 
   /// LEB128 uvarint/svarint (v3 frame bodies). Defensive like every other
   /// read: a missing terminator or an encoding longer than 10 bytes sets

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
 #include "app/replicated_kv.hpp"
 #include "app/seqcst_checker.hpp"
 #include "harness/scenario.hpp"
@@ -66,13 +70,14 @@ TEST_P(ReplicatedKVTest, ConcurrentWritersConvergeToSameStore) {
   }
   world.run_until(sim::sec(3));
   for (ProcId p = 1; p < 4; ++p) EXPECT_EQ(kv.store(p), kv.store(0));
-  EXPECT_EQ(kv.applied(0).size(), 10u);
+  EXPECT_EQ(kv.applied_count(0), 10u);
 }
 
 TEST_P(ReplicatedKVTest, HistoryIsSequentiallyConsistent) {
   World world(cfg_for(GetParam(), 3, 6));
   app::ReplicatedKV kv(world.stack());
   app::SeqCstChecker checker(3);
+  kv.on_apply([&](ProcId p, const app::AppliedWrite& w) { checker.on_apply(p, w); });
 
   // Random-ish workload with interleaved reads, observations fed live.
   util::Rng rng(99);
@@ -82,7 +87,7 @@ TEST_P(ReplicatedKVTest, HistoryIsSequentiallyConsistent) {
     world.simulator().at(sim::msec(5 * k + 1), [&, p, key, k] {
       if (k % 3 == 0) {
         const auto result = kv.read(p, key);
-        checker.on_read(p, key, result, kv.applied(p).size());
+        checker.on_read(p, key, result, kv.applied_count(p));
       } else {
         const auto value = "v" + std::to_string(k);
         checker.on_submit(p, key, value);
@@ -90,15 +95,7 @@ TEST_P(ReplicatedKVTest, HistoryIsSequentiallyConsistent) {
       }
     });
   }
-  // Tap applies as they happen, in order, via polling between events.
-  std::vector<std::size_t> seen(3, 0);
-  while (world.simulator().now() < sim::sec(3) && world.simulator().step()) {
-    for (ProcId p = 0; p < 3; ++p)
-      while (seen[static_cast<std::size_t>(p)] < kv.applied(p).size()) {
-        checker.on_apply(p, kv.applied(p)[seen[static_cast<std::size_t>(p)]]);
-        ++seen[static_cast<std::size_t>(p)];
-      }
-  }
+  world.run_until(sim::sec(3));
   EXPECT_TRUE(checker.ok()) << checker.violations().front();
   EXPECT_EQ(checker.common_order().size(), 20u) << "all writes ordered";
 }
@@ -227,6 +224,89 @@ TEST(ReplicatedKV, ReadMarkerEncoding) {
   EXPECT_EQ(*dec, "k");
   EXPECT_FALSE(app::decode_read_marker(app::encode_write("k", "v")).has_value());
   EXPECT_FALSE(app::decode_write(app::encode_read_marker("k")).has_value());
+}
+
+TEST(ReplicatedKV, ParserReadsEveryOpKindInPlace) {
+  const core::Value write = app::encode_write("key", "value");
+  const auto w = app::parse_op(write);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->kind, app::OpView::Kind::kWrite);
+  EXPECT_EQ(w->key, "key");
+  EXPECT_EQ(w->value, "value");
+  EXPECT_EQ(w->key.data(), write.data() + 5) << "the key is a view into the value";
+
+  // The views borrow the encoded bytes, so those must outlive them.
+  const core::Value marker = app::encode_read_marker("k");
+  const auto r = app::parse_op(marker);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->kind, app::OpView::Kind::kReadMarker);
+  EXPECT_EQ(r->key, "k");
+
+  const core::Value barrier(1, '\x04');
+  const auto b = app::parse_op(barrier);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(b->kind, app::OpView::Kind::kBarrier);
+
+  // CAS: op 3, str key, bool has-expected, [str expected], str desired.
+  const std::string cas_absent("\x03\x01\0\0\0k\0\x01\0\0\0d", 12);
+  const auto c = app::parse_op(cas_absent);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->kind, app::OpView::Kind::kCas);
+  EXPECT_EQ(c->key, "k");
+  EXPECT_FALSE(c->expected.has_value());
+  EXPECT_EQ(c->value, "d");
+  const std::string cas_expected("\x03\x01\0\0\0k\x01\x01\0\0\0e\x01\0\0\0d", 17);
+  const auto e = app::parse_op(cas_expected);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->expected, std::optional<std::string_view>("e"));
+  EXPECT_EQ(e->value, "d");
+}
+
+TEST(ReplicatedKV, ParserRejectsMalformedBytes) {
+  const std::string write = app::encode_write("key", "value");  // 1 + 4+3 + 4+5 bytes
+  const std::string cas("\x03\x01\0\0\0k\x01\x01\0\0\0e\x01\0\0\0d", 17);
+  struct Case {
+    const char* name;
+    std::string bytes;
+  };
+  const Case cases[] = {
+      {"empty input", std::string()},
+      {"wrong op byte", std::string(1, '\x09') + write.substr(1)},
+      {"op byte zero", std::string(1, '\0')},
+      {"truncated length", write.substr(0, 3)},
+      {"length past the end", write.substr(0, write.size() - 1)},
+      {"key length past the end", std::string("\x01\xff\0\0\0key", 8)},
+      {"trailing bytes", write + "x"},
+      {"barrier with a trailing byte", std::string("\x04\x04", 2)},
+      {"read marker with no key", std::string(1, '\x02')},
+      {"truncated CAS: no desired value", cas.substr(0, 12)},
+      {"truncated CAS: no expected flag", cas.substr(0, 6)},
+      {"truncated CAS: expected cut short", cas.substr(0, 10)},
+  };
+  for (const auto& c : cases) EXPECT_FALSE(app::parse_op(c.bytes).has_value()) << c.name;
+}
+
+TEST(ReplicatedKV, RejectsProcessorOutsideTheGroup) {
+  World world(cfg_for(Backend::kSpec, 4, 16));
+  app::ReplicatedKV kv(world.stack());
+  for (const ProcId bad : {-1, 4, 7}) {
+    EXPECT_THROW(kv.write(bad, "x", "1"), std::invalid_argument) << bad;
+    EXPECT_THROW(kv.read(bad, "x"), std::invalid_argument) << bad;
+    EXPECT_THROW(kv.atomic_read(bad, "x", [](const std::optional<std::string>&, std::size_t) {}),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(kv.cas(bad, "x", std::nullopt, "1", [](bool) {}), std::invalid_argument) << bad;
+    EXPECT_THROW(kv.barrier(bad, [](std::size_t) {}), std::invalid_argument) << bad;
+    EXPECT_THROW(kv.store(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(kv.writes_in_flight(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(kv.applied_count(bad), std::invalid_argument) << bad;
+  }
+  // A refused call submitted nothing.
+  world.run_until(sim::sec(2));
+  for (ProcId p = 0; p < 4; ++p) {
+    EXPECT_EQ(kv.applied_count(p), 0u);
+    EXPECT_TRUE(kv.store(p).empty());
+  }
 }
 
 TEST(SeqCstChecker, DetectsDivergentApplyOrders) {

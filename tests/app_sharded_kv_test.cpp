@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,10 @@ TEST(ShardedKV, WritesLandOnlyOnTheOwningShard) {
   auto services = services_of(world);
   ShardedKV kv(services);
   const int keys = 16;
+  for (int k = 0; k < 2; ++k)
+    kv.shard(k).on_apply([&kv, k](ProcId, const AppliedWrite& w) {
+      EXPECT_EQ(kv.shard_of(w.key), k) << w.key << " applied on the wrong shard";
+    });
   world.simulator().at(sim::sec(1), [&] {
     for (int i = 0; i < keys; ++i)
       kv.write(static_cast<ProcId>(i % 3), "key" + std::to_string(i), std::to_string(i));
@@ -60,12 +65,9 @@ TEST(ShardedKV, WritesLandOnlyOnTheOwningShard) {
 
   std::size_t total = 0;
   for (int k = 0; k < 2; ++k) {
-    for (ProcId p = 0; p < 3; ++p) {
-      for (const auto& w : kv.shard(k).applied(p))
-        EXPECT_EQ(kv.shard_of(w.key), k) << w.key << " applied on the wrong shard";
-      EXPECT_EQ(kv.shard(k).applied(p).size(), kv.shard(k).applied(0).size());
-    }
-    total += kv.shard(k).applied(0).size();
+    for (ProcId p = 0; p < 3; ++p)
+      EXPECT_EQ(kv.shard(k).applied_count(p), kv.shard(k).applied_count(0));
+    total += kv.shard(k).applied_count(0);
   }
   EXPECT_EQ(total, static_cast<std::size_t>(keys)) << "every write applied exactly once";
   EXPECT_EQ(kv.total_applied(0), static_cast<std::size_t>(keys));
@@ -123,6 +125,23 @@ TEST(ShardedKV, SingleShardDegeneratesToPlainReplicatedKV) {
   world.run_until(sim::sec(10));
   EXPECT_EQ(kv.total_applied(2), 1u);
   EXPECT_EQ(kv.read(2, "a"), "1");
+}
+
+TEST(ShardedKV, RejectsShardOutsideTheRange) {
+  harness::World world = make_world(2);
+  auto services = services_of(world);
+  ShardedKV kv(services);
+  for (const int bad : {-1, 2, 7}) {
+    EXPECT_THROW(kv.barrier(bad, 0, [](std::size_t) {}), std::invalid_argument) << bad;
+    EXPECT_THROW(kv.shard(bad), std::invalid_argument) << bad;
+  }
+  // A processor outside the group is refused on the routed paths too.
+  EXPECT_THROW(kv.write(3, "a", "1"), std::invalid_argument);
+  EXPECT_THROW(kv.read(-1, "a"), std::invalid_argument);
+  EXPECT_THROW(kv.barrier(0, 3, [](std::size_t) {}), std::invalid_argument);
+  EXPECT_THROW(kv.total_applied(3), std::invalid_argument);
+  EXPECT_THROW(kv.writes_in_flight(3), std::invalid_argument);
+  EXPECT_EQ(kv.writes_in_flight(0), 0u) << "a refused write was not counted";
 }
 
 // --- CrossShardChecker ---------------------------------------------------
